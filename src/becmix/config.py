@@ -35,6 +35,10 @@ _KNOWN_KEYS = {
     "output": {"dir", "snapshots"},
 }
 
+# radial forms of [system] potential and the keys each takes
+_RADIAL_FORMS = {"box": {"amp", "radius"}, "gaussian": {"amp", "sigma"}}
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 _MODES = ("mean_field", "hartree", "gross_pitaevskii", "rabi", "spin1", "scattering")
 
 
@@ -191,7 +195,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raw = parser.get(section, key)
             try:
                 val = cast(raw)
-            except (ValueError, TypeError):
+            except (ValueError, TypeError, KeyError):
                 errors.append(f"[{section}] {key}: cannot parse {raw!r}{describe}")
                 return default
         else:
@@ -229,6 +233,10 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.seed = read("system", "seed", int, cfg.seed,
                     lambda v: None if v >= 0 else "seed must be nonnegative")
     cfg.scatter_potential = read("system", "potential", str, cfg.scatter_potential)
+    name, kw = _parse_expr(cfg.scatter_potential, "[system] potential", errors)
+    if name not in _RADIAL_FORMS or not set(kw) <= _RADIAL_FORMS[name]:
+        errors.append(f"[system] potential: expected 'box amp= radius=' or "
+                      f"'gaussian amp= sigma=', got {cfg.scatter_potential!r}")
 
     def int_list(raw: str) -> list[int]:
         return [int(tok) for tok in raw.replace(";", " ").split()]
@@ -254,8 +262,8 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.ladder = read("ladder", "entries", ladder_list, cfg.ladder)
     cfg.cap = read("ladder", "cap", int, cfg.cap,
                    lambda v: None if v > 0 else "cap must be positive")
-    cfg.ratio_fixed = read("ladder", "ratio_fixed", lambda r: r.lower() in ("1", "true", "yes"),
-                           cfg.ratio_fixed)
+    cfg.ratio_fixed = read("ladder", "ratio_fixed", lambda r: _FLAGS[r.lower()], cfg.ratio_fixed,
+                           describe=" (use 1/0, true/false or yes/no)")
     for (n1, n2) in cfg.ladder:
         if n1 < 1 or n2 < 1:
             errors.append(f"[ladder] entries: particle numbers must be >= 1, got ({n1},{n2})")

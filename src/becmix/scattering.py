@@ -1,10 +1,10 @@
 """Zero-energy s-wave scattering on the half-line.
 
-The reduced radial problem u'' = (1/2) V(r) u with u(0) = 0 is
-integrated outward; beyond the support of V the solution is the line
-u = kappa (r - a) and a is the scattering length.  The profile
-f = u / (kappa r) tends to 1 at infinity and its deficit g = 1 - f
-measures the short-range correlation hole.
+The reduced radial problem u'' = (1/2) V(r) u with u(0) = 0 is solved
+exactly for piecewise-constant V, segment by segment; beyond the support
+of V the solution is the line u = kappa (r - a) and a is the scattering
+length.  The profile f = u / (kappa r) tends to 1 at infinity and its
+deficit g = 1 - f measures the short-range correlation hole.
 
 `calibrate_shell` finds the outer radius C N^{-beta} of a repulsive
 spherical-shell potential of amplitude 4 pi a N^{3 beta - 1} such that
@@ -15,11 +15,11 @@ is what makes its norms shrink with N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 __all__ = [
@@ -52,15 +52,16 @@ class CalibrationError(ScatteringError):
 
 @dataclass(frozen=True)
 class RadialPotential:
-    """Compactly supported radial profile V(r), zero for r > support_radius.
+    """Compactly supported, piecewise-constant radial profile V(r).
 
-    `breakpoints` lists radii where V jumps; the integrator restarts
-    there so adaptive stepping never straddles a discontinuity.
+    V is zero for r > support_radius and constant between consecutive
+    points of 0, `breakpoints` and support_radius; `scattering_length`
+    raises ScatteringError where V differs between a segment's midpoint
+    and its quarter points.  Sample a smooth profile onto cells first.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    positive: bool = True
     breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -77,8 +78,6 @@ def square_barrier(height: float, radius: float) -> RadialPotential:
     return RadialPotential(
         profile=lambda r, _h=height: np.full_like(np.asarray(r, dtype=float), _h),
         support_radius=radius,
-        positive=height >= 0,
-        breakpoints=(radius,),
     )
 
 
@@ -96,7 +95,6 @@ def scale_potential(V: RadialPotential, N: int, beta: float = 1.0) -> RadialPote
     return RadialPotential(
         profile=lambda r, _V=V, _s=s, _a=amp: _a * _V(np.asarray(r) * _s),
         support_radius=V.support_radius / s,
-        positive=V.positive,
         breakpoints=tuple(b / s for b in V.breakpoints),
     )
 
@@ -147,16 +145,11 @@ class ShellPotential:
 
 def modified_potential(V_scaled: RadialPotential, shell: ShellPotential) -> RadialPotential:
     """The scaled potential minus the compensating shell."""
-    support = max(V_scaled.support_radius, shell.outer_radius)
-    breaks = {b for b in V_scaled.breakpoints if 0 < b < support}
-    breaks.update(b for b in (shell.inner_radius, shell.outer_radius) if 0 < b < support)
-    if 0 < V_scaled.support_radius < support:
-        breaks.add(V_scaled.support_radius)
     return RadialPotential(
         profile=lambda r, _V=V_scaled, _W=shell: _V(r) - _W(r),
-        support_radius=support,
-        positive=False,
-        breakpoints=tuple(sorted(breaks)),
+        support_radius=max(V_scaled.support_radius, shell.outer_radius),
+        breakpoints=(*V_scaled.breakpoints, V_scaled.support_radius,
+                     shell.inner_radius, shell.outer_radius),
     )
 
 
@@ -166,70 +159,51 @@ class ScatteringResult:
     r: np.ndarray
     f: np.ndarray
     g: np.ndarray
-    slope: float
+    slope: float  # exterior slope of u with u'(0) = 1; inf where that overflows
     support_radius: float
 
 
-def _segments(V: RadialPotential, r_max: float) -> list[tuple[float, float]]:
-    pts = {0.0, r_max}
-    pts.update(b for b in V.breakpoints if 0.0 < b < r_max)
-    if 0.0 < V.support_radius < r_max:
-        pts.add(V.support_radius)
-    pts = sorted(pts)
-    return list(zip(pts[:-1], pts[1:]))
+def _segments(V: RadialPotential) -> np.ndarray:
+    """Edges of the constant segments of V: 0, the breakpoints and R."""
+    R = V.support_radius
+    pts = np.array(sorted({0.0, R, *(b for b in V.breakpoints if 0.0 < b < R)}))
+    # merge breakpoints equal up to round-off (a scaled R/s against s^-1):
+    # the sliver between them has no interior point to read V at
+    edges = pts[np.r_[True, np.diff(pts) > 1e-12 * R]]
+    edges[-1] = R
+    return edges
 
 
-_RESCALE_LIMIT = 1e120
+def _transfer(q: np.ndarray, s: np.ndarray):
+    """Propagator of u'' = q u over offsets s, elementwise.
 
-
-def _integrate(V: RadialPotential, r_max: float, n_samples: int):
-    """March u'' = V u / 2 outward with occasional renormalization.
-
-    Returns sample radii and u on them, expressed in the scale of the
-    final segment (earlier samples are multiplied down; hard barriers
-    grow like exp(kappa r) and the constant factor cancels in the
-    scattering length).
+    Returns (c, m01, m10, g) with (u, u')(s) = exp(g) [[c, m01], [m10, c]]
+    (u, u')(0): cosh/sinh for q > 0, with the growth exp(k s) kept out as
+    g so that no barrier height overflows; cos/sin for q < 0; else linear.
     """
-    r_all = np.linspace(0.0, r_max, n_samples)
-    u_all = np.zeros(n_samples)
-    log_at = np.zeros(n_samples)  # log factor already removed when sample was stored
-    removed = 0.0
-    state = np.array([0.0, 1.0])
-    R = max(V.support_radius, 1e-12)
-    h_cap = R / 1000.0
+    k = np.sqrt(np.abs(q))
+    rep, att = q > 0, q < 0
+    half_sinh = -0.5 * np.expm1(-2.0 * k * s)  # exp(-ks) sinh(ks)
+    c = np.where(rep, 1.0 - half_sinh, np.where(att, np.cos(k * s), 1.0))
+    sn = np.where(rep, half_sinh, np.where(att, np.sin(k * s), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m01 = np.where(q != 0.0, sn / k, s)
+    return c, m01, np.where(att, -k, k) * sn, np.where(rep, k * s, 0.0)
 
-    def rhs(r, y):
-        return (y[1], 0.5 * V(r) * y[0])
 
-    filled = 1  # u(0) = 0 already stored
-    for lo, hi in _segments(V, r_max):
-        interior = lo < V.support_radius - 1e-300
-        n_chunks = max(1, int(np.ceil((hi - lo) / (R / 20.0)))) if interior else 1
-        edges = np.linspace(lo, hi, n_chunks + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            eps = 1e-9 * (b - a)
-            mask = (r_all > a + eps) & (r_all <= b + eps)
-            pts = np.clip(r_all[mask], a, b)
-            t_eval = np.unique(np.append(pts, b))
-            sol = solve_ivp(
-                rhs, (a, b), state, method="RK45", t_eval=t_eval,
-                rtol=1e-12, atol=1e-14,
-                max_step=h_cap if interior else np.inf,
-            )
-            if not sol.success:
-                raise ScatteringError(f"radial integration failed on [{a}, {b}]: {sol.message}")
-            idx = np.searchsorted(t_eval, pts)
-            u_all[filled:filled + pts.size] = sol.y[0][idx]
-            log_at[filled:filled + pts.size] = removed
-            filled += pts.size
-            state = sol.y[:, -1].copy()
-            scale = max(abs(state[0]), abs(state[1]))
-            if scale > _RESCALE_LIMIT:
-                state /= scale
-                removed += np.log(scale)
-    with np.errstate(under="ignore"):
-        u_all *= np.exp(log_at - removed)
-    return r_all, u_all
+def _zeros(q: float, h: float, u0: float, du0: float) -> tuple[float, ...]:
+    """The first and last offsets in (0, h] where u vanishes on a segment of
+    constant q that starts from (u0, du0); empty if u keeps its sign."""
+    k = math.sqrt(abs(q))
+    if q < 0.0:
+        phase = math.atan2(u0, du0 / k)  # u is proportional to sin(k s + phase)
+        first = (math.floor(phase / math.pi) + 1.0) * math.pi - phase
+        last = first + math.floor((k * h - first) / math.pi) * math.pi
+        return (first / k, last / k) if first <= k * h else ()
+    if abs(u0 * k) >= abs(du0):  # u is a multiple of cosh(k s + phase), or constant
+        return ()
+    s = -math.atanh(u0 * k / du0) / k if q > 0.0 else -u0 / du0
+    return (s,) if 0.0 < s <= h else ()
 
 
 def scattering_length(V: RadialPotential, r_max: float, *,
@@ -238,12 +212,14 @@ def scattering_length(V: RadialPotential, r_max: float, *,
                       ) -> ScatteringResult:
     """Scattering length and correlation profile of a radial potential.
 
-    The exterior line through the samples at 1.5 R and 2 R (R the
-    support radius) yields slope kappa and intercept a; f = u/(kappa r)
-    then approaches 1 - a/r outside the support.  A zero crossing of u
-    flags the bound-state regime and raises, except inside an explicitly
-    allowed window (shell-modified problems may push u through zero
-    between the shell radii without invalidating the exterior line).
+    (u, u') is carried from u(0) = 0, u'(0) = 1 to the support radius R by
+    the exact propagator of each constant segment, V read at its midpoint;
+    beyond R, u = kappa (r - a) with a = R - u(R)/u'(R).  f = u/(kappa r)
+    is sampled on n_samples points of [0, r_max].  Every zero of u at
+    r > 0, the exterior one at r = a > R included, is located exactly and
+    raises BoundStateError unless it lies in the allowed window (shell-
+    modified problems may push u through zero between the shell radii
+    without invalidating the exterior line).
     """
     R = V.support_radius
     if R == 0.0:
@@ -251,39 +227,45 @@ def scattering_length(V: RadialPotential, r_max: float, *,
         return ScatteringResult(0.0, r, np.ones_like(r), np.zeros_like(r), 1.0, 0.0)
     if not (r_max > 2.0 * R):
         raise ScatteringError(f"r_max must exceed twice the support radius {R}")
-    r, u = _integrate(V, r_max, n_samples)
+    edges = _segments(V)
+    lo, width = edges[:-1], np.diff(edges)
+    mid = V(lo + 0.5 * width)
+    bad = (V(lo + 0.25 * width) != mid) | (V(edges[1:] - 0.25 * width) != mid)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ScatteringError(f"V is not constant on [{edges[j]:.6g}, {edges[j + 1]:.6g}]; "
+                              "the profile must be constant between breakpoints")
+    q = 0.5 * mid
+    c, m01, m10, g = (x.tolist() for x in _transfer(q, width))
+    u, du, log, zeros = [0.0], [1.0], [0.0], []  # u, u' at the edges are exp(log) (u, du)
+    for j, (qj, h, r0) in enumerate(zip(q.tolist(), width.tolist(), lo.tolist())):
+        zeros += [r0 + min(s, h) for s in _zeros(qj, h, u[j], du[j])]
+        u.append(c[j] * u[j] + m01[j] * du[j])
+        du.append(m10[j] * u[j] + c[j] * du[j])
+        log.append(log[j] + g[j])
+    kappa = du[-1]
+    if kappa == 0.0:
+        raise ScatteringError("degenerate exterior asymptote: u'(R) = 0")
+    a = R - u[-1] / kappa
+    zeros += [R + s for s in _zeros(0.0, math.inf, u[-1], kappa)]  # at r = a > R
+    w_lo, w_hi = allow_crossing_window or (math.inf, -math.inf)
+    outside = [z for z in zeros if not w_lo <= z <= w_hi]
+    if outside:
+        where = ("" if allow_crossing_window is None
+                 else f" outside the allowed window [{w_lo:.6g}, {w_hi:.6g}]")
+        raise BoundStateError(f"radial solution crosses zero at r = {outside[0]:.6g}{where}; "
+                              "the potential supports a bound state")
 
-    positive_r = r > 0
-    sign_flip = np.where(np.diff(np.signbit(u[positive_r])))[0]
-    if sign_flip.size:
-        cross_r = r[positive_r][sign_flip]
-        cross_r = cross_r[cross_r > r[1]]  # ignore the trivial zero at the origin
-        if cross_r.size:
-            if allow_crossing_window is None:
-                raise BoundStateError(
-                    f"radial solution crosses zero near r = {cross_r[0]:.6g}; "
-                    "the potential supports a bound state"
-                )
-            lo, hi = allow_crossing_window
-            outside = cross_r[(cross_r < lo) | (cross_r > hi)]
-            if outside.size:
-                raise BoundStateError(
-                    f"radial solution crosses zero near r = {outside[0]:.6g}, "
-                    f"outside the allowed window [{lo:.6g}, {hi:.6g}]"
-                )
-
-    r1, r2 = 1.5 * R, 2.0 * R
-    u1, u2 = np.interp(r1, r, u), np.interp(r2, r, u)
-    kappa = (u2 - u1) / (r2 - r1)
-    scale = max(abs(u1), abs(u2), 1e-300)
-    if abs(kappa) < 1e-13 * scale / R:
-        raise ScatteringError("degenerate exterior asymptote: slope is numerically zero")
-    a = r1 - u1 / kappa
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f = u / (kappa * r)
-    # u is odd in r, so f = u/(kappa r) is even; extrapolate in r^2 to r = 0
-    f[0] = (4.0 * f[1] - f[2]) / 3.0 if n_samples > 2 else 1.0
-    return ScatteringResult(float(a), r, f, 1.0 - f, float(kappa), R)
+    r = np.linspace(0.0, r_max, n_samples)
+    j = np.searchsorted(edges, r, side="right") - 1  # past R: the exterior line, q = 0
+    c_r, m01_r, _, g_r = _transfer(np.append(q, 0.0)[j], r - edges[j])
+    with np.errstate(all="ignore"):  # under/overflow behind hard barriers, 0/0 at r = 0
+        u_r = np.exp(np.take(log, j) + g_r - log[-1]) * (
+            c_r * np.take(u, j) + m01_r * np.take(du, j))
+        f = u_r / (kappa * r)
+        f[0] = np.exp(-log[-1]) / kappa
+        slope = kappa * np.exp(log[-1])
+    return ScatteringResult(float(a), r, f, 1.0 - f, float(slope), R)
 
 
 def g_norms(result: ScatteringResult) -> tuple[float, float, float]:
@@ -304,10 +286,14 @@ def g_norms(result: ScatteringResult) -> tuple[float, float, float]:
     return float(l1), l2, float(np.max(np.abs(g)))
 
 
+# calibration: the final residual bound relative to the length scale, and
+# the step in C of the upward bracketing walk
+RESIDUAL_TOL = 1e-8
+SCAN_STEP = 0.25
+
+
 def calibrate_shell(V: RadialPotential, N: int, beta: float, species: str = "1", *,
-                    a: float | None = None, c_max: float = 8.0,
-                    residual_tol: float = 1e-8, scan_step: float = 0.25,
-                    n_samples: int = 4001) -> ShellPotential:
+                    a: float | None = None, c_max: float = 8.0) -> ShellPotential:
     """Find the smallest C > 1 whose shell cancels the scaled scattering length.
 
     The residual a(V_scaled - shell(C)) is walked upward from C = 1
@@ -316,7 +302,7 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, species: str = "1",
     jumps, so the walk stops at the first bracket (this also selects the
     smallest root).  The bracket is spot-checked for continuity and
     monotonicity, then refined by Brent's method until the residual is
-    below residual_tol times the problem's length scale.  Raises
+    below RESIDUAL_TOL times the problem's length scale.  Raises
     CalibrationError, with the walked residuals, if no bracket exists.
     """
     if not (0.0 < beta <= 1.0):
@@ -324,8 +310,8 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, species: str = "1",
     if N < 2:
         raise ScatteringError("calibration needs N >= 2")
     if a is None:
-        a = scattering_length(V, 2.5 * V.support_radius if V.support_radius else 1.0,
-                              n_samples=n_samples).scattering_length
+        a = scattering_length(V, 2.5 * V.support_radius if V.support_radius else 1.0
+                              ).scattering_length
     inner = float(N) ** (-beta)
     if a == 0.0:
         # nothing to cancel; C = 1 by convention (empty shell)
@@ -338,18 +324,17 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, species: str = "1",
     def residual(C: float) -> float:
         shell = ShellPotential.for_species(a, N, beta, C, species)
         mod = modified_potential(V_scaled, shell)
-        res = scattering_length(
-            mod, 2.5 * mod.support_radius, n_samples=n_samples,
+        return scattering_length(
+            mod, 2.5 * mod.support_radius,
             allow_crossing_window=(shell.inner_radius, shell.outer_radius),
-        )
-        return res.scattering_length
+        ).scattering_length
 
     c_lo = 1.0 + 1e-6
     walked = [(c_lo, residual(c_lo))]
     bracket = None
     c = c_lo
     while c < c_max and bracket is None:
-        c = min(c + scan_step, c_max)
+        c = min(c + SCAN_STEP, c_max)
         try:
             val = residual(c)
         except BoundStateError as exc:
@@ -377,8 +362,8 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, species: str = "1",
     length_scale = max(V_scaled.support_radius, hi * inner)
     c_star = float(brentq(residual, lo, hi, xtol=1e-9, rtol=8.9e-16, maxiter=200))
     final = residual(c_star)
-    if abs(final) > residual_tol * length_scale:
+    if abs(final) > RESIDUAL_TOL * length_scale:
         raise CalibrationError(
-            f"calibration residual {final:.3e} exceeds {residual_tol:.1e} * {length_scale:.3e}"
+            f"calibration residual {final:.3e} exceeds {RESIDUAL_TOL:.1e} * {length_scale:.3e}"
         )
     return ShellPotential.for_species(a, N, beta, c_star, species)

@@ -204,6 +204,33 @@ dir = {out}
     assert len(rows) == 2
 
 
+def test_scattering_potential_validated_at_parse_time():
+    for expr in ("box amp=abc radius=1", "box amp=2 radius=1 junk", "box amp=2 raduis=1",
+                 "cosine amp=1"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[system]\nmode = scattering\npotential = {expr}\n")
+        assert "[system] potential" in str(err.value)
+    assert parse_config("[system]\npotential = gaussian amp=1 sigma=0.2\n").scatter_potential \
+        == "gaussian amp=1 sigma=0.2"
+
+
+def test_ratio_fixed_accepts_only_flags():
+    base = MINIMAL.format(out="x").replace("entries = 1,1; 2,2", "entries = 1,1; 2,2\nratio_fixed = {}")
+    for raw, value in (("YES", True), ("0", False), ("False", False)):
+        assert parse_config(base.format(raw)).ratio_fixed is value
+    with pytest.raises(ConfigError) as err:
+        parse_config(base.format("ture"))
+    assert "[ladder] ratio_fixed" in str(err.value)
+
+
+def test_cli_scattering_bound_state_is_an_error(tmp_path, capsys):
+    cfg_path = tmp_path / "well.ini"
+    cfg_path.write_text(f"[system]\nmode = scattering\npotential = box amp=-20 radius=1\n"
+                        f"[output]\ndir = {tmp_path / 'sc'}\n")
+    assert cli.main(["scattering", str(cfg_path)]) == 2
+    assert "error: radial solution crosses zero" in capsys.readouterr().err
+
+
 def test_cli_rejects_bad_config(tmp_path):
     cfg_path = tmp_path / "bad.ini"
     cfg_path.write_text("[grid]\npoints = nope\n")

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from becmix import cli
 from becmix.scattering import (
     BoundStateError,
     CalibrationError,
@@ -75,6 +77,58 @@ def test_bound_state_detection():
     V = square_barrier(-20.0, 1.0)
     with pytest.raises(BoundStateError):
         scattering_length(V, 2.5)
+
+
+def test_bound_state_beyond_the_support():
+    # u stays positive inside the well but falls at its edge; the exterior
+    # line crosses zero at a = 1 - tan(k)/k ~ 13.3, beyond r_max = 2.5
+    k = math.pi / 2 + 0.05
+    V = square_barrier(-2.0 * k**2, 1.0)
+    for r_max in (2.5, 30.0):
+        with pytest.raises(BoundStateError):
+            scattering_length(V, r_max)
+
+
+def test_non_constant_profile_rejected():
+    V = RadialPotential(lambda r: 1.0 + np.asarray(r, float), 1.0)
+    with pytest.raises(ScatteringError, match="not constant"):
+        scattering_length(V, 2.5)
+
+
+def test_calibration_with_round_off_twin_breakpoints():
+    # 32**-0.6 and 1/32**0.6 differ in the last bit: the barrier edge and
+    # the shell's inner radius must still make one breakpoint
+    assert 32.0 ** -0.6 != 1.0 / 32.0 ** 0.6
+    shell = calibrate_shell(BARRIER, 32, 0.6)
+    mod = modified_potential(scale_potential(BARRIER, 32, 0.6), shell)
+    res = scattering_length(mod, 2.5 * mod.support_radius,
+                            allow_crossing_window=(shell.inner_radius, shell.outer_radius))
+    assert abs(res.scattering_length) < 1e-8 * mod.support_radius
+
+
+def _gaussian_oracle(amp, sigma):
+    """a(V) of the continuous gaussian, integrated by an adaptive ODE solver."""
+    R = 6.0 * sigma
+    sol = solve_ivp(lambda r, y: (y[1], 0.5 * amp * math.exp(-r * r / (2 * sigma**2)) * y[0]),
+                    (0.0, R), (0.0, 1.0), method="DOP853", rtol=1e-13, atol=1e-15)
+    u, du = sol.y[:, -1]
+    return R - u / du
+
+
+def test_gaussian_cells_converge_to_ode_oracle(monkeypatch):
+    expr = "gaussian amp=2 sigma=0.5"
+    ref = _gaussian_oracle(2.0, 0.5)
+    V = cli._radial_from_expr(expr)
+    a = scattering_length(V, 2.5 * V.support_radius).scattering_length
+    assert abs(a - ref) < 5e-6 * abs(ref)
+    errors = []
+    for cells in (256, 512, 1024):
+        monkeypatch.setattr(cli, "GAUSSIAN_CELLS", cells)
+        V = cli._radial_from_expr(expr)
+        errors.append(abs(scattering_length(V, 2.5 * V.support_radius).scattering_length - ref))
+    # midpoint cells are second order: each halving cuts the error ~4x
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 < coarse / fine < 4.5
 
 
 def test_r_max_precondition():
