@@ -35,8 +35,14 @@ _KNOWN_KEYS = {
     "output": {"dir", "snapshots"},
 }
 
-# radial forms of [system] potential and the keys each takes
-_RADIAL_FORMS = {"box": {"amp", "radius"}, "gaussian": {"amp", "sigma"}}
+# forms of each [system] expression slot and the keys each form takes
+_POTENTIAL_FORMS = {"zero": set(), "cosine": {"amp", "k"}, "gaussian": {"amp", "sigma"},
+                    "box": {"amp", "radius"}}
+_ORBITAL_FORMS = {"zero": set(), "uniform": set(), "mode": {"k"}, "cospack": {"eps", "k"},
+                  "gaussian": {"x0", "sigma", "k"}}
+_SLOT_FORMS = {"v1": _POTENTIAL_FORMS, "v2": _POTENTIAL_FORMS, "v12": _POTENTIAL_FORMS,
+               "u0": _ORBITAL_FORMS, "v0": _ORBITAL_FORMS, "w0": _ORBITAL_FORMS,
+               "potential": {"box": {"amp", "radius"}, "gaussian": {"amp", "sigma"}}}
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 _MODES = ("mean_field", "hartree", "gross_pitaevskii", "rabi", "spin1", "scattering")
@@ -62,6 +68,17 @@ def _parse_expr(text: str, path: str, errors: list[str]) -> tuple[str, dict[str,
         except ValueError:
             errors.append(f"{path}: non-numeric value {val!r} for {key!r}")
     return name, kwargs
+
+
+def _check_form(text: str, key: str, errors: list[str]) -> None:
+    """Validate one [system] expression against the forms its slot accepts."""
+    path, forms = f"[system] {key}", _SLOT_FORMS[key]
+    name, kw = _parse_expr(text, path, errors)
+    if name not in forms:
+        errors.append(f"{path}: unknown form {name!r} (expected one of {', '.join(forms)})")
+    elif not set(kw) <= forms[name]:
+        errors.append(f"{path}: {name} takes {', '.join(sorted(forms[name])) or 'no keys'}, "
+                      f"got {', '.join(sorted(set(kw) - forms[name]))}")
 
 
 def _potential_values(grid: Grid, name: str, kw: dict[str, float]) -> np.ndarray:
@@ -162,10 +179,6 @@ class ExperimentConfig:
         return normalize(Field(grid, vals))
 
 
-def _ladder_dim(M: int, n1: int, n2: int) -> int:
-    return math.comb(M + n1 - 1, n1) * math.comb(M + n2 - 1, n2)
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate an experiment document.
 
@@ -215,12 +228,8 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.mode = read("system", "mode", str, cfg.mode,
                     lambda v: None if v in _MODES else f"unknown mode {v!r}")
     for key in ("v1", "v2", "v12", "u0", "v0", "w0"):
-        val = read("system", key, str, getattr(cfg, key))
-        name, kw = _parse_expr(val, f"[system] {key}", errors)
-        known = {"zero", "cosine", "gaussian", "box", "uniform", "mode", "cospack"}
-        if name not in known:
-            errors.append(f"[system] {key}: unknown form {name!r}")
-        setattr(cfg, key, val)
+        setattr(cfg, key, read("system", key, str, getattr(cfg, key)))
+        _check_form(getattr(cfg, key), key, errors)
     cfg.c1 = read("system", "c1", float, cfg.c1,
                   lambda v: None if 0.0 < v < 1.0 else f"c1 must lie in (0,1), got {v}")
     cfg.a1 = read("system", "a1", float, cfg.a1)
@@ -233,10 +242,7 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.seed = read("system", "seed", int, cfg.seed,
                     lambda v: None if v >= 0 else "seed must be nonnegative")
     cfg.scatter_potential = read("system", "potential", str, cfg.scatter_potential)
-    name, kw = _parse_expr(cfg.scatter_potential, "[system] potential", errors)
-    if name not in _RADIAL_FORMS or not set(kw) <= _RADIAL_FORMS[name]:
-        errors.append(f"[system] potential: expected 'box amp= radius=' or "
-                      f"'gaussian amp= sigma=', got {cfg.scatter_potential!r}")
+    _check_form(cfg.scatter_potential, "potential", errors)
 
     def int_list(raw: str) -> list[int]:
         return [int(tok) for tok in raw.replace(";", " ").split()]
@@ -268,7 +274,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if n1 < 1 or n2 < 1:
             errors.append(f"[ladder] entries: particle numbers must be >= 1, got ({n1},{n2})")
             continue
-        dim = _ladder_dim(cfg.points, n1, n2)
+        dim = math.comb(cfg.points + n1 - 1, n1) * math.comb(cfg.points + n2 - 1, n2)
         if dim > cfg.cap:
             errors.append(
                 f"[ladder] entries: ({n1},{n2}) has basis dimension {dim} > cap {cfg.cap}"
@@ -302,7 +308,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in required_orbitals:
         if key == "w0":
             continue  # the third spinor component may start empty
-        if getattr(cfg, key).split()[0] == "zero":
+        if getattr(cfg, key).split()[:1] == ["zero"]:
             errors.append(f"[system] {key}: initial orbital must be nonzero")
 
     if errors:

@@ -21,7 +21,6 @@ __all__ = [
     "firstquant_cap_check",
     "site_vector",
     "firstquant_vector",
-    "one_body_apply",
     "orbital_project",
     "axis_diagonal",
     "pair_diagonal",
@@ -74,11 +73,6 @@ def firstquant_vector(state: ManyBodyState) -> np.ndarray:
     idx_b, amp_b = _species_maps(b.B.occs, b.B.index, b.M, b.N2)
     psi = state.psi[np.ix_(idx_a, idx_b)] * np.outer(amp_a, amp_b)
     return psi.reshape((b.M,) * (b.N1 + b.N2))
-
-
-def one_body_apply(psi: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, psi, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
 
 
 def orbital_project(psi: np.ndarray, u_site: np.ndarray, axis: int,

@@ -1,12 +1,14 @@
 """Convergence sweeps: co-evolve the lattice gas and its effective system.
 
 One sweep runs the particle-number ladder of an ExperimentConfig.  Each
-entry prepares the condensed product state, propagates it exactly while
-the coupled convolution system advances the orbitals (lattice kinetic
-term on both sides, so the derivative identity is exact), and samples
-every indicator column.  Reports are deterministic functions of
-(config, seed): re-running writes byte-identical CSVs at any thread
-count, since entries are independent and assembled in ladder order.
+entry prepares the condensed product state, advances the coupled
+convolution system in dt Strang steps (lattice kinetic term on both
+sides, so the derivative identity is exact), propagates the many-body
+state exactly from one sample point to the next in one Krylov call, and
+samples every indicator column there.  Reports are deterministic
+functions of (config, seed): re-running writes byte-identical CSVs at
+any thread count, since entries are independent and assembled in ladder
+order.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from traceback import format_exc
 
 import numpy as np
 
@@ -56,6 +59,7 @@ class SweepEntry:
     alpha_probe: float = float("nan")
     energy_gap: float = float("nan")
     error: str | None = None
+    traceback: str | None = None
 
 
 @dataclass
@@ -115,10 +119,12 @@ def _run_entry(cfg: ExperimentConfig, n1: int, n2: int) -> SweepEntry:
         n_steps = int(round(cfg.T / cfg.dt))
         probe_step = int(round(cfg.probe_time / cfg.dt))
         alpha_probe = entry.rows[0][1] if probe_step == 0 else None
+        last = 0
         for k in range(1, n_steps + 1):
-            psi = H.propagate(psi, cfg.dt)
             eff = step(eff, eff_spec, cfg.dt)
             if k % cfg.sample_every == 0 or k == n_steps or k == probe_step:
+                psi = H.propagate(psi, (k - last) * cfg.dt)
+                last = k
                 row = sample(k * cfg.dt, psi, eff)
                 entry.rows.append(row)
                 if k == probe_step:
@@ -126,6 +132,7 @@ def _run_entry(cfg: ExperimentConfig, n1: int, n2: int) -> SweepEntry:
         entry.alpha_probe = alpha_probe if alpha_probe is not None else entry.rows[-1][1]
     except Exception as exc:  # keep the sweep alive; the entry carries the diagnostic
         entry.error = f"{type(exc).__name__}: {exc}"
+        entry.traceback = format_exc()
     return entry
 
 
@@ -159,8 +166,8 @@ def emit_report(report: SweepReport, out_dir) -> list[Path]:
     """Write per-entry series CSVs, the summary CSV and a JSON manifest.
 
     CSV payloads are pure functions of (config, seed); the manifest
-    additionally records wall-clock time and is the only file allowed to
-    differ between identical runs.
+    additionally records wall-clock time and the traceback of each failed
+    entry, and is the only file allowed to differ between identical runs.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -200,6 +207,7 @@ def emit_report(report: SweepReport, out_dir) -> list[Path]:
             "seed": report.seed,
             "wall_clock_s": report.wall_clock_s,
             "fitted_exponent": report.fitted_exponent,
+            "tracebacks": {f"{e.n1},{e.n2}": e.traceback for e in report.entries if e.error},
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
     written.append(manifest)

@@ -22,7 +22,7 @@ Everything measured during a convergence run lives here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 from typing import Callable
 
@@ -30,9 +30,7 @@ import numpy as np
 
 from .grids import Field
 from .manybody import (
-    Hamiltonian,
     HamiltonianSpec,
-    ManyBodyError,
     ManyBodyState,
     TwoSpeciesBasis,
     _circulant,
@@ -41,7 +39,6 @@ from .manybody import (
 from .fock import (
     axis_diagonal,
     firstquant_vector,
-    one_body_apply,
     orbital_project,
     pair_diagonal,
     site_vector,
@@ -378,11 +375,6 @@ class CountingProjectorSet:
     def sector_weights(self, state: ManyBodyState) -> np.ndarray:
         """||P_k psi||^2 for k = 0..N."""
         return np.array([np.vdot(p, p).real for p in self.split(state)])
-
-    def weighted_apply(self, g: WeightFunction, state: ManyBodyState) -> np.ndarray:
-        vals = g.values
-        parts = self.split(state)
-        return sum(vals[k] * parts[k] for k in range(self.N + 1))
 
 
 def counting_projectors(basis: TwoSpeciesBasis, u: Field, species: str) -> CountingProjectorSet:

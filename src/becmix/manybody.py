@@ -2,9 +2,10 @@
 
 States live in the tensor product of the two symmetric sectors, stored
 as coefficients over pairs of occupation vectors (one per species).
-The Hamiltonian is hopping (3-point periodic stencil of -Laplacian, so
-the matrix stays sparse) plus density-density two-body terms sampled on
-the periodic displacement:
+The Hamiltonian is hopping (3-point periodic stencil of -Laplacian, a
+sparse matrix per species, applied to one species index at a time and
+never assembled into the joint Kronecker sum) plus density-density
+two-body terms sampled on the periodic displacement:
 
     H = sum_species kinetic
         + g1 * sum_{i<j} V1(x_i - x_j)   (within species A)
@@ -21,7 +22,7 @@ reorthogonalization and adaptive substepping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 from typing import Callable, Sequence
 
@@ -114,7 +115,6 @@ class TwoSpeciesBasis:
         self.N2 = N2
         self.A = _SpeciesBasis.build(M, N1)
         self.B = _SpeciesBasis.build(M, N2)
-        self._lowered: dict[str, "TwoSpeciesBasis | _SpeciesBasis"] = {}
         self._lowering: dict[str, list[sp.csr_matrix]] = {}
 
     @property
@@ -159,12 +159,7 @@ class TwoSpeciesBasis:
                     vals.append(math.sqrt(n_x))
                 ops.append(sp.csr_matrix((vals, (rows, cols)), shape=(dst.dim, src.dim)))
             self._lowering[tag] = ops
-            self._lowered[tag] = dst
         return self._lowering[tag]
-
-    def lowered_species(self, tag: str) -> _SpeciesBasis:
-        self.lowering_ops(tag)
-        return self._lowered[tag]  # type: ignore[return-value]
 
 
 def build_basis(M: int, N1: int, N2: int, dim_cap: int = DEFAULT_DIM_CAP) -> TwoSpeciesBasis:
@@ -309,8 +304,6 @@ def _hop_matrix(species: _SpeciesBasis, h: float) -> sp.csr_matrix:
             if n_s == 0:
                 continue
             for t in ((s + 1) % M, (s - 1) % M):
-                if t == s:
-                    continue
                 new = occ.copy()
                 new[s] -= 1
                 new[t] += 1
@@ -318,9 +311,8 @@ def _hop_matrix(species: _SpeciesBasis, h: float) -> sp.csr_matrix:
                 rows.append(j)
                 cols.append(i)
                 vals.append(-math.sqrt(n_s * (occ[t] + 1)) / h**2)
-    out = sp.csr_matrix((vals, (rows, cols)), shape=(species.dim, species.dim))
-    out.sum_duplicates()
-    return out
+    # the COO -> CSR conversion sums the two equal neighbours of M = 2
+    return sp.csr_matrix((vals, (rows, cols)), shape=(species.dim, species.dim))
 
 
 def _intra_diagonal(species: _SpeciesBasis, kernel: np.ndarray) -> np.ndarray:
@@ -336,11 +328,13 @@ def _intra_diagonal(species: _SpeciesBasis, kernel: np.ndarray) -> np.ndarray:
 
 
 class Hamiltonian:
-    """Action of one HamiltonianSpec on a fixed basis.
+    """Action of one HamiltonianSpec on a fixed basis, matrix-free.
 
-    Assembled once as a sparse matrix over the flattened joint index
-    (hopping is a two-sided Kronecker sum, interactions are diagonal);
-    `apply` accepts either the flat or the (dimA, dimB) layout.
+    H = hop_A (x) I + I (x) hop_B + diag: the hopping acts on one species
+    index at a time and the interactions are diagonal, so `apply` works
+    on the (dimA, dimB) layout without forming the Kronecker sum.  It
+    accepts either the flat or the 2-D layout; `matrix` assembles the
+    sparse H over the flat joint index on demand, for dense checks.
     """
 
     def __init__(self, spec: HamiltonianSpec, basis: TwoSpeciesBasis):
@@ -359,16 +353,18 @@ class Hamiltonian:
                 + _intra_diagonal(basis.B, spec.kernel2)[None, :])
         # cross term: sum_{s,t} V12(d(s,t)) nA_s nB_t
         C12 = _circulant(spec.kernel12)
-        diag = diag + basis.A.occs.astype(float) @ C12 @ basis.B.occs.T.astype(float)
-        self.diag = diag
-        self.matrix = (sp.kron(self.hop_A, sp.identity(basis.B.dim, format="csr"))
-                       + sp.kron(sp.identity(basis.A.dim, format="csr"), self.hop_B)
-                       + sp.diags(diag.ravel())).tocsr()
+        self.diag = diag + basis.A.occs.astype(float) @ C12 @ basis.B.occs.T.astype(float)
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        return (sp.kron(self.hop_A, sp.identity(self.basis.B.dim, format="csr"))
+                + sp.kron(sp.identity(self.basis.A.dim, format="csr"), self.hop_B)
+                + sp.diags(self.diag.ravel())).tocsr()
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        if psi.ndim == 1:
-            return self.matrix @ psi
-        return (self.matrix @ psi.ravel()).reshape(psi.shape)
+        P = psi.reshape(self.basis.shape)
+        out = self.hop_A @ P + (self.hop_B @ P.T).T + self.diag * P
+        return out.ravel() if psi.ndim == 1 else out
 
     def expectation(self, state: ManyBodyState) -> float:
         val = np.vdot(state.psi, self.apply(state.psi))
@@ -421,7 +417,7 @@ def _lanczos_expm(apply_H, psi: np.ndarray, dt: float, m_max: int, tol: float):
     for j in range(1, m_max + 1):
         # reorthogonalize against everything computed so far (two passes)
         for _ in range(2):
-            coeffs = V[:j].conj() @ w
+            coeffs = (V[:j] @ w.conj()).conj()
             w = w - V[:j].T @ coeffs
         b = float(np.linalg.norm(w))
         if b < 1e-14 * scale:
@@ -453,19 +449,17 @@ def propagate(spec: HamiltonianSpec | Hamiltonian, state: ManyBodyState, dt: flo
     if dt == 0.0:
         raise ManyBodyError("dt must be nonzero")
     H = spec if isinstance(spec, Hamiltonian) else Hamiltonian(spec, state.basis)
-    shape = state.psi.shape
-    flat_apply = lambda x: H.apply(x.reshape(shape)).ravel()
     n_sub = 1
     while n_sub <= max_substeps:
         psi = state.psi.ravel().copy()
         ok = True
         for _ in range(n_sub):
-            psi, converged = _lanczos_expm(flat_apply, psi, dt / n_sub, krylov_dim, tol)
+            psi, converged = _lanczos_expm(H.apply, psi, dt / n_sub, krylov_dim, tol)
             if not converged:
                 ok = False
                 break
         if ok:
-            return ManyBodyState(state.basis, psi.reshape(shape), state.time + dt)
+            return ManyBodyState(state.basis, psi.reshape(state.psi.shape), state.time + dt)
         n_sub *= 2
     raise ManyBodyError(f"Krylov propagation failed to converge with {max_substeps} substeps")
 

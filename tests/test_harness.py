@@ -7,6 +7,7 @@ from becmix.config import ConfigError, parse_config
 from becmix.harness import INDICATOR_COLUMNS, emit_report, run_convergence_sweep
 from becmix import cli
 import becmix.harness as harness_mod
+import becmix.manybody as manybody_mod
 
 MINIMAL = """
 [grid]
@@ -134,11 +135,71 @@ def test_sweep_entry_failure_is_diagnosed_not_fatal(tmp_path, monkeypatch):
     report = run_convergence_sweep(cfg)
     assert report.entries[0].error is None
     assert "synthetic failure" in report.entries[1].error
+    assert report.entries[0].traceback is None
     out = tmp_path / "partial"
     emit_report(report, out)
     rows = (out / "summary.csv").read_bytes().decode().strip().split("\r\n")
     assert len(rows) == 3
-    assert "synthetic failure" in rows[2]
+    assert rows[2].endswith(",RuntimeError: synthetic failure")
+    tracebacks = json.loads((out / "manifest.json").read_text())["tracebacks"]
+    assert list(tracebacks) == ["2,2"]
+    assert "in flaky" in tracebacks["2,2"]
+    assert tracebacks["2,2"].rstrip().endswith("RuntimeError: synthetic failure")
+
+
+@pytest.mark.parametrize("timing,doubles", [
+    ("t = 0.05\nsample_every = 20\n\n[indicators]\nprobe_time = 0.033", False),
+    ("t = 2.0\ndt = 0.01\nsample_every = 200", True),
+], ids=["probe_off_the_sample_grid", "one_interval_doubles_substeps"])
+def test_sample_interval_propagation_matches_per_dt_steps(tmp_path, monkeypatch, timing, doubles):
+    # the sweep advances the many-body state once per sample interval;
+    # the reference takes one Krylov step per effective dt
+    cfg = parse_config(MINIMAL.format(out=tmp_path).replace("t = 0.05", timing))
+    real_expm = manybody_mod._lanczos_expm
+    converged = []
+
+    def recording_expm(*args):
+        out = real_expm(*args)
+        converged.append(out[1])
+        return out
+
+    monkeypatch.setattr(manybody_mod, "_lanczos_expm", recording_expm)
+    fast = run_convergence_sweep(cfg)
+    # one interval of 2.0 is beyond one Krylov pass: the propagator doubles
+    assert (False in converged) is doubles
+    real = manybody_mod.Hamiltonian.propagate
+
+    def per_dt(self, state, interval):
+        for _ in range(round(interval / cfg.dt)):
+            state = real(self, state, cfg.dt)
+        return state
+
+    monkeypatch.setattr(manybody_mod.Hamiltonian, "propagate", per_dt)
+    ref = run_convergence_sweep(cfg)
+    for a, b in zip(fast.entries, ref.entries, strict=True):
+        assert a.error is None and b.error is None
+        assert np.max(np.abs(np.array(a.rows) - np.array(b.rows))) < 1e-10
+        assert abs(a.alpha_probe - b.alpha_probe) < 1e-10
+    times = [r[0] for r in fast.entries[0].rows]
+    assert times == ([0.0, 0.02, 0.033, 0.04, 0.05] if not doubles else [0.0, 2.0])
+
+
+def test_system_forms_and_keys_validated_per_slot():
+    for line, needle in (("v1 = uniform", "[system] v1: unknown form 'uniform'"),
+                         ("u0 = box radius=1", "[system] u0: unknown form 'box'"),
+                         ("v2 = cosine amp=1 kk=3", "[system] v2: cosine takes amp, k, got kk")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[system]\n{line}\n")
+        assert needle in str(err.value)
+    with pytest.raises(ConfigError) as err:   # every error is reported together
+        parse_config("[system]\nv1 = uniform\nu0 = box radius=1\nv2 = cosine amp=1 kk=3\n"
+                     "v0 = gaussian x0=1 sigma=0.5 k=2 amp=3\nw0 = zero eps=1\n")
+    msg = str(err.value)
+    for path in ("[system] v1", "[system] u0", "[system] v2", "[system] v0", "[system] w0"):
+        assert path in msg
+    cfg = parse_config("[system]\nv12 = box amp=2 radius=0.5\nu0 = mode k=2\n"
+                       "v0 = gaussian x0=1 sigma=0.5 k=2\nw0 = uniform\n")
+    assert (cfg.v12, cfg.u0) == ("box amp=2 radius=0.5", "mode k=2")
 
 
 def test_sweep_requires_ladder(tmp_path):

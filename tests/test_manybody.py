@@ -149,6 +149,25 @@ def test_hermiticity_on_random_pairs():
     assert worst < 1e-12
 
 
+def test_matrix_free_apply_matches_assembled_matrix():
+    # N1 != N2 so that dimA != dimB: a transposed layout cannot pass
+    g = Grid(1, 5, 2.0)
+    V1, V2, V12 = _cos_fields(g, amps=(1.3, 0.7, 0.9))
+    b = build_basis(5, 3, 1)
+    assert b.shape == (35, 5)
+    H = Hamiltonian(HamiltonianSpec.mean_field(g, V1, V2, V12, 3, 1), b)
+    Hm = H.matrix
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        x, y = random_state(b, rng).psi, random_state(b, rng).psi
+        ref = Hm @ x.ravel()
+        flat, grid2d = H.apply(x.ravel()), H.apply(x)
+        assert flat.shape == (b.dim,) and grid2d.shape == b.shape
+        assert np.max(np.abs(flat - ref)) < 1e-12
+        assert np.max(np.abs(grid2d.ravel() - ref)) < 1e-12
+        assert abs(np.vdot(x, H.apply(y)) - np.vdot(H.apply(x), y)) < 1e-12
+
+
 def test_free_hamiltonian_momentum_eigenstate():
     M = 6
     g = Grid(1, M, 3.0)
