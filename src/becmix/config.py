@@ -292,6 +292,8 @@ def parse_config(text: str) -> ExperimentConfig:
                             lambda v: None if v >= 1 else "sample_every must be >= 1")
     if cfg.dt > cfg.T:
         errors.append("[time] dt: dt exceeds t")
+    elif cfg.T > 0 and cfg.dt > 0 and abs(round(cfg.T / cfg.dt) * cfg.dt - cfg.T) > 1e-9 * cfg.T:
+        errors.append(f"[time] t: {cfg.T!r} is not a multiple of dt {cfg.dt!r}")
 
     cfg.xi = read("indicators", "xi", float, cfg.xi,
                   lambda v: None if v > 0 else f"xi must be positive, got {v}")

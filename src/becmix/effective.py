@@ -22,6 +22,7 @@ renormalized).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import csv
 import math
 from typing import Callable, Sequence
@@ -63,8 +64,10 @@ def _check_even(f: Field, name: str):
 class CouplingSpec:
     """Mode tag plus the couplings of one effective system.
 
-    Use the classmethod constructors; they validate the mode-specific
-    fields.  `kinetic` selects the transform-space symbol of -Laplacian:
+    Use the classmethod constructors; every construction, also through
+    `dataclasses.replace`, validates c1, the couplings and the hartree
+    potentials, whose transforms `potential_transforms` computes on first
+    use.  `kinetic` selects the transform-space symbol of -Laplacian:
     "spectral" (default, |k|^2) or "stencil" (3-point lattice symbol,
     for consistency runs against the many-body harness).
     """
@@ -83,9 +86,28 @@ class CouplingSpec:
     kinetic: str = "spectral"
     exchange_tol: float = 1e-7
 
+    def __post_init__(self):
+        if not (0.0 < self.c1 < 1.0):
+            raise EffectiveError(f"c1 must lie in (0,1), got {self.c1}")
+        for name in ("a1", "a2", "a12", "a"):
+            if not math.isfinite(getattr(self, name)):
+                raise EffectiveError(f"{name} must be finite")
+        for name in ("V1", "V2", "V12") if self.mode == "hartree" else ():
+            V = getattr(self, name)
+            if V.grid != self.grid:
+                raise EffectiveError("potentials must share one grid")
+            if not V.is_real(1e-10):
+                raise EffectiveError(f"potential {name} must be real")
+            _check_even(V, name)
+
     @property
     def c2(self) -> float:
         return 1.0 - self.c1
+
+    @cached_property
+    def potential_transforms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Discrete transforms of V1, V2 and V12 (hartree mode)."""
+        return tuple(np.fft.fftn(V.values) for V in (self.V1, self.V2, self.V12))
 
     @property
     def n_components(self) -> int:
@@ -94,41 +116,23 @@ class CouplingSpec:
     @classmethod
     def hartree(cls, V1: Field, V2: Field, V12: Field, c1: float = 0.5,
                 kinetic: str = "spectral") -> "CouplingSpec":
-        if not (0.0 < c1 < 1.0):
-            raise EffectiveError(f"c1 must lie in (0,1), got {c1}")
-        grid = V1.grid
-        for name, V in (("V1", V1), ("V2", V2), ("V12", V12)):
-            if V.grid != grid:
-                raise EffectiveError("potentials must share one grid")
-            if not V.is_real(1e-10):
-                raise EffectiveError(f"potential {name} must be real")
-            _check_even(V, name)
-        return cls(mode="hartree", grid=grid, c1=c1, V1=V1, V2=V2, V12=V12, kinetic=kinetic)
+        return cls(mode="hartree", grid=V1.grid, c1=c1, V1=V1, V2=V2, V12=V12, kinetic=kinetic)
 
     @classmethod
     def gross_pitaevskii(cls, grid: Grid, a1: float, a2: float, a12: float,
                          c1: float = 0.5, kinetic: str = "spectral") -> "CouplingSpec":
-        if not (0.0 < c1 < 1.0):
-            raise EffectiveError(f"c1 must lie in (0,1), got {c1}")
-        for name, val in (("a1", a1), ("a2", a2), ("a12", a12)):
-            if not math.isfinite(val):
-                raise EffectiveError(f"{name} must be finite")
         return cls(mode="gross_pitaevskii", grid=grid, c1=c1, a1=a1, a2=a2, a12=a12,
                    kinetic=kinetic)
 
     @classmethod
     def rabi(cls, grid: Grid, a: float, B: Callable[[float], float] | float,
              kinetic: str = "spectral") -> "CouplingSpec":
-        if not math.isfinite(a):
-            raise EffectiveError("a must be finite")
         B_fn = (lambda t, _B=float(B): _B) if not callable(B) else B
         return cls(mode="rabi", grid=grid, a=a, rabi_field=B_fn, kinetic=kinetic)
 
     @classmethod
     def spin1(cls, grid: Grid, a: float, kinetic: str = "spectral",
               exchange_tol: float = 1e-7) -> "CouplingSpec":
-        if not math.isfinite(a):
-            raise EffectiveError("a must be finite")
         return cls(mode="spin1", grid=grid, a=a, kinetic=kinetic, exchange_tol=exchange_tol)
 
 
@@ -186,13 +190,13 @@ def _spin_exchange_rhs(u, v, w, g):
 def _potential_substep(arrays, spec: CouplingSpec, t0: float, tau: float):
     """Advance the potential-only flow from t0 by tau."""
     if spec.mode == "hartree":
+        # periodic_convolve's arithmetic on the cached potential transforms
         u, v = arrays
-        rho_u = Field(spec.grid, np.abs(u) ** 2)
-        rho_v = Field(spec.grid, np.abs(v) ** 2)
-        Wu = periodic_convolve(spec.V1, rho_u).values.real \
-            + spec.c2 * periodic_convolve(spec.V12, rho_v).values.real
-        Wv = periodic_convolve(spec.V2, rho_v).values.real \
-            + spec.c1 * periodic_convolve(spec.V12, rho_u).values.real
+        hd = spec.grid.volume_element
+        V1, V2, V12 = spec.potential_transforms
+        ru, rv = (np.fft.fftn(rho) for rho in _densities(arrays))
+        Wu = np.fft.ifftn(V1 * ru).real * hd + spec.c2 * (np.fft.ifftn(V12 * rv).real * hd)
+        Wv = np.fft.ifftn(V2 * rv).real * hd + spec.c1 * (np.fft.ifftn(V12 * ru).real * hd)
         return [np.exp(-1j * tau * Wu) * u, np.exp(-1j * tau * Wv) * v]
 
     if spec.mode == "gross_pitaevskii":
@@ -300,15 +304,15 @@ def evolve(state: OrbitalState, spec: CouplingSpec, T: float, dt: float,
            sample_every: int = 1) -> Trajectory:
     """Repeat `step` until time T, sampling every `sample_every` steps.
 
-    The step count is round(T/dt); T must sit within dt of that lattice.
+    The step count is round(T/dt), which must reach T to a relative 1e-9.
     """
     if T <= 0 or dt <= 0 or dt > T:
         raise EffectiveError("need 0 < dt <= T")
     if sample_every < 1:
         raise EffectiveError("sample_every must be >= 1")
     n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > dt:
-        raise EffectiveError("T is not within dt of an integer number of steps")
+    if abs(n_steps * dt - T) > 1e-9 * T:
+        raise EffectiveError(f"T = {T!r} is not a multiple of dt = {dt!r}")
     traj = Trajectory()
     traj.append(state, spec)
     for k in range(1, n_steps + 1):

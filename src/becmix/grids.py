@@ -9,7 +9,7 @@ the units of L^{-d/2} and all derived energies are measure-consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -90,12 +90,15 @@ class Grid:
         return (k,) * self.dim
 
     def laplacian_symbol(self, kind: str = "spectral") -> np.ndarray:
-        """Multiplier of -Laplacian in transform space.
+        """Multiplier of -Laplacian in transform space (read-only, cached per kind).
 
         kind="spectral" gives |k|^2 (exact for band-limited fields);
         kind="stencil" gives the symbol of the periodic 3-point stencil,
         (4/h^2) sin^2(k h / 2), used when matching the lattice harness.
         """
+        cache = self.__dict__.setdefault("_laplacian_symbols", {})
+        if kind in cache:
+            return cache[kind]
         if kind == "spectral":
             per_axis = [k**2 for k in self.wavenumbers]
         elif kind == "stencil":
@@ -103,11 +106,9 @@ class Grid:
             per_axis = [(4.0 / h**2) * np.sin(0.5 * k * h) ** 2 for k in self.wavenumbers]
         else:
             raise GridError(f"unknown laplacian kind {kind!r}")
-        out = np.zeros(self.shape)
-        for axis, ka in enumerate(per_axis):
-            shape = [1] * self.dim
-            shape[axis] = self.points_per_axis
-            out = out + ka.reshape(shape)
+        out = reduce(np.add.outer, per_axis)
+        out.setflags(write=False)
+        cache[kind] = out
         return out
 
     def coordinate_arrays(self) -> tuple[np.ndarray, ...]:

@@ -27,8 +27,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .grids import Field, Grid, l2_norm
 
@@ -142,6 +140,7 @@ class TwoSpeciesBasis:
         occupation with one particle removed from site x.
         """
         if tag not in self._lowering:
+            import scipy.sparse as sp
             src = self.species(tag)
             dst = _SpeciesBasis.build(self.M, src.N - 1)
             ops = []
@@ -295,6 +294,7 @@ def _hop_matrix(species: _SpeciesBasis, h: float) -> sp.csr_matrix:
     (1/h^2) sum_j [-a+_{j+1} a_j - a+_j a_{j+1}]; the diagonal 2 N / h^2
     is accounted for separately as a constant.
     """
+    import scipy.sparse as sp
     M = species.M
     rows, cols, vals = [], [], []
     for i in range(species.dim):
@@ -357,6 +357,7 @@ class Hamiltonian:
 
     @property
     def matrix(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
         return (sp.kron(self.hop_A, sp.identity(self.basis.B.dim, format="csr"))
                 + sp.kron(sp.identity(self.basis.A.dim, format="csr"), self.hop_B)
                 + sp.diags(self.diag.ravel())).tocsr()
@@ -388,7 +389,8 @@ def _expi_tridiag(alphas: Sequence[float], betas: Sequence[float], dt: float) ->
     """First column of exp(-i dt T) for the real symmetric tridiagonal T."""
     if len(alphas) == 1:
         return np.array([np.exp(-1j * dt * alphas[0])])
-    lam, U = scipy.linalg.eigh_tridiagonal(np.asarray(alphas, float), np.asarray(betas, float))
+    from scipy.linalg import eigh_tridiagonal
+    lam, U = eigh_tridiagonal(np.asarray(alphas, float), np.asarray(betas, float))
     return U @ (np.exp(-1j * dt * lam) * U[0, :])
 
 

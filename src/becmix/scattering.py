@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "RadialPotential",
@@ -360,6 +359,7 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, species: str = "1",
     if not (np.all(diffs <= slack) or np.all(diffs >= -slack)):
         raise CalibrationError("residual scattering length is not monotone over the bracket")
     length_scale = max(V_scaled.support_radius, hi * inner)
+    from scipy.optimize import brentq
     c_star = float(brentq(residual, lo, hi, xtol=1e-9, rtol=8.9e-16, maxiter=200))
     final = residual(c_star)
     if abs(final) > RESIDUAL_TOL * length_scale:

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from becmix.grids import Field, make_grid, normalize
+from becmix.grids import Field, make_grid, normalize, periodic_convolve
 from becmix.effective import (
     CouplingSpec,
     EffectiveError,
@@ -213,6 +214,70 @@ def test_time_reversal():
             back = step(back, spec, -1e-3)
         final = np.concatenate([c.values for c in back.components])
         assert np.max(np.abs(final - start)) < 1e-8, mode
+
+
+def _reference_hartree_step(state, spec, dt):
+    # the Strang step with every convolution done by periodic_convolve
+    def potential(arrays, tau):
+        u, v = arrays
+        rho_u = Field(spec.grid, np.abs(u) ** 2)
+        rho_v = Field(spec.grid, np.abs(v) ** 2)
+        Wu = periodic_convolve(spec.V1, rho_u).values.real \
+            + spec.c2 * periodic_convolve(spec.V12, rho_v).values.real
+        Wv = periodic_convolve(spec.V2, rho_v).values.real \
+            + spec.c1 * periodic_convolve(spec.V12, rho_u).values.real
+        return [np.exp(-1j * tau * Wu) * u, np.exp(-1j * tau * Wv) * v]
+
+    arrays = potential([c.values for c in state.components], 0.5 * dt)
+    kin_phase = np.exp(-1j * dt * spec.grid.laplacian_symbol(spec.kinetic))
+    arrays = [np.fft.ifftn(kin_phase * np.fft.fftn(a)) for a in arrays]
+    return np.concatenate(potential(arrays, 0.5 * dt))
+
+
+def _values(state):
+    return np.concatenate([c.values for c in state.components])
+
+
+def test_hartree_step_matches_convolution_reference():
+    # unequal c1 and potentials, so a swapped transform or weight shows
+    _, spec, st = _hartree_setup(M=32, c1=0.3, kinetic="stencil")
+    for dt in (0.05, -0.02):
+        ref = _reference_hartree_step(st, spec, dt)
+        assert np.max(np.abs(_values(step(st, spec, dt)) - ref)) <= 1e-14
+
+
+def test_hartree_step_then_reverse_step_is_identity():
+    _, spec, st = _hartree_setup(M=32, c1=0.3)
+    for dt in (0.05, 0.01):
+        back = step(step(st, spec, dt), spec, -dt)
+        assert np.max(np.abs(_values(back) - _values(st))) <= 1e-12
+
+
+def test_replaced_spec_uses_its_own_potential_transforms():
+    g, spec, st = _hartree_setup(M=32)
+    first = step(st, spec, 0.05)
+    x = g.axis_coordinates
+    other = dataclasses.replace(spec, V12=Field(g, 1.5 * np.cos(2 * x)))
+    moved = step(st, other, 0.05)
+    assert np.max(np.abs(_values(moved) - _values(first))) > 1e-6
+    assert np.max(np.abs(_values(moved) - _reference_hartree_step(st, other, 0.05))) <= 1e-14
+    with pytest.raises(EffectiveError, match="V12 must be real"):
+        dataclasses.replace(spec, V12=Field(g, 1j * np.cos(x)))
+
+
+def test_laplacian_symbol_is_cached_per_kind_and_read_only():
+    g = make_grid(1, 16, 2 * np.pi)
+    symbol = g.laplacian_symbol("stencil")
+    assert g.laplacian_symbol("stencil") is symbol
+    assert np.array_equal(g.laplacian_symbol("spectral"), g.wavenumbers[0] ** 2)
+    with pytest.raises(ValueError):
+        symbol[0] = 1.0
+
+
+def test_evolve_rejects_final_time_off_the_step_lattice():
+    _, spec, st = _hartree_setup(M=16)
+    with pytest.raises(EffectiveError, match="not a multiple of dt"):
+        evolve(st, spec, 1.0, 0.4)
 
 
 @settings(max_examples=10, deadline=None)

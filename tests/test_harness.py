@@ -1,10 +1,15 @@
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from becmix.config import ConfigError, parse_config
 from becmix.harness import INDICATOR_COLUMNS, emit_report, run_convergence_sweep
+import becmix
 from becmix import cli
 import becmix.harness as harness_mod
 import becmix.manybody as manybody_mod
@@ -83,6 +88,12 @@ def test_bad_values_are_collected_with_paths():
         parse_config(doc)
     msg = str(err.value)
     assert "[grid] points" in msg and "[time] t" in msg
+
+
+def test_final_time_off_the_step_lattice_rejected():
+    doc = MINIMAL.format(out="x").replace("t = 0.05", "t = 0.05\ndt = 0.02")
+    with pytest.raises(ConfigError, match=r"\[time\] t: 0.05 is not a multiple of dt 0.02"):
+        parse_config(doc)
 
 
 def test_sweep_columns_and_alpha_zero(tmp_path):
@@ -244,6 +255,43 @@ dir = {out}
     assert cli.main(["effective", str(cfg_path)]) == 0
     data = (tmp_path / "eff" / "trajectory.csv").read_bytes()
     assert data.split(b"\r\n")[0] == b"t,mass_1,mass_2,energy"
+
+
+def test_cli_effective_loads_no_scipy(tmp_path):
+    # only the lattice gas and the scattering calibration need scipy
+    doc = """
+[grid]
+points = 16
+length = 6.283185307179586
+
+[system]
+mode = hartree
+v1 = cosine amp=0.8 k=1
+v2 = cosine amp=0.6 k=2
+v12 = cosine amp=0.5 k=1
+u0 = cospack eps=0.3 k=1
+v0 = cospack eps=0.25 k=2
+
+[time]
+t = 0.01
+dt = 1e-3
+sample_every = 5
+"""
+    cfg_path = tmp_path / "hartree.ini"
+    cfg_path.write_text(doc)
+    code = (
+        "import sys\n"
+        "from becmix.cli import main\n"
+        f"assert main(['--out', {str(tmp_path / 'eff')!r}, 'effective', {str(cfg_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(becmix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "eff" / "trajectory.csv").exists()
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_scattering(tmp_path):
