@@ -290,9 +290,14 @@ def parse_config(text: str) -> ExperimentConfig:
                   lambda v: None if v > 0 else f"dt must be positive, got {v}")
     cfg.sample_every = read("time", "sample_every", int, cfg.sample_every,
                             lambda v: None if v >= 1 else "sample_every must be >= 1")
+
+    def off_lattice(x: float) -> bool:
+        """x is not a whole number of dt steps, to a relative 1e-9."""
+        return cfg.dt > 0 and abs(round(x / cfg.dt) * cfg.dt - x) > 1e-9 * abs(x)
+
     if cfg.dt > cfg.T:
         errors.append("[time] dt: dt exceeds t")
-    elif cfg.T > 0 and cfg.dt > 0 and abs(round(cfg.T / cfg.dt) * cfg.dt - cfg.T) > 1e-9 * cfg.T:
+    elif cfg.T > 0 and off_lattice(cfg.T):
         errors.append(f"[time] t: {cfg.T!r} is not a multiple of dt {cfg.dt!r}")
 
     cfg.xi = read("indicators", "xi", float, cfg.xi,
@@ -300,6 +305,9 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.probe_time = read("indicators", "probe_time", float, cfg.T)
     if cfg.probe_time > cfg.T + cfg.dt:
         errors.append("[indicators] probe_time: beyond the final time")
+    elif parser.has_option("indicators", "probe_time") and off_lattice(cfg.probe_time):
+        errors.append(f"[indicators] probe_time: {cfg.probe_time!r} is not a multiple of dt "
+                      f"{cfg.dt!r}")
 
     cfg.out_dir = read("output", "dir", str, cfg.out_dir)
     cfg.snapshots = read("output", "snapshots", int, cfg.snapshots,

@@ -11,12 +11,11 @@ Four couplings are supported through one Strang-split stepper:
 * ``spin1``            -- three components with spin-exchange terms.
 
 One step is: half potential flow, full kinetic flow (diagonal in the
-transform basis), half potential flow.  For hartree/gp the potential
-substep is an exact phase multiplication because the densities are
-invariant under it; for rabi the pointwise 2x2 rotation is applied
-exactly; for spin1 the exchange terms require one explicit midpoint
-substep (second order, checked against a norm-drift tolerance but never
-renormalized).
+transform basis), half potential flow.  Every potential substep is an
+exact pointwise flow: for hartree/gp a phase multiplication because the
+densities are invariant under it; for rabi the 2x2 rotation; for spin1
+the 3x3 rotation exp(-i g tau F.f), because the exchange flow conserves
+the local spin density F.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import Field, Grid, inner, l2_norm, periodic_convolve, save_field
+from .grids import Field, Grid, GridError, inner, l2_norm, periodic_convolve, save_field
 
 __all__ = [
     "CouplingSpec",
@@ -84,9 +83,12 @@ class CouplingSpec:
     a: float = 0.0
     rabi_field: Callable[[float], float] | None = None
     kinetic: str = "spectral"
-    exchange_tol: float = 1e-7
 
     def __post_init__(self):
+        try:
+            self.grid.laplacian_symbol(self.kinetic)
+        except GridError as exc:
+            raise EffectiveError(str(exc)) from None
         if not (0.0 < self.c1 < 1.0):
             raise EffectiveError(f"c1 must lie in (0,1), got {self.c1}")
         for name in ("a1", "a2", "a12", "a"):
@@ -131,9 +133,8 @@ class CouplingSpec:
         return cls(mode="rabi", grid=grid, a=a, rabi_field=B_fn, kinetic=kinetic)
 
     @classmethod
-    def spin1(cls, grid: Grid, a: float, kinetic: str = "spectral",
-              exchange_tol: float = 1e-7) -> "CouplingSpec":
-        return cls(mode="spin1", grid=grid, a=a, kinetic=kinetic, exchange_tol=exchange_tol)
+    def spin1(cls, grid: Grid, a: float, kinetic: str = "spectral") -> "CouplingSpec":
+        return cls(mode="spin1", grid=grid, a=a, kinetic=kinetic)
 
 
 @dataclass(frozen=True)
@@ -179,14 +180,6 @@ def _densities(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [np.abs(a) ** 2 for a in arrays]
 
 
-def _spin_exchange_rhs(u, v, w, g):
-    """Right-hand sides of the spin-1 potential flow, i ds/dt = g * N(s)."""
-    du = (np.abs(v) ** 2) * u + np.conj(w) * v * v + (np.abs(u) ** 2) * u - (np.abs(w) ** 2) * u
-    dv = (np.abs(u) ** 2) * v + 2.0 * np.conj(v) * w * u + (np.abs(w) ** 2) * v
-    dw = (np.abs(v) ** 2) * w + np.conj(u) * v * v - (np.abs(u) ** 2) * w + (np.abs(w) ** 2) * w
-    return (-1j * g) * du, (-1j * g) * dv, (-1j * g) * dw
-
-
 def _potential_substep(arrays, spec: CouplingSpec, t0: float, tau: float):
     """Advance the potential-only flow from t0 by tau."""
     if spec.mode == "hartree":
@@ -217,20 +210,22 @@ def _potential_substep(arrays, spec: CouplingSpec, t0: float, tau: float):
         return [phase * (c * u + s * v), phase * (s * u + c * v)]
 
     if spec.mode == "spin1":
+        # i ds/dt = g (F.f) s, g = 8 pi a, conserves the spin density F pointwise, and
+        # A = F.f/|F| satisfies A^3 = A, so the flow is the rotation
+        # exp(-i theta A) = I - i sin(theta) A + (cos(theta) - 1) A^2 with
+        # theta = g tau |F|; sinc keeps F = 0 at the identity.
         u, v, w = arrays
-        g = 8.0 * np.pi * spec.a
-        mass_in = float(np.sum(np.abs(u) ** 2 + np.abs(v) ** 2 + np.abs(w) ** 2))
-        fu, fv, fw = _spin_exchange_rhs(u, v, w, g)
-        um, vm, wm = u + 0.5 * tau * fu, v + 0.5 * tau * fv, w + 0.5 * tau * fw
-        fu, fv, fw = _spin_exchange_rhs(um, vm, wm, g)
-        u2, v2, w2 = u + tau * fu, v + tau * fv, w + tau * fw
-        mass_out = float(np.sum(np.abs(u2) ** 2 + np.abs(v2) ** 2 + np.abs(w2) ** 2))
-        if mass_in > 0 and abs(mass_out - mass_in) > spec.exchange_tol * mass_in:
-            raise EffectiveError(
-                f"spin-exchange substep lost {abs(mass_out - mass_in) / mass_in:.3e} "
-                f"relative mass; reduce dt"
-            )
-        return [u2, v2, w2]
+        gt = 8.0 * np.pi * spec.a * tau
+        fz = np.abs(u) ** 2 - np.abs(w) ** 2
+        fp = np.conj(u) * v + np.conj(v) * w  # (F_x + i F_y) / sqrt(2)
+        fm = np.conj(fp)
+        theta = gt * np.sqrt(fz**2 + 2.0 * np.abs(fp) ** 2)
+        sin_coef = -1j * gt * np.sinc(theta / np.pi)
+        cos_coef = -0.5 * gt**2 * np.sinc(theta / (2.0 * np.pi)) ** 2
+        Au, Av, Aw = fz * u + fm * v, fp * u + fm * w, fp * v - fz * w
+        AAu, AAv, AAw = fz * Au + fm * Av, fp * Au + fm * Aw, fp * Av - fz * Aw
+        return [u + sin_coef * Au + cos_coef * AAu, v + sin_coef * Av + cos_coef * AAv,
+                w + sin_coef * Aw + cos_coef * AAw]
 
     raise EffectiveError(f"unknown mode {spec.mode!r}")
 

@@ -29,10 +29,11 @@ from .effective import CouplingSpec, OrbitalState, hartree_energy, step
 from .indicators import (
     alpha_11,
     condensate_depletion,
+    counting_projectors,
     derivative_decomposition,
     reduce_density,
     trace_distance,
-    weight_expectation,
+    weight_expectation,  # noqa: F401  (perfbench/tracer.py patches this attribute)
     weight_m,
     weight_n,
     weight_s,
@@ -104,13 +105,13 @@ def _run_entry(cfg: ExperimentConfig, n1: int, n2: int) -> SweepEntry:
             a11 = alpha_11(state, u, v)
             td = trace_distance(reduce_density(state, (1, 1)), u, v)
             ch = derivative_decomposition(state, u, v, mb_spec)
+            # one counting split serves all three weights (weight_expectation's sum)
+            sectors = counting_projectors(state.basis, u, "A").sector_weights(state)
             return (t, a11, td,
                     condensate_depletion(state, u, "A"),
                     condensate_depletion(state, v, "B"),
                     ch.c_v1.imag, ch.c_v2.imag, ch.c_v12.imag,
-                    weight_expectation(state, ws, "A", u),
-                    weight_expectation(state, wn, "A", u),
-                    weight_expectation(state, wm, "A", u))
+                    *(float(np.dot(w.values, sectors)) for w in (ws, wn, wm)))
 
         entry.rows.append(sample(0.0, psi, eff))
         if entry.rows[0][1] > 1e-10:

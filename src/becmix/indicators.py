@@ -79,42 +79,26 @@ class _ModeOps:
     """Apply a(u), a+(u), n_u and Q = N - n_u for one species."""
 
     def __init__(self, basis: TwoSpeciesBasis, species: str, u: Field):
-        self.basis = basis
         self.species = species
         self.N = basis.particle_number(species)
-        self.u_site = site_vector(u)
-        if abs(np.linalg.norm(self.u_site) - 1.0) > 1e-8:
+        u_site = site_vector(u)
+        if abs(np.linalg.norm(u_site) - 1.0) > 1e-8:
             raise IndicatorError("orbital must be normalized")
-        self.ops = basis.lowering_ops(species)
+        ops = basis.lowering_ops(species)
+        self.a = sum(np.conj(c) * op for c, op in zip(u_site, ops)).tocsr()
+        self.a_dag = self.a.conj().T.tocsr()
 
     def annihilate(self, psi: np.ndarray) -> np.ndarray:
         """a(u) psi, mapping into the (N-1)-particle sector of the species."""
-        work = psi if self.species == "A" else psi.T
-        out = None
-        for x, op in enumerate(self.ops):
-            c = np.conj(self.u_site[x])
-            if c == 0:
-                continue
-            out = c * (op @ work) if out is None else out + c * (op @ work)
-        if out is None:
-            out = np.zeros((self.ops[0].shape[0], work.shape[1]), dtype=complex)
-        return out if self.species == "A" else out.T
+        if self.species == "A":
+            return self.a @ psi
+        return (self.a @ psi.T).T
 
     def create(self, phi: np.ndarray) -> np.ndarray:
         """a+(u) phi, mapping back into the N-particle sector."""
-        work = phi if self.species == "A" else phi.T
-        out = None
-        for x, op in enumerate(self.ops):
-            c = self.u_site[x]
-            if c == 0:
-                continue
-            if out is None:
-                out = c * (op.T @ work)
-            else:
-                out += c * (op.T @ work)
-        if out is None:
-            out = np.zeros((self.ops[0].shape[1], work.shape[1]), dtype=complex)
-        return out if self.species == "A" else out.T
+        if self.species == "A":
+            return self.a_dag @ phi
+        return (self.a_dag @ phi.T).T
 
     def n_u(self, psi: np.ndarray) -> np.ndarray:
         return self.create(self.annihilate(psi))

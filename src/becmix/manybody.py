@@ -532,10 +532,11 @@ def save_state(state: ManyBodyState, grid: Grid, path) -> None:
 
 
 def load_state(path) -> tuple[ManyBodyState, Grid]:
+    """Read a `save_state` checkpoint; a malformed file raises ManyBodyError naming it."""
     with open(path, "rb") as fh:
         raw = fh.read()
     head, _, payload = raw.partition(b"\n\n")
-    lines = head.decode("ascii").splitlines()
+    lines = head.decode("ascii", "replace").splitlines()
     if not lines or lines[0] != _STATE_MAGIC:
         raise ManyBodyError(f"{path}: not a state checkpoint")
     meta = {}
@@ -546,7 +547,17 @@ def load_state(path) -> tuple[ManyBodyState, Grid]:
         raise ManyBodyError(
             f"{path}: basis order {meta.get('basis_order')!r} does not match {BASIS_ORDER_TAG!r}"
         )
-    basis = build_basis(int(meta["M"]), int(meta["N1"]), int(meta["N2"]))
-    grid = Grid(1, basis.M, float(meta["L"]))
-    psi = np.frombuffer(payload, dtype="<c16", count=basis.dim)
-    return ManyBodyState(basis, psi.reshape(basis.shape), float(meta["time"])), grid
+    try:
+        basis = build_basis(int(meta["M"]), int(meta["N1"]), int(meta["N2"]))
+        grid = Grid(1, basis.M, float(meta["L"]))
+        time = float(meta["time"])
+    except KeyError as exc:
+        raise ManyBodyError(f"{path}: header lacks {exc.args[0]}") from None
+    except ValueError as exc:
+        raise ManyBodyError(f"{path}: bad header: {exc}") from exc
+    expected = basis.dim * np.dtype("<c16").itemsize
+    if len(payload) != expected:
+        raise ManyBodyError(f"{path}: payload is {len(payload)} bytes, expected {expected} "
+                            f"for basis dimension {basis.dim}")
+    psi = np.frombuffer(payload, dtype="<c16")
+    return ManyBodyState(basis, psi.reshape(basis.shape), time), grid

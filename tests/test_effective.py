@@ -339,11 +339,71 @@ def test_spin1_conservation_and_exchange_activity():
     assert np.max(np.abs(energies - energies[0])) / abs(energies[0]) < 1e-5
 
 
-def test_spin1_substep_tolerance_trips_on_absurd_step():
+def test_spin1_absurd_step_conserves_mass_and_magnetization():
     g = make_grid(1, 16, 2 * np.pi)
-    spec = CouplingSpec.spin1(g, 5.0, exchange_tol=1e-10)
+    st = _spin1_state(g)
+    out = step(st, CouplingSpec.spin1(g, 5.0), 5.0)
+    assert abs(sum(mass(out)) - sum(mass(st))) < 1e-12
+    assert abs(magnetization(out) - magnetization(st)) < 1e-12
+
+
+def _spin_exchange_rhs(u, v, w, g):
+    """i ds/dt = g (F.f) s written out per component (oracle for the exact flow)."""
+    du = (np.abs(v) ** 2) * u + np.conj(w) * v * v + (np.abs(u) ** 2) * u - (np.abs(w) ** 2) * u
+    dv = (np.abs(u) ** 2) * v + 2.0 * np.conj(v) * w * u + (np.abs(w) ** 2) * v
+    dw = (np.abs(v) ** 2) * w + np.conj(u) * v * v - (np.abs(u) ** 2) * w + (np.abs(w) ** 2) * w
+    return [(-1j * g) * du, (-1j * g) * dv, (-1j * g) * dw]
+
+
+def test_spin1_exchange_flow_is_exact():
+    from becmix.effective import _potential_substep
+
+    g = make_grid(1, 32, 2 * np.pi)
+    rng = np.random.default_rng(0)
+    s = [rng.normal(size=32) + 1j * rng.normal(size=32) for _ in range(3)]
+    for c in s:
+        c[3] = 0.0  # a point with F = 0
+    spec = CouplingSpec.spin1(g, 0.05)
+
+    def flow(arrays, tau):
+        return _potential_substep(arrays, spec, 0.0, tau)
+
+    def spin_density(arrays):
+        u, v, w = arrays
+        return np.abs(u) ** 2 - np.abs(w) ** 2, np.conj(u) * v + np.conj(v) * w
+
+    h = 1e-6
+    deriv = [(p - m) / (2 * h) for p, m in zip(flow(s, h), flow(s, -h))]
+    rhs = _spin_exchange_rhs(*s, 8.0 * np.pi * spec.a)
+    assert max(np.max(np.abs(d - r)) for d, r in zip(deriv, rhs)) < 1e-8
+    composed, direct = flow(flow(s, 0.4), 0.3), flow(s, 0.7)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(composed, direct)) < 1e-12
+    assert max(np.max(np.abs(a - b))
+               for a, b in zip(spin_density(s), spin_density(direct))) < 1e-12
+    assert all(c[3] == 0.0 for c in direct)
+
+
+def test_spin1_strang_second_order():
+    g = make_grid(1, 32, 2 * np.pi)
+    spec = CouplingSpec.spin1(g, 0.05)
+
+    def final(dt, T=0.5):
+        st = _spin1_state(g)
+        for _ in range(int(round(T / dt))):
+            st = step(st, spec, dt)
+        return np.concatenate([c.values for c in st.components])
+
+    ref = final(1e-4)
+    e1, e2, e3 = (np.linalg.norm(final(dt) - ref) for dt in (1e-2, 5e-3, 2.5e-3))
+    assert 3.5 < e1 / e2 < 4.5 and 3.5 < e2 / e3 < 4.5
+
+
+def test_unknown_kinetic_rejected_at_construction():
+    g = make_grid(1, 16, 2 * np.pi)
+    with pytest.raises(EffectiveError, match="spectal"):
+        CouplingSpec.gross_pitaevskii(g, 0.1, 0.1, 0.1, kinetic="spectal")
     with pytest.raises(EffectiveError):
-        step(_spin1_state(g), spec, 5.0)
+        CouplingSpec.spin1(g, 0.1, kinetic="spectal")
 
 
 def test_component_count_mismatch_and_nonfinite():

@@ -96,6 +96,15 @@ def test_final_time_off_the_step_lattice_rejected():
         parse_config(doc)
 
 
+def test_probe_time_off_the_step_lattice_rejected():
+    doc = MINIMAL.format(out="x").replace("t = 0.05",
+                                          "t = 0.05\n\n[indicators]\nprobe_time = 0.0335")
+    with pytest.raises(ConfigError,
+                       match=r"\[indicators\] probe_time: 0.0335 is not a multiple of dt 0.001"):
+        parse_config(doc)
+    assert parse_config(doc.replace("0.0335", "0.033")).probe_time == 0.033
+
+
 def test_sweep_columns_and_alpha_zero(tmp_path):
     cfg = parse_config(MINIMAL.format(out=tmp_path))
     report = run_convergence_sweep(cfg)

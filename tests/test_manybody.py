@@ -369,6 +369,23 @@ def test_checkpoint_rejects_wrong_basis_tag(tmp_path):
         load_state(path)
 
 
+def test_checkpoint_rejects_malformed_file(tmp_path):
+    g = Grid(1, 4, 2.0)
+    st = random_state(build_basis(4, 1, 1), np.random.default_rng(7))
+    path = tmp_path / "state.bin"
+    save_state(st, g, path)
+    good = path.read_bytes()
+    n = 16 * st.basis.dim
+    for data, needle in ((good[:-8], f"payload is {n - 8} bytes, expected {n}"),
+                         (good + b"\0" * 16, f"payload is {n + 16} bytes, expected {n}"),
+                         (good.replace(b"N1 = 1\n", b""), "header lacks N1"),
+                         (good.replace(b"M = 4", b"M = four"), "bad header")):
+        path.write_bytes(data)
+        with pytest.raises(ManyBodyError, match=needle) as err:
+            load_state(path)
+        assert str(path) in str(err.value)
+
+
 def test_propagate_substeps_large_step_against_dense():
     g = Grid(1, 3, 1.5)
     V1, V2, V12 = _cos_fields(g, amps=(1.0, 0.8, 0.6))
