@@ -303,8 +303,9 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.xi = read("indicators", "xi", float, cfg.xi,
                   lambda v: None if v > 0 else f"xi must be positive, got {v}")
     cfg.probe_time = read("indicators", "probe_time", float, cfg.T)
-    if cfg.probe_time > cfg.T + cfg.dt:
-        errors.append("[indicators] probe_time: beyond the final time")
+    if not 0.0 <= cfg.probe_time <= cfg.T:
+        errors.append(f"[indicators] probe_time: {cfg.probe_time!r} outside [0, t] "
+                      f"with t = {cfg.T!r}")
     elif parser.has_option("indicators", "probe_time") and off_lattice(cfg.probe_time):
         errors.append(f"[indicators] probe_time: {cfg.probe_time!r} is not a multiple of dt "
                       f"{cfg.dt!r}")

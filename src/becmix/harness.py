@@ -1,14 +1,14 @@
 """Convergence sweeps: co-evolve the lattice gas and its effective system.
 
-One sweep runs the particle-number ladder of an ExperimentConfig.  Each
-entry prepares the condensed product state, advances the coupled
-convolution system in dt Strang steps (lattice kinetic term on both
-sides, so the derivative identity is exact), propagates the many-body
-state exactly from one sample point to the next in one Krylov call, and
-samples every indicator column there.  Reports are deterministic
-functions of (config, seed): re-running writes byte-identical CSVs at
-any thread count, since entries are independent and assembled in ladder
-order.
+One sweep runs the particle-number ladder of an ExperimentConfig.  The
+coupled convolution system is advanced in dt Strang steps once per
+distinct c1 (lattice kinetic term on both sides, so the derivative
+identity is exact) and kept at the sample points.  Each entry prepares
+the condensed product state, propagates it exactly from one sample point
+to the next in one Krylov call, and samples every indicator column there
+against the orbitals of its c1.  Reports are deterministic functions of
+(config, seed): re-running writes byte-identical CSVs at any thread
+count, since entries are independent and assembled in ladder order.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import pairwise
 from pathlib import Path
 from traceback import format_exc
 
@@ -26,18 +27,10 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .effective import CouplingSpec, OrbitalState, hartree_energy, step
-from .indicators import (
-    alpha_11,
-    condensate_depletion,
-    counting_projectors,
-    derivative_decomposition,
-    reduce_density,
-    trace_distance,
-    weight_expectation,  # noqa: F401  (perfbench/tracer.py patches this attribute)
-    weight_m,
-    weight_n,
-    weight_s,
-)
+from .indicators import SampleEvaluator, weight_m, weight_n, weight_s
+# the sweep no longer calls these; perfbench/tracer.py patches them on this module
+from .indicators import (alpha_11, condensate_depletion, derivative_decomposition,  # noqa: F401
+                         reduce_density, trace_distance, weight_expectation)  # noqa: F401
 from .manybody import Hamiltonian, HamiltonianSpec, build_basis, manybody_energy, product_state
 
 __all__ = ["SweepEntry", "SweepReport", "HarnessError", "run_convergence_sweep", "emit_report"]
@@ -77,60 +70,65 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _run_entry(cfg: ExperimentConfig, n1: int, n2: int) -> SweepEntry:
+@dataclass
+class _Trajectory:
+    """The effective orbitals of one c1 at the sample steps, or why they are missing."""
+
+    steps: list[int]
+    spec: CouplingSpec | None = None
+    orbitals: list[OrbitalState] = field(default_factory=list)
+    error: str | None = None
+    traceback: str | None = None
+
+
+def _effective_trajectory(cfg: ExperimentConfig, c1: float) -> _Trajectory:
+    n_steps = int(round(cfg.T / cfg.dt))
+    probe_step = int(round(cfg.probe_time / cfg.dt))
+    traj = _Trajectory([0] + [k for k in range(1, n_steps + 1) if k % cfg.sample_every == 0
+                              or k == n_steps or k == probe_step])
+    try:
+        # lattice kinetic term on the effective side isolates the
+        # particle-number dependence from discretization mismatch
+        traj.spec = CouplingSpec.hartree(cfg.potential_field("v1"), cfg.potential_field("v2"),
+                                         cfg.potential_field("v12"), c1=c1, kinetic="stencil")
+        eff = OrbitalState((cfg.orbital_field("u0"), cfg.orbital_field("v0")), 0.0)
+        traj.orbitals.append(eff)
+        for k in range(1, n_steps + 1):
+            eff = step(eff, traj.spec, cfg.dt)
+            if k == traj.steps[len(traj.orbitals)]:
+                traj.orbitals.append(eff)
+    except Exception as exc:  # every entry of this c1 carries the diagnostic
+        traj.error = f"{type(exc).__name__}: {exc}"
+        traj.traceback = format_exc()
+    return traj
+
+
+def _run_entry(cfg: ExperimentConfig, n1: int, n2: int, traj: _Trajectory) -> SweepEntry:
     entry = SweepEntry(n1=n1, n2=n2)
     try:
         grid = cfg.build_grid()
-        V1 = cfg.potential_field("v1")
-        V2 = cfg.potential_field("v2")
-        V12 = cfg.potential_field("v12")
-        u0 = cfg.orbital_field("u0")
-        v0 = cfg.orbital_field("v0")
         basis = build_basis(grid.points_per_axis, n1, n2, dim_cap=cfg.cap)
         entry.dim = basis.dim
-        mb_spec = HamiltonianSpec.mean_field(grid, V1, V2, V12, n1, n2)
+        if traj.error is not None:
+            entry.error, entry.traceback = traj.error, traj.traceback
+            return entry
+        mb_spec = HamiltonianSpec.mean_field(grid, traj.spec.V1, traj.spec.V2, traj.spec.V12,
+                                             n1, n2)
         H = Hamiltonian(mb_spec, basis)
-        # lattice kinetic term on the effective side isolates the
-        # particle-number dependence from discretization mismatch
-        eff_spec = CouplingSpec.hartree(V1, V2, V12, c1=n1 / (n1 + n2), kinetic="stencil")
-
-        psi = product_state(u0, v0, basis)
-        eff = OrbitalState((u0, v0), 0.0)
-        entry.energy_gap = abs(manybody_energy(H, psi) - hartree_energy(eff, eff_spec))
-
-        ws, wn, wm = weight_s(n1), weight_n(n1), weight_m(n1, cfg.xi)
-
-        def sample(t: float, state, orbitals) -> tuple[float, ...]:
-            u, v = orbitals.components
-            a11 = alpha_11(state, u, v)
-            td = trace_distance(reduce_density(state, (1, 1)), u, v)
-            ch = derivative_decomposition(state, u, v, mb_spec)
-            # one counting split serves all three weights (weight_expectation's sum)
-            sectors = counting_projectors(state.basis, u, "A").sector_weights(state)
-            return (t, a11, td,
-                    condensate_depletion(state, u, "A"),
-                    condensate_depletion(state, v, "B"),
-                    ch.c_v1.imag, ch.c_v2.imag, ch.c_v12.imag,
-                    *(float(np.dot(w.values, sectors)) for w in (ws, wn, wm)))
-
-        entry.rows.append(sample(0.0, psi, eff))
+        eff = traj.orbitals[0]
+        psi = product_state(*eff.components, basis)
+        entry.energy_gap = abs(manybody_energy(H, psi) - hartree_energy(eff, traj.spec))
+        evaluate = SampleEvaluator(basis, mb_spec,
+                                   (weight_s(n1), weight_n(n1), weight_m(n1, cfg.xi)))
+        entry.rows.append((0.0, *evaluate(psi, *eff.components)))
         if entry.rows[0][1] > 1e-10:
             raise HarnessError(f"product initial data has alpha(0) = {entry.rows[0][1]:.3e}")
-
-        n_steps = int(round(cfg.T / cfg.dt))
+        for (last, k), eff in zip(pairwise(traj.steps), traj.orbitals[1:], strict=True):
+            psi = H.propagate(psi, (k - last) * cfg.dt)
+            entry.rows.append((k * cfg.dt, *evaluate(psi, *eff.components)))
         probe_step = int(round(cfg.probe_time / cfg.dt))
-        alpha_probe = entry.rows[0][1] if probe_step == 0 else None
-        last = 0
-        for k in range(1, n_steps + 1):
-            eff = step(eff, eff_spec, cfg.dt)
-            if k % cfg.sample_every == 0 or k == n_steps or k == probe_step:
-                psi = H.propagate(psi, (k - last) * cfg.dt)
-                last = k
-                row = sample(k * cfg.dt, psi, eff)
-                entry.rows.append(row)
-                if k == probe_step:
-                    alpha_probe = row[1]
-        entry.alpha_probe = alpha_probe if alpha_probe is not None else entry.rows[-1][1]
+        entry.alpha_probe = next((row[1] for row, k in zip(entry.rows, traj.steps)
+                                  if k == probe_step), entry.rows[-1][1])
     except Exception as exc:  # keep the sweep alive; the entry carries the diagnostic
         entry.error = f"{type(exc).__name__}: {exc}"
         entry.traceback = format_exc()
@@ -140,17 +138,24 @@ def _run_entry(cfg: ExperimentConfig, n1: int, n2: int) -> SweepEntry:
 def run_convergence_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepReport:
     """Run every ladder entry and fit the probe-time decay exponent.
 
-    Entries run concurrently when threads > 1 but are reported in ladder
-    order, so outputs do not depend on scheduling.
+    The effective orbitals are integrated once per distinct c1 = n1/(n1+n2)
+    and shared by the entries with that ratio.  Trajectories, then entries,
+    run concurrently when threads > 1 but are reported in ladder order,
+    so outputs do not depend on scheduling.
     """
     if not cfg.ladder:
         raise HarnessError("the ladder is empty")
     t0 = time.perf_counter()
-    if threads > 1:
+
+    def each(fn, items):
+        if threads <= 1:
+            return [fn(item) for item in items]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(lambda nn: _run_entry(cfg, *nn), cfg.ladder))
-    else:
-        entries = [_run_entry(cfg, n1, n2) for (n1, n2) in cfg.ladder]
+            return list(pool.map(fn, items))
+
+    ratios = list(dict.fromkeys(n1 / (n1 + n2) for n1, n2 in cfg.ladder))
+    trajs = dict(zip(ratios, each(lambda c1: _effective_trajectory(cfg, c1), ratios)))
+    entries = each(lambda nn: _run_entry(cfg, *nn, trajs[nn[0] / (nn[0] + nn[1])]), cfg.ladder)
 
     fitted = None
     good = [e for e in entries if e.error is None and e.alpha_probe > 0]

@@ -23,8 +23,9 @@ Everything measured during a convergence run lives here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .manybody import (
     ManyBodyState,
     TwoSpeciesBasis,
     _circulant,
-    _intra_diagonal,
+    _interaction_diagonals,
 )
 from .fock import (
     axis_diagonal,
@@ -62,6 +63,7 @@ __all__ = [
     "weight_m",
     "weight_expectation",
     "derivative_decomposition",
+    "SampleEvaluator",
     "insertion_terms",
     "INSERTION_KEYS",
     "corrected_alpha",
@@ -75,18 +77,29 @@ class IndicatorError(ValueError):
 # ---------------------------------------------------------------------------
 # mode machinery: annihilate / count the condensate orbital per species
 
+def _orbital_sites(basis: TwoSpeciesBasis, u: Field) -> np.ndarray:
+    """The orbital's unit site vector, checked against the basis' site count."""
+    u_site = site_vector(u)
+    if u_site.size != basis.M:
+        raise IndicatorError(f"orbital has {u_site.size} sites, the basis has {basis.M}")
+    return u_site
+
+
 class _ModeOps:
     """Apply a(u), a+(u), n_u and Q = N - n_u for one species."""
 
     def __init__(self, basis: TwoSpeciesBasis, species: str, u: Field):
         self.species = species
         self.N = basis.particle_number(species)
-        u_site = site_vector(u)
-        if abs(np.linalg.norm(u_site) - 1.0) > 1e-8:
+        self.u_site = _orbital_sites(basis, u)
+        if abs(np.linalg.norm(self.u_site) - 1.0) > 1e-8:
             raise IndicatorError("orbital must be normalized")
-        ops = basis.lowering_ops(species)
-        self.a = sum(np.conj(c) * op for c, op in zip(u_site, ops)).tocsr()
-        self.a_dag = self.a.conj().T.tocsr()
+        import scipy.sparse as sp
+        indptr, col, site, sqrt_n = basis.lowering(species)[1]
+        data = np.conj(self.u_site)[site] * sqrt_n
+        shape = (indptr.size - 1, basis.species(species).dim)
+        self.a = sp.csr_matrix((data, col, indptr), shape=shape)
+        self.a_dag = sp.csc_matrix((data.conj(), col, indptr), shape=shape[::-1])  # a^H, no copy
 
     def annihilate(self, psi: np.ndarray) -> np.ndarray:
         """a(u) psi, mapping into the (N-1)-particle sector of the species."""
@@ -134,12 +147,37 @@ class ReducedDensity:
             raise IndicatorError(f"reduced density has eigenvalue {w.min():.2e}")
 
 
-def _lowered_stack(state: ManyBodyState, species: str) -> np.ndarray:
-    """Stack of a_x psi over sites x, shape (M, dim', other_dim)."""
-    b = state.basis
-    ops = b.lowering_ops(species)
-    work = state.psi if species == "A" else state.psi.T
-    return np.stack([op @ work for op in ops])
+def _gram(W: np.ndarray, norm: int) -> np.ndarray:
+    """W W^H / norm; row x of W is the lowered state of index x, flattened."""
+    return (W @ W.conj().T) / norm
+
+
+def _pair_density(basis: TwoSpeciesBasis, psi: np.ndarray) -> np.ndarray:
+    """gamma^(1,1) from W[x, y] = b_y a_x psi, one stacked product per species.
+
+    W is held once, in (x, a', y, b') order; the Gram sum runs over a', so
+    each term copies only the (x, y, b') slice of one a'.
+    """
+    M = basis.M
+    lowered_b = basis.lowering("B")[0] @ psi.T                 # (M dimB', dimA)
+    W = (basis.lowering("A")[0] @ lowered_b.T).reshape(M, -1, lowered_b.shape[0])
+    gamma = np.zeros((M * M, M * M), dtype=complex)
+    for a in range(W.shape[1]):
+        Wa = W[:, a].reshape(M * M, -1)
+        gamma += Wa @ Wa.conj().T
+    return gamma / (basis.N1 * basis.N2)
+
+
+def _deficit(gamma: np.ndarray, ref: np.ndarray) -> float:
+    """1 - <ref, gamma ref>."""
+    return float(1.0 - np.vdot(ref, gamma @ ref).real)
+
+
+def _trace_gap(gamma: np.ndarray, ref: np.ndarray) -> float:
+    """Tr |gamma - |ref><ref||, by eigendecomposition of the Hermitian difference."""
+    diff = gamma - np.outer(ref, np.conj(ref))
+    w = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
+    return float(np.sum(np.abs(w)))
 
 
 def reduce_density(state: ManyBodyState, kind: tuple[int, int]) -> ReducedDensity:
@@ -153,43 +191,29 @@ def reduce_density(state: ManyBodyState, kind: tuple[int, int]) -> ReducedDensit
     """
     b = state.basis
     if kind == (1, 0):
-        phi = _lowered_stack(state, "A")
-        gamma = np.einsum("xab,yab->xy", phi, np.conj(phi)) / b.N1
+        gamma = _gram((b.lowering("A")[0] @ state.psi).reshape(b.M, -1), b.N1)
     elif kind == (0, 1):
-        phi = _lowered_stack(state, "B")
-        gamma = np.einsum("xab,yab->xy", phi, np.conj(phi)) / b.N2
+        gamma = _gram((b.lowering("B")[0] @ state.psi.T).reshape(b.M, -1), b.N2)
     elif kind == (1, 1):
-        ops_b = b.lowering_ops("B")
-        phi_a = _lowered_stack(state, "A")          # (M, dimA', dimB)
-        stack = np.stack([
-            np.stack([(op_b @ phi_a[x].T).T for op_b in ops_b]) for x in range(b.M)
-        ])                                          # (M, M, dimA', dimB')
-        W = stack.reshape(b.M * b.M, -1)
-        gamma = (W @ W.conj().T) / (b.N1 * b.N2)
+        gamma = _pair_density(b, state.psi)
     else:
         raise IndicatorError(f"kind must be (1,0), (0,1) or (1,1), got {kind}")
     return ReducedDensity(kind, gamma, b.N1, b.N2, state.time)
 
 
 def alpha_11(state: ManyBodyState, u: Field, v: Field) -> float:
-    """Overlap deficit 1 - <u x v, gamma^(1,1) u x v>.
-
-    Evaluated as 1 - <n_u n_v> / (N1 N2), which avoids building the pair
-    density matrix.
-    """
+    """Overlap deficit 1 - <u x v, gamma^(1,1) u x v>."""
     b = state.basis
-    mode_a = _ModeOps(b, "A", u)
-    mode_b = _ModeOps(b, "B", v)
-    w = mode_a.n_u(mode_b.n_u(state.psi))
-    val = np.vdot(state.psi, w).real / (b.N1 * b.N2)
-    return float(1.0 - val)
+    ref = np.kron(_orbital_sites(b, u), _orbital_sites(b, v))
+    return _deficit(_pair_density(b, state.psi), ref)
 
 
 def condensate_depletion(state: ManyBodyState, orbital: Field, species: str) -> float:
     """1 - <orbital, gamma^(1,0 or 0,1) orbital> = <Q>/N for one species."""
-    mode = _ModeOps(state.basis, species, orbital)
-    val = np.vdot(state.psi, mode.n_u(state.psi)).real / mode.N
-    return float(1.0 - val)
+    kind = {"A": (1, 0), "B": (0, 1)}.get(species)
+    if kind is None:
+        raise IndicatorError(f"species must be 'A' or 'B', got {species!r}")
+    return _deficit(reduce_density(state, kind).matrix, _orbital_sites(state.basis, orbital))
 
 
 def trace_distance(gamma: ReducedDensity, u: Field | None = None,
@@ -199,23 +223,13 @@ def trace_distance(gamma: ReducedDensity, u: Field | None = None,
     Reference is |u><u|, |v><v| or |u x v><u x v| according to the kind;
     computed by eigendecomposition of the Hermitian difference.
     """
-    if gamma.kind == (1, 1):
-        if u is None or v is None:
-            raise IndicatorError("pair marginal needs both orbitals")
-        ref = np.kron(site_vector(u), site_vector(v))
-    elif gamma.kind == (1, 0):
-        if u is None:
-            raise IndicatorError("the (1,0) marginal needs the first-species orbital")
-        ref = site_vector(u)
-    else:
-        if v is None:
-            raise IndicatorError("the (0,1) marginal needs the second-species orbital")
-        ref = site_vector(v)
+    orbitals = {(1, 1): (u, v), (1, 0): (u,), (0, 1): (v,)}[gamma.kind]
+    if any(f is None for f in orbitals):
+        raise IndicatorError(f"the {gamma.kind} marginal needs an orbital per kept species")
+    ref = reduce(np.kron, map(site_vector, orbitals))
     if ref.size != gamma.matrix.shape[0]:
         raise IndicatorError("orbital dimension does not match the marginal")
-    diff = gamma.matrix - np.outer(ref, np.conj(ref))
-    w = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    return float(np.sum(np.abs(w)))
+    return _trace_gap(gamma.matrix, ref)
 
 
 @dataclass
@@ -262,13 +276,8 @@ def _binomial_split(apply_q: Callable[[np.ndarray], np.ndarray], psi: np.ndarray
     for m in range(1, N + 1):
         cur = (apply_q(cur) - (m - 1) * cur) / m
         bs.append(cur)
-    out = []
-    for k in range(N + 1):
-        acc = np.zeros_like(psi)
-        for m in range(k, N + 1):
-            acc += ((-1) ** (m - k)) * math.comb(m, k) * bs[m]
-        out.append(acc)
-    return out
+    return [sum(((-1) ** (m - k)) * math.comb(m, k) * bs[m] for m in range(k, N + 1))
+            for k in range(N + 1)]
 
 
 @dataclass(frozen=True)
@@ -396,6 +405,41 @@ def _dressing(kernel_bare: np.ndarray, density: np.ndarray, h: float) -> np.ndar
     return h * (_circulant(kernel_bare) @ density)
 
 
+def _static_diagonals(basis: TwoSpeciesBasis, spec: HamiltonianSpec):
+    """The interactions of the three channels, fixed along a run."""
+    if spec.scaling != "mean_field":
+        raise IndicatorError("derivative channels are defined for the mean-field scaling")
+    if spec.grid.points_per_axis != basis.M:
+        raise IndicatorError("state, orbitals and interaction spec must share one grid")
+    return _interaction_diagonals(basis, spec)
+
+
+def _channels(basis: TwoSpeciesBasis, spec: HamiltonianSpec, static, psi: np.ndarray,
+              mode_a: _ModeOps, mode_b: _ModeOps, u: Field, v: Field) -> DerivativeChannels:
+    """The three commutator channels, given the static diagonals and a(u), b(v)."""
+    if u.grid != spec.grid or v.grid != spec.grid:
+        raise IndicatorError("state, orbitals and interaction spec must share one grid")
+    pbar_psi = mode_a.n_u(mode_b.n_u(psi)) / (basis.N1 * basis.N2)
+    w1, w2, cross = static
+    occ_a, occ_b = basis.A.occs.astype(float), basis.B.occs.astype(float)
+    rho_u, rho_v = np.abs(u.values.ravel()) ** 2, np.abs(v.values.ravel()) ** 2
+
+    def dressed(occ: np.ndarray, which: str, rho: np.ndarray) -> np.ndarray:
+        return occ @ _dressing(spec.bare_kernel(which), rho, spec.grid.spacing)
+
+    # diagonal operators (occupation basis): pair interactions minus dressings
+    x1 = (w1 - dressed(occ_a, "1", rho_u))[:, None]
+    x2 = (w2 - dressed(occ_b, "2", rho_v))[None, :]
+    x12 = (cross - spec.c2 * dressed(occ_a, "12", rho_v)[:, None]
+           - spec.c1 * dressed(occ_b, "12", rho_u)[None, :])
+
+    def channel(xdiag: np.ndarray) -> complex:
+        # <[X, S]> with S = 1 - P-bar  =>  -<[X, P-bar]>
+        return complex(-(np.vdot(psi, xdiag * pbar_psi) - np.vdot(pbar_psi, xdiag * psi)))
+
+    return DerivativeChannels(channel(x1), channel(x2), channel(x12))
+
+
 def derivative_decomposition(state: ManyBodyState, u: Field, v: Field,
                              spec: HamiltonianSpec) -> DerivativeChannels:
     """Split d alpha/dt into the V1, V2 and V12 commutator channels.
@@ -405,40 +449,43 @@ def derivative_decomposition(state: ManyBodyState, u: Field, v: Field,
     dressing; the orbitals must be the effective solution at the same
     time as the state, evolved with the lattice kinetic term.
     """
-    if spec.scaling != "mean_field":
-        raise IndicatorError("derivative channels are defined for the mean-field scaling")
     b = state.basis
-    if spec.grid.points_per_axis != b.M or u.grid != spec.grid or v.grid != spec.grid:
-        raise IndicatorError("state, orbitals and interaction spec must share one grid")
-    h = spec.grid.spacing
-    occ_a = b.A.occs.astype(float)
-    occ_b = b.B.occs.astype(float)
-    rho_u = np.abs(u.values.ravel()) ** 2
-    rho_v = np.abs(v.values.ravel()) ** 2
+    static = _static_diagonals(b, spec)
+    return _channels(b, spec, static, state.psi, _ModeOps(b, "A", u), _ModeOps(b, "B", v), u, v)
 
-    # diagonal operators (occupation basis): pair interactions and dressings
-    w1 = _intra_diagonal(b.A, spec.kernel1)             # (1/N1) sum_{i<j} V1
-    w2 = _intra_diagonal(b.B, spec.kernel2)
-    cross = occ_a @ _circulant(spec.kernel12) @ occ_b.T  # (1/(N1+N2)) sum V12
-    d1 = occ_a @ _dressing(spec.bare_kernel("1"), rho_u, h)
-    d2 = occ_b @ _dressing(spec.bare_kernel("2"), rho_v, h)
-    d12_a = occ_a @ _dressing(spec.bare_kernel("12"), rho_v, h)
-    d12_b = occ_b @ _dressing(spec.bare_kernel("12"), rho_u, h)
 
-    x1 = (w1 - d1)[:, None] + np.zeros((1, b.B.dim))
-    x2 = (w2 - d2)[None, :] + np.zeros((b.A.dim, 1))
-    x12 = cross - spec.c2 * d12_a[:, None] - spec.c1 * d12_b[None, :]
+class SampleEvaluator:
+    """The sweep's columns at one time, with the run's fixed operators built once.
 
-    mode_a = _ModeOps(b, "A", u)
-    mode_b = _ModeOps(b, "B", v)
-    psi = state.psi
-    w = mode_a.n_u(mode_b.n_u(psi)) / (b.N1 * b.N2)   # P-bar psi
+    (state, u, v) -> (alpha_11, trace_dist, alpha_10, alpha_01, C_V1_im,
+    C_V2_im, C_V12_im, <g> for each weight g of the first species).  One
+    pair density gives the first four; one a(u) and one b(v) the rest.
+    """
 
-    def channel(xdiag: np.ndarray) -> complex:
-        # <[X, S]> with S = 1 - P-bar  =>  -<[X, P-bar]>
-        return complex(-(np.vdot(psi, xdiag * w) - np.vdot(w, xdiag * psi)))
+    def __init__(self, basis: TwoSpeciesBasis, spec: HamiltonianSpec,
+                 weights: Sequence[WeightFunction]):
+        for g in weights:
+            if g.N != basis.N1:
+                raise IndicatorError(f"weight defined for N={g.N}, species has N={basis.N1}")
+        self.basis = basis
+        self.spec = spec
+        self.static = _static_diagonals(basis, spec)
+        self.weights = [g.values for g in weights]
 
-    return DerivativeChannels(channel(x1), channel(x2), channel(x12))
+    def __call__(self, state: ManyBodyState, u: Field, v: Field) -> tuple[float, ...]:
+        b, psi = self.basis, state.psi
+        counting = counting_projectors(b, u, "A")
+        mode_a, mode_b = counting._mode, _ModeOps(b, "B", v)
+        ch = _channels(b, self.spec, self.static, psi, mode_a, mode_b, u, v)
+        sectors = counting.sector_weights(state)
+        pair = _pair_density(b, psi)
+        pair4 = pair.reshape((b.M,) * 4)                    # partial traces: gamma^(1,0), (0,1)
+        ref = np.kron(mode_a.u_site, mode_b.u_site)
+        return (_deficit(pair, ref), _trace_gap(pair, ref),
+                _deficit(np.einsum("xyXy->xX", pair4), mode_a.u_site),
+                _deficit(np.einsum("xyxY->yY", pair4), mode_b.u_site),
+                ch.c_v1.imag, ch.c_v2.imag, ch.c_v12.imag,
+                *(float(np.dot(g, sectors)) for g in self.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +527,8 @@ def insertion_terms(state: ManyBodyState, u: Field, v: Field,
         return out
 
     def apply_pbar(x: np.ndarray) -> np.ndarray:
-        out = x
-        acc = np.zeros_like(x)
-        for i in range(n1):
-            acc += orbital_project(out, usite, i)
-        out = acc
-        acc = np.zeros_like(x)
-        for r in range(n2):
-            acc += orbital_project(out, vsite, n1 + r)
-        return acc / (n1 * n2)
+        x = sum(orbital_project(x, usite, i) for i in range(n1))
+        return sum(orbital_project(x, vsite, n1 + r) for r in range(n2)) / (n1 * n2)
 
     def sandwich_vec(tag: str, x: np.ndarray) -> np.ndarray:
         a, bb = tag[0], tag[1]

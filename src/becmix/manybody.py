@@ -113,7 +113,7 @@ class TwoSpeciesBasis:
         self.N2 = N2
         self.A = _SpeciesBasis.build(M, N1)
         self.B = _SpeciesBasis.build(M, N2)
-        self._lowering: dict[str, list[sp.csr_matrix]] = {}
+        self._lowered: dict[str, tuple] = {}
 
     @property
     def dim(self) -> int:
@@ -133,32 +133,29 @@ class TwoSpeciesBasis:
     def particle_number(self, tag: str) -> int:
         return self.N1 if tag == "A" else self.N2
 
-    def lowering_ops(self, tag: str) -> list[sp.csr_matrix]:
-        """Per-site annihilation maps into the (N-1)-particle sector.
+    def lowering(self, tag: str) -> tuple[sp.csr_matrix, tuple[np.ndarray, ...]]:
+        """The site maps a_x into the (N-1)-particle sector, built once per species.
 
-        lowering_ops(tag)[x] @ psi_species has amplitude sqrt(n_x) on the
-        occupation with one particle removed from site x.
+        Returns their stack, shape (M dim', dim) with row x * dim' + j, and
+        the CSR arrays (indptr, col, site, sqrt_n) of a(u) = sum_x conj(u_x)
+        a_x, whose values are conj(u[site]) * sqrt_n for any orbital u: the
+        a_x have disjoint patterns, so each stack entry is one entry of a(u).
         """
-        if tag not in self._lowering:
+        if tag not in self._lowered:
             import scipy.sparse as sp
             src = self.species(tag)
             dst = _SpeciesBasis.build(self.M, src.N - 1)
-            ops = []
-            for x in range(self.M):
-                rows, cols, vals = [], [], []
-                for i in range(src.dim):
-                    n_x = src.occs[i, x]
-                    if n_x == 0:
-                        continue
-                    occ = src.occs[i].copy()
-                    occ[x] -= 1
-                    j = dst.index[tuple(occ)]
-                    rows.append(j)
-                    cols.append(i)
-                    vals.append(math.sqrt(n_x))
-                ops.append(sp.csr_matrix((vals, (rows, cols)), shape=(dst.dim, src.dim)))
-            self._lowering[tag] = ops
-        return self._lowering[tag]
+            col, site = np.nonzero(src.occs)        # one entry per (state, occupied site)
+            low = src.occs[col]
+            low[np.arange(col.size), site] -= 1
+            row = np.array([dst.index[tuple(occ)] for occ in low.tolist()], dtype=np.int64)
+            sqrt_n = np.sqrt(src.occs[col, site])
+            stack = sp.csr_matrix((sqrt_n, (site * dst.dim + row, col)),
+                                  shape=(self.M * dst.dim, src.dim))
+            order = np.lexsort((col, row))
+            indptr = np.searchsorted(row[order], np.arange(dst.dim + 1))
+            self._lowered[tag] = stack, (indptr, col[order], site[order], sqrt_n[order])
+        return self._lowered[tag]
 
 
 def build_basis(M: int, N1: int, N2: int, dim_cap: int = DEFAULT_DIM_CAP) -> TwoSpeciesBasis:
@@ -315,16 +312,20 @@ def _hop_matrix(species: _SpeciesBasis, h: float) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(species.dim, species.dim))
 
 
-def _intra_diagonal(species: _SpeciesBasis, kernel: np.ndarray) -> np.ndarray:
-    """sum_{i<j} V(x_i - x_j) evaluated on each occupation vector.
+def _interaction_diagonals(basis: TwoSpeciesBasis, spec: HamiltonianSpec):
+    """The interaction terms of H as diagonals: sum_{i<j} V1(x_i - x_j) on A,
+    sum_{r<s} V2 on B, and sum_{s,t} V12(d(s,t)) nA_s nB_t of shape (dimA, dimB).
 
-    Equals (1/2)[n . C n - V(0) N] with C the circulant kernel matrix;
-    the subtraction removes self-pairs so on-site pairs count n(n-1)/2.
+    Each intra term is (1/2)[n . C n - V(0) N] with C the circulant kernel
+    matrix; the subtraction removes self-pairs, so on-site pairs count n(n-1)/2.
     """
-    C = _circulant(kernel)
-    occ = species.occs.astype(float)
-    quad = np.einsum("im,mn,in->i", occ, C, occ)
-    return 0.5 * (quad - kernel[0] * species.N)
+    def intra(species: _SpeciesBasis, kernel: np.ndarray) -> np.ndarray:
+        occ = species.occs.astype(float)
+        quad = np.einsum("im,mn,in->i", occ, _circulant(kernel), occ)
+        return 0.5 * (quad - kernel[0] * species.N)
+
+    cross = basis.A.occs.astype(float) @ _circulant(spec.kernel12) @ basis.B.occs.T.astype(float)
+    return intra(basis.A, spec.kernel1), intra(basis.B, spec.kernel2), cross
 
 
 class Hamiltonian:
@@ -347,13 +348,8 @@ class Hamiltonian:
         h = spec.grid.spacing
         self.hop_A = _hop_matrix(basis.A, h)
         self.hop_B = _hop_matrix(basis.B, h)
-        kin_const = 2.0 * (basis.N1 + basis.N2) / h**2
-        diag = (kin_const
-                + _intra_diagonal(basis.A, spec.kernel1)[:, None]
-                + _intra_diagonal(basis.B, spec.kernel2)[None, :])
-        # cross term: sum_{s,t} V12(d(s,t)) nA_s nB_t
-        C12 = _circulant(spec.kernel12)
-        self.diag = diag + basis.A.occs.astype(float) @ C12 @ basis.B.occs.T.astype(float)
+        w1, w2, cross = _interaction_diagonals(basis, spec)
+        self.diag = 2.0 * (basis.N1 + basis.N2) / h**2 + w1[:, None] + w2[None, :] + cross
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -387,10 +383,8 @@ def apply_hamiltonian(spec: HamiltonianSpec | Hamiltonian, state: ManyBodyState)
 
 def _expi_tridiag(alphas: Sequence[float], betas: Sequence[float], dt: float) -> np.ndarray:
     """First column of exp(-i dt T) for the real symmetric tridiagonal T."""
-    if len(alphas) == 1:
-        return np.array([np.exp(-1j * dt * alphas[0])])
-    from scipy.linalg import eigh_tridiagonal
-    lam, U = eigh_tridiagonal(np.asarray(alphas, float), np.asarray(betas, float))
+    # dense eigh of the (at most krylov_dim + 1)-square T keeps scipy.linalg unloaded
+    lam, U = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
     return U @ (np.exp(-1j * dt * lam) * U[0, :])
 
 

@@ -105,6 +105,17 @@ def test_probe_time_off_the_step_lattice_rejected():
     assert parse_config(doc.replace("0.0335", "0.033")).probe_time == 0.033
 
 
+@pytest.mark.parametrize("probe", ["0.051", "-0.01"])
+def test_probe_time_outside_the_run_rejected(probe):
+    doc = MINIMAL.format(out="x").replace("t = 0.05",
+                                          f"t = 0.05\n\n[indicators]\nprobe_time = {probe}")
+    with pytest.raises(ConfigError,
+                       match=rf"\[indicators\] probe_time: {probe} outside \[0, t\]"):
+        parse_config(doc)
+    for ok in ("0.0", "0.05"):
+        assert parse_config(doc.replace(probe, ok)).probe_time == float(ok)
+
+
 def test_sweep_columns_and_alpha_zero(tmp_path):
     cfg = parse_config(MINIMAL.format(out=tmp_path))
     report = run_convergence_sweep(cfg)
@@ -165,6 +176,56 @@ def test_sweep_entry_failure_is_diagnosed_not_fatal(tmp_path, monkeypatch):
     assert list(tracebacks) == ["2,2"]
     assert "in flaky" in tracebacks["2,2"]
     assert tracebacks["2,2"].rstrip().endswith("RuntimeError: synthetic failure")
+
+
+@pytest.mark.parametrize("entries,trajectories", [("1,1; 2,2", 1), ("1,2; 2,2", 2)])
+def test_effective_trajectory_integrated_once_per_ratio(tmp_path, monkeypatch, entries,
+                                                        trajectories):
+    doc = MINIMAL.format(out=tmp_path).replace(
+        "entries = 1,1; 2,2", f"entries = {entries}\nratio_fixed = false")
+    cfg = parse_config(doc)
+    n_steps = round(cfg.T / cfg.dt)
+    real = harness_mod.step
+    calls = []
+
+    def counting_step(*args):
+        calls.append(args[1].c1)
+        return real(*args)
+
+    monkeypatch.setattr(harness_mod, "step", counting_step)
+    shared = run_convergence_sweep(cfg, threads=2)
+    assert len(calls) == trajectories * n_steps
+    # each entry alone integrates its own trajectory: the rows are the same bits
+    for entry in shared.entries:
+        assert entry.error is None
+        alone = parse_config(doc.replace(f"entries = {entries}",
+                                         f"entries = {entry.n1},{entry.n2}"))
+        ref = run_convergence_sweep(alone).entries[0]
+        assert entry.rows == ref.rows
+        assert entry.alpha_probe == ref.alpha_probe
+        assert entry.energy_gap == ref.energy_gap
+
+
+def test_failed_trajectory_fails_every_entry_of_its_ratio(tmp_path, monkeypatch):
+    doc = MINIMAL.format(out=tmp_path).replace(
+        "entries = 1,1; 2,2", "entries = 1,2; 2,2; 2,4\nratio_fixed = false")
+    cfg = parse_config(doc)
+    real = harness_mod.step
+
+    def failing_step(state, spec, dt):
+        if spec.c1 < 0.5:
+            raise RuntimeError("synthetic step failure")
+        return real(state, spec, dt)
+
+    monkeypatch.setattr(harness_mod, "step", failing_step)
+    report = run_convergence_sweep(cfg)
+    failed = {(e.n1, e.n2): e for e in report.entries if e.error is not None}
+    assert sorted(failed) == [(1, 2), (2, 4)]
+    for entry in failed.values():
+        assert entry.error == "RuntimeError: synthetic step failure"
+        assert "in failing_step" in entry.traceback
+        assert entry.dim > 0 and entry.rows == []
+    assert report.entries[1].error is None and len(report.entries[1].rows) == 2
 
 
 @pytest.mark.parametrize("timing,doubles", [
@@ -301,6 +362,36 @@ sample_every = 5
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "eff" / "trajectory.csv").exists()
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_sweep_loads_no_scipy_linalg(tmp_path):
+    # the lattice gas needs scipy.sparse only; the Krylov eigensolver is numpy's
+    cfg_path = tmp_path / "sweep.ini"
+    cfg_path.write_text(MINIMAL.format(out=tmp_path / "sweep"))
+    code = (
+        "import sys\n"
+        "from becmix.cli import main\n"
+        f"assert main(['sweep', {str(cfg_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+    )
+    src = str(Path(becmix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "sweep" / "summary.csv").exists()
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_cli_threads_must_be_positive(tmp_path, capsys, threads):
+    cfg_path = tmp_path / "sweep.ini"
+    cfg_path.write_text(MINIMAL.format(out=tmp_path / "sweep"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--threads", threads, "sweep", str(cfg_path)])
+    assert exc.value.code == 2
+    assert "argument --threads" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_cli_scattering(tmp_path):

@@ -15,6 +15,7 @@ from becmix.manybody import (
 )
 from becmix.indicators import (
     IndicatorError,
+    SampleEvaluator,
     alpha_11,
     condensate_depletion,
     corrected_alpha,
@@ -612,6 +613,47 @@ def test_grid_consistency_guards():
         Field(g6, np.cos(2 * np.pi * x / 2.0)), 2, 2)
     with pytest.raises(IndicatorError):
         derivative_decomposition(st, u, v, spec6)
+
+
+@pytest.mark.parametrize("N1,N2", [(2, 2), (3, 1)])
+def test_sample_evaluator_matches_public_functions(N1, N2):
+    g, _, _, _, _, _, basis, spec = _meanfield_problem(M=6, N1=N1, N2=N2)
+    rng = np.random.default_rng(10 * N1 + N2)
+    u, v = (normalize(Field(g, rng.standard_normal(6) + 1j * rng.standard_normal(6)))
+            for _ in range(2))
+    weights = (weight_s(N1), weight_n(N1), weight_m(N1, 0.2))
+    evaluate = SampleEvaluator(basis, spec, weights)
+    from becmix.indicators import _ModeOps
+    mode_a, mode_b = _ModeOps(basis, "A", u), _ModeOps(basis, "B", v)
+    for _ in range(3):
+        st = random_state(basis, rng)
+        ch = derivative_decomposition(st, u, v, spec)
+        expected = (alpha_11(st, u, v), trace_distance(reduce_density(st, (1, 1)), u, v),
+                    condensate_depletion(st, u, "A"), condensate_depletion(st, v, "B"),
+                    ch.c_v1.imag, ch.c_v2.imag, ch.c_v12.imag,
+                    *(weight_expectation(st, w, "A", u) for w in weights))
+        got = evaluate(st, u, v)
+        assert len(got) == 10
+        assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-12
+        # the pair-density deficit against 1 - <n_u n_v> / (N1 N2)
+        n_uv = np.vdot(st.psi, mode_a.n_u(mode_b.n_u(st.psi))).real / (N1 * N2)
+        assert abs(got[0] - (1.0 - n_uv)) < 1e-12
+
+
+def test_orbital_with_wrong_site_count_rejected():
+    g, u, v = _grid_and_orbitals(M=6)
+    _, u8, v8 = _grid_and_orbitals(M=8)
+    basis = build_basis(6, 2, 2)
+    st = product_state(u, v, basis)
+    calls = (lambda: alpha_11(st, u8, v),
+             lambda: alpha_11(st, u, v8),
+             lambda: condensate_depletion(st, u8, "A"),
+             lambda: condensate_depletion(st, v8, "B"),
+             lambda: counting_projectors(basis, u8, "A").sector_weights(st),
+             lambda: weight_expectation(st, weight_s(2), "A", u8))
+    for call in calls:
+        with pytest.raises(IndicatorError, match="orbital has 8 sites, the basis has 6"):
+            call()
 
 
 from hypothesis import given, settings, strategies as st_
