@@ -270,7 +270,11 @@ def parse_config(text: str) -> ExperimentConfig:
                    lambda v: None if v > 0 else "cap must be positive")
     cfg.ratio_fixed = read("ladder", "ratio_fixed", lambda r: _FLAGS[r.lower()], cfg.ratio_fixed,
                            describe=" (use 1/0, true/false or yes/no)")
-    for (n1, n2) in cfg.ladder:
+    for i, (n1, n2) in enumerate(cfg.ladder):
+        if (n1, n2) in cfg.ladder[:i]:
+            if cfg.ladder[:i].count((n1, n2)) == 1:     # one error per repeated entry
+                errors.append(f"[ladder] entries: ({n1},{n2}) listed twice")
+            continue
         if n1 < 1 or n2 < 1:
             errors.append(f"[ladder] entries: particle numbers must be >= 1, got ({n1},{n2})")
             continue

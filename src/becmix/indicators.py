@@ -34,15 +34,9 @@ from .manybody import (
     HamiltonianSpec,
     ManyBodyState,
     TwoSpeciesBasis,
+    _SpeciesBasis,
     _circulant,
     _interaction_diagonals,
-)
-from .fock import (
-    axis_diagonal,
-    firstquant_vector,
-    orbital_project,
-    pair_diagonal,
-    site_vector,
 )
 
 __all__ = [
@@ -52,6 +46,7 @@ __all__ = [
     "CountingProjectorSet",
     "DerivativeChannels",
     "IndicatorError",
+    "site_vector",
     "reduce_density",
     "alpha_11",
     "condensate_depletion",
@@ -77,12 +72,34 @@ class IndicatorError(ValueError):
 # ---------------------------------------------------------------------------
 # mode machinery: annihilate / count the condensate orbital per species
 
+def site_vector(f: Field) -> np.ndarray:
+    """Orbital as a unit vector in the site basis (values times sqrt(h))."""
+    return f.values.ravel() * math.sqrt(f.grid.volume_element)
+
+
 def _orbital_sites(basis: TwoSpeciesBasis, u: Field) -> np.ndarray:
     """The orbital's unit site vector, checked against the basis' site count."""
     u_site = site_vector(u)
     if u_site.size != basis.M:
         raise IndicatorError(f"orbital has {u_site.size} sites, the basis has {basis.M}")
     return u_site
+
+
+def _annihilator(species: _SpeciesBasis, u_site: np.ndarray):
+    """a(u) = sum_x conj(u_x) a_x as CSR, and its adjoint as CSC on the same arrays."""
+    import scipy.sparse as sp
+    indptr, col, site, sqrt_n = species.lowering[1]
+    data = np.conj(u_site)[site] * sqrt_n
+    shape = (indptr.size - 1, species.dim)
+    return (sp.csr_matrix((data, col, indptr), shape=shape),
+            sp.csc_matrix((data.conj(), col, indptr), shape=shape[::-1]))
+
+
+def _along(op, arr: np.ndarray, axis: int) -> np.ndarray:
+    """The matrix op (dense or sparse) applied to one axis of arr."""
+    moved = np.moveaxis(arr, axis, 0)
+    out = op @ moved.reshape(moved.shape[0], -1)
+    return np.moveaxis(out.reshape(-1, *moved.shape[1:]), 0, axis)
 
 
 class _ModeOps:
@@ -94,12 +111,7 @@ class _ModeOps:
         self.u_site = _orbital_sites(basis, u)
         if abs(np.linalg.norm(self.u_site) - 1.0) > 1e-8:
             raise IndicatorError("orbital must be normalized")
-        import scipy.sparse as sp
-        indptr, col, site, sqrt_n = basis.lowering(species)[1]
-        data = np.conj(self.u_site)[site] * sqrt_n
-        shape = (indptr.size - 1, basis.species(species).dim)
-        self.a = sp.csr_matrix((data, col, indptr), shape=shape)
-        self.a_dag = sp.csc_matrix((data.conj(), col, indptr), shape=shape[::-1])  # a^H, no copy
+        self.a, self.a_dag = _annihilator(basis.species(species), self.u_site)
 
     def annihilate(self, psi: np.ndarray) -> np.ndarray:
         """a(u) psi, mapping into the (N-1)-particle sector of the species."""
@@ -152,15 +164,21 @@ def _gram(W: np.ndarray, norm: int) -> np.ndarray:
     return (W @ W.conj().T) / norm
 
 
+def _pair_lowered(basis: TwoSpeciesBasis, psi: np.ndarray) -> np.ndarray:
+    """W[x, a', y, b'] = (b_y a_x psi)[a', b'], one stacked product per species."""
+    lowered_b = basis.B.lowering[0] @ psi.T                    # (M dimB', dimA)
+    W = basis.A.lowering[0] @ lowered_b.T
+    return W.reshape(basis.M, basis.A.lowered.dim, basis.M, -1)
+
+
 def _pair_density(basis: TwoSpeciesBasis, psi: np.ndarray) -> np.ndarray:
-    """gamma^(1,1) from W[x, y] = b_y a_x psi, one stacked product per species.
+    """gamma^(1,1) from W[x, y] = b_y a_x psi.
 
     W is held once, in (x, a', y, b') order; the Gram sum runs over a', so
     each term copies only the (x, y, b') slice of one a'.
     """
     M = basis.M
-    lowered_b = basis.lowering("B")[0] @ psi.T                 # (M dimB', dimA)
-    W = (basis.lowering("A")[0] @ lowered_b.T).reshape(M, -1, lowered_b.shape[0])
+    W = _pair_lowered(basis, psi)
     gamma = np.zeros((M * M, M * M), dtype=complex)
     for a in range(W.shape[1]):
         Wa = W[:, a].reshape(M * M, -1)
@@ -191,9 +209,9 @@ def reduce_density(state: ManyBodyState, kind: tuple[int, int]) -> ReducedDensit
     """
     b = state.basis
     if kind == (1, 0):
-        gamma = _gram((b.lowering("A")[0] @ state.psi).reshape(b.M, -1), b.N1)
+        gamma = _gram((b.A.lowering[0] @ state.psi).reshape(b.M, -1), b.N1)
     elif kind == (0, 1):
-        gamma = _gram((b.lowering("B")[0] @ state.psi.T).reshape(b.M, -1), b.N2)
+        gamma = _gram((b.B.lowering[0] @ state.psi.T).reshape(b.M, -1), b.N2)
     elif kind == (1, 1):
         gamma = _pair_density(b, state.psi)
     else:
@@ -360,11 +378,6 @@ class CountingProjectorSet:
     def split(self, state: ManyBodyState) -> list[np.ndarray]:
         return _binomial_split(self._mode.q_total, state.psi, self.N)
 
-    def apply(self, k: int, state: ManyBodyState) -> np.ndarray:
-        if not (0 <= k <= self.N):
-            return np.zeros_like(state.psi)
-        return self.split(state)[k]
-
     def sector_weights(self, state: ManyBodyState) -> np.ndarray:
         """||P_k psi||^2 for k = 0..N."""
         return np.array([np.vdot(p, p).real for p in self.split(state)])
@@ -505,42 +518,35 @@ def insertion_terms(state: ManyBodyState, u: Field, v: Field,
     The sum of all sixteen equals <psi, [K, P-bar] psi>; the diagonal
     combinations (pp,pp), (qq,qq), (pq,pq)+(qp,qp) vanish identically
     and the mean-field dressing kills (pp,qp) + its conjugate.
+
+    The labelled particles are the site indices of T[x, y] = b_y a_x psi /
+    sqrt(N1 N2), in (x, a', y, b') order; the others stay in the lowered
+    occupation sectors, where sum_{k>=2} p_k acts as n_u of that sector.
     """
     b = state.basis
     if V12.grid.points_per_axis != b.M or u.grid != V12.grid or v.grid != V12.grid:
         raise IndicatorError("state, orbitals and potential must share one grid")
     h = V12.grid.spacing
-    psi = firstquant_vector(state)
     n1, n2 = b.N1, b.N2
-    axis_a1, axis_b1 = 0, n1
-    usite, vsite = site_vector(u), site_vector(v)
+    usite, vsite = _orbital_sites(b, u), _orbital_sites(b, v)
+    p_u, p_v = np.outer(usite, np.conj(usite)), np.outer(vsite, np.conj(vsite))
+    n_u, n_v = ((a_dag @ a).toarray() for a, a_dag in (_annihilator(b.A.lowered, usite),
+                                                        _annihilator(b.B.lowered, vsite)))
     kernel = V12.values.real.ravel()
-    rho_u = np.abs(u.values.ravel()) ** 2
-    rho_v = np.abs(v.values.ravel()) ** 2
-    dress_a = _dressing(kernel, rho_v, h)   # (V12 * |v|^2)(x_1)
-    dress_b = _dressing(kernel, rho_u, h)   # (V12 * |u|^2)(y_1)
-
-    def apply_K(x: np.ndarray) -> np.ndarray:
-        out = pair_diagonal(x, kernel, axis_a1, axis_b1)
-        out -= axis_diagonal(x, dress_a, axis_a1)
-        out -= axis_diagonal(x, dress_b, axis_b1)
-        return out
+    dress_a = _dressing(kernel, np.abs(v.values.ravel()) ** 2, h)   # (V12 * |v|^2)(x_1)
+    dress_b = _dressing(kernel, np.abs(u.values.ravel()) ** 2, h)   # (V12 * |u|^2)(y_1)
+    K = (_circulant(kernel) - dress_a[:, None] - dress_b[None, :])[:, None, :, None]
 
     def apply_pbar(x: np.ndarray) -> np.ndarray:
-        x = sum(orbital_project(x, usite, i) for i in range(n1))
-        return sum(orbital_project(x, vsite, n1 + r) for r in range(n2)) / (n1 * n2)
+        x = _along(p_u, x, 0) + _along(n_u, x, 1)
+        return (_along(p_v, x, 2) + _along(n_v, x, 3)) / (n1 * n2)
 
-    def sandwich_vec(tag: str, x: np.ndarray) -> np.ndarray:
-        a, bb = tag[0], tag[1]
-        out = orbital_project(x, usite, axis_a1, complement=(a == "q"))
-        return orbital_project(out, vsite, axis_b1, complement=(bb == "q"))
-
-    sides = {t: sandwich_vec(t, psi) for t in ("pp", "pq", "qp", "qq")}
-    commuted = {t: apply_K(apply_pbar(s)) - apply_pbar(apply_K(s))
-                for t, s in sides.items()}
+    ops = {"p": (p_u, p_v), "q": (np.eye(b.M) - p_u, np.eye(b.M) - p_v)}
+    T = _pair_lowered(b, state.psi) / math.sqrt(n1 * n2)
+    sides = {a + c: _along(ops[c][1], _along(ops[a][0], T, 0), 2) for a in "pq" for c in "pq"}
+    commuted = {t: K * apply_pbar(s) - apply_pbar(K * s) for t, s in sides.items()}
     return {f"{left},{right}": complex(np.vdot(sides[left], commuted[right]))
-            for left in ("pp", "pq", "qp", "qq")
-            for right in ("pp", "pq", "qp", "qq")}
+            for left in sides for right in sides}
 
 
 # ---------------------------------------------------------------------------
@@ -560,60 +566,62 @@ def corrected_alpha(state: ManyBodyState, u: Field, v: Field,
     kernels are sampled on the periodic displacement grid; pass None to
     drop a correction (both corrections vanish structurally when the
     species has fewer than two particles).
+
+    The labelled particles are the site indices of a_{x2} a_{x1} psi (and
+    b_{y1} of that for the cross term).  For a species of N particles their
+    squared norms are N(N-1) and N(N-1) N_other, so the prefactors reduce
+    to 1 and 1/(N-1).
     """
     b = state.basis
-    if species == "A":
-        n_own, n_other = b.N1, b.N2
-        ax1, ax2, ax_cross = 0, 1, b.N1
-        own_orb = u
-    elif species == "B":
-        n_own, n_other = b.N2, b.N1
-        ax1, ax2, ax_cross = b.N1, b.N1 + 1, 0
-        own_orb = v
-    else:
+    if species not in ("A", "B"):
         raise IndicatorError("species must be 'A' or 'B'")
-    if weight.N != n_own:
-        raise IndicatorError(f"weight defined for N={weight.N}, species has N={n_own}")
+    own, other = (b.A, b.B) if species == "A" else (b.B, b.A)
+    if weight.N != own.N:
+        raise IndicatorError(f"weight defined for N={weight.N}, species has N={own.N}")
+    for name, g in (("same", g_pair_same), ("cross", g_pair_cross)):
+        if g is not None and np.size(g) != b.M:
+            raise IndicatorError(f"{name}-species pair kernel has {np.size(g)} entries, "
+                                 f"the basis has {b.M} sites")
 
+    counting = counting_projectors(b, u if species == "A" else v, species)
+    parts = counting.split(state)
     e_many, e_eff = energies
-    base = weight_expectation(state, weight, species, own_orb) + abs(e_many - e_eff)
+    sectors = np.array([np.vdot(p, p).real for p in parts])
+    base = float(np.dot(weight.values, sectors)) + abs(e_many - e_eff)
 
     no_same = g_pair_same is None or not np.any(g_pair_same)
     no_cross = g_pair_cross is None or not np.any(g_pair_cross)
-    if (no_same and no_cross) or n_own < 2:
+    if (no_same and no_cross) or own.N < 2:
         return float(base)
 
-    psi = firstquant_vector(state)
-    own_site = site_vector(own_orb)
-    own_axes = (range(0, b.N1) if species == "A"
-                else range(b.N1, b.N1 + b.N2))
+    M, n_own = b.M, own.N
+    own_site = counting._mode.u_site
+    p = np.outer(own_site, np.conj(own_site))
 
-    def apply_q_total(x: np.ndarray) -> np.ndarray:
-        out = n_own * x
-        for i in own_axes:
-            out = out - orbital_project(x, own_site, i)
-        return out
+    def labelled(x: np.ndarray) -> np.ndarray:
+        """a_{x'} a_x x in (x, x', a'', other) order."""
+        one = _along(own.lowering[0], x if species == "A" else x.T, 0)
+        one = _along(own.lowered.lowering[0], one.reshape(M, own.lowered.dim, -1), 1)
+        return one.reshape(M, M, own.lowered.lowered.dim, -1)
 
-    parts = _binomial_split(apply_q_total, psi, n_own)
     w0 = weight.values
     w1 = weight.shifted_values(1)
     w2 = weight.shifted_values(2)
-    y1 = sum((w0[k] - w1[k]) * parts[k] for k in range(n_own + 1))
-    y2 = sum((w0[k] - w2[k]) * parts[k] for k in range(n_own + 1))
-
-    p1p2 = orbital_project(orbital_project(y2, own_site, ax1), own_site, ax2)
-    p1q2 = orbital_project(orbital_project(y1, own_site, ax2, complement=True),
-                           own_site, ax1)
-    q1p2 = orbital_project(orbital_project(y1, own_site, ax1, complement=True),
-                           own_site, ax2)
-    r_psi = p1p2 + p1q2 + q1p2
+    y1 = labelled(sum((w0[k] - w1[k]) * parts[k] for k in range(n_own + 1)))
+    y2 = labelled(sum((w0[k] - w2[k]) * parts[k] for k in range(n_own + 1)))
+    r_psi = (_along(p, _along(p, y2, 1), 0) + _along(p, y1 - _along(p, y1, 1), 0)
+             + _along(p, y1 - _along(p, y1, 0), 1))
+    psi = labelled(state.psi)
 
     corr = 0.0
     if not no_same:
-        val = np.vdot(psi, pair_diagonal(r_psi, np.asarray(g_pair_same, float), ax1, ax2))
-        corr += n_own * (n_own - 1) * val.real
+        G = _circulant(np.asarray(g_pair_same, float))[:, :, None, None]
+        corr += np.vdot(psi, G * r_psi).real
     if not no_cross:
-        val = np.vdot(psi, pair_diagonal(r_psi, np.asarray(g_pair_cross, float),
-                                         ax1, ax_cross))
-        corr += b.N1 * b.N2 * val.real
+        G = _circulant(np.asarray(g_pair_cross, float))[:, None, None, :, None]
+
+        def lower_other(x: np.ndarray) -> np.ndarray:
+            return _along(other.lowering[0], x, 3).reshape(*x.shape[:3], M, -1)
+
+        corr += np.vdot(lower_other(psi), G * lower_other(r_psi)).real / (n_own - 1)
     return float(base - corr)

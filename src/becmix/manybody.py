@@ -23,6 +23,7 @@ reorthogonalization and adaptive substepping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 from typing import Callable, Sequence
 
@@ -93,6 +94,33 @@ class _SpeciesBasis:
     def dim(self) -> int:
         return self.occs.shape[0]
 
+    @cached_property
+    def lowered(self) -> "_SpeciesBasis":
+        """The (N-1)-particle sector that the a_x map into; it lowers again."""
+        return _SpeciesBasis.build(self.M, self.N - 1)
+
+    @cached_property
+    def lowering(self) -> tuple[sp.csr_matrix, tuple[np.ndarray, ...]]:
+        """The site maps a_x into `lowered`, built once.
+
+        Returns their stack, shape (M dim', dim) with row x * dim' + j, and
+        the CSR arrays (indptr, col, site, sqrt_n) of a(u) = sum_x conj(u_x)
+        a_x, whose values are conj(u[site]) * sqrt_n for any orbital u: the
+        a_x have disjoint patterns, so each stack entry is one entry of a(u).
+        """
+        import scipy.sparse as sp
+        dst = self.lowered
+        col, site = np.nonzero(self.occs)           # one entry per (state, occupied site)
+        low = self.occs[col]
+        low[np.arange(col.size), site] -= 1
+        row = np.array([dst.index[tuple(occ)] for occ in low.tolist()], dtype=np.int64)
+        sqrt_n = np.sqrt(self.occs[col, site])
+        stack = sp.csr_matrix((sqrt_n, (site * dst.dim + row, col)),
+                              shape=(self.M * dst.dim, self.dim))
+        order = np.lexsort((col, row))
+        indptr = np.searchsorted(row[order], np.arange(dst.dim + 1))
+        return stack, (indptr, col[order], site[order], sqrt_n[order])
+
 
 class TwoSpeciesBasis:
     """Joint basis: (A occupation) x (B occupation), A-major flattening."""
@@ -113,7 +141,6 @@ class TwoSpeciesBasis:
         self.N2 = N2
         self.A = _SpeciesBasis.build(M, N1)
         self.B = _SpeciesBasis.build(M, N2)
-        self._lowered: dict[str, tuple] = {}
 
     @property
     def dim(self) -> int:
@@ -132,30 +159,6 @@ class TwoSpeciesBasis:
 
     def particle_number(self, tag: str) -> int:
         return self.N1 if tag == "A" else self.N2
-
-    def lowering(self, tag: str) -> tuple[sp.csr_matrix, tuple[np.ndarray, ...]]:
-        """The site maps a_x into the (N-1)-particle sector, built once per species.
-
-        Returns their stack, shape (M dim', dim) with row x * dim' + j, and
-        the CSR arrays (indptr, col, site, sqrt_n) of a(u) = sum_x conj(u_x)
-        a_x, whose values are conj(u[site]) * sqrt_n for any orbital u: the
-        a_x have disjoint patterns, so each stack entry is one entry of a(u).
-        """
-        if tag not in self._lowered:
-            import scipy.sparse as sp
-            src = self.species(tag)
-            dst = _SpeciesBasis.build(self.M, src.N - 1)
-            col, site = np.nonzero(src.occs)        # one entry per (state, occupied site)
-            low = src.occs[col]
-            low[np.arange(col.size), site] -= 1
-            row = np.array([dst.index[tuple(occ)] for occ in low.tolist()], dtype=np.int64)
-            sqrt_n = np.sqrt(src.occs[col, site])
-            stack = sp.csr_matrix((sqrt_n, (site * dst.dim + row, col)),
-                                  shape=(self.M * dst.dim, src.dim))
-            order = np.lexsort((col, row))
-            indptr = np.searchsorted(row[order], np.arange(dst.dim + 1))
-            self._lowered[tag] = stack, (indptr, col[order], site[order], sqrt_n[order])
-        return self._lowered[tag]
 
 
 def build_basis(M: int, N1: int, N2: int, dim_cap: int = DEFAULT_DIM_CAP) -> TwoSpeciesBasis:
@@ -288,28 +291,14 @@ def _circulant(kernel: np.ndarray) -> np.ndarray:
 def _hop_matrix(species: _SpeciesBasis, h: float) -> sp.csr_matrix:
     """Off-diagonal part of the stencil kinetic term, second-quantized.
 
-    (1/h^2) sum_j [-a+_{j+1} a_j - a+_j a_{j+1}]; the diagonal 2 N / h^2
+    (1/h^2) sum_x [-a+_{x+1} a_x - a+_x a_{x+1}] = -(S^T R + R^T S) / h^2 for
+    the lowering stack S and R its block rows shifted from x to x + 1; at
+    M = 2 the two equal neighbours sum on their own.  The diagonal 2 N / h^2
     is accounted for separately as a constant.
     """
-    import scipy.sparse as sp
-    M = species.M
-    rows, cols, vals = [], [], []
-    for i in range(species.dim):
-        occ = species.occs[i]
-        for s in range(M):
-            n_s = occ[s]
-            if n_s == 0:
-                continue
-            for t in ((s + 1) % M, (s - 1) % M):
-                new = occ.copy()
-                new[s] -= 1
-                new[t] += 1
-                j = species.index[tuple(new)]
-                rows.append(j)
-                cols.append(i)
-                vals.append(-math.sqrt(n_s * (occ[t] + 1)) / h**2)
-    # the COO -> CSR conversion sums the two equal neighbours of M = 2
-    return sp.csr_matrix((vals, (rows, cols)), shape=(species.dim, species.dim))
+    S = species.lowering[0]
+    R = S[np.roll(np.arange(S.shape[0]), -species.lowered.dim)]
+    return (-(S.T @ R + R.T @ S) / h**2).tocsr()
 
 
 def _interaction_diagonals(basis: TwoSpeciesBasis, spec: HamiltonianSpec):

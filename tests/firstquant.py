@@ -1,46 +1,16 @@
-"""Desk-scale first-quantized representation of two-species lattice states.
+"""First-quantized oracle for two-species lattice states, for tests only.
 
-Some indicator functionals act on *labelled* particles (projectors on
-"particle 1 of species A", pair multipliers g(x_1 - x_2)) and are most
-direct on the full tensor grid C^M tensor ... tensor C^M, with the A
-coordinates first.  Dimensions grow like M^(N1+N2), so these helpers
-enforce a cap and are meant for small verification problems; the
-occupation representation in `manybody` stays the workhorse.
+The labelled-particle functionals of `becmix.indicators` work in the
+occupation basis; the tests check them against this independent
+representation on the full tensor grid C^M tensor ... tensor C^M, A
+coordinates first.  Its size is M^(N1+N2), so keep the problems small.
 """
-
-from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from .grids import Field
-from .manybody import ManyBodyState, ManyBodyError, TwoSpeciesBasis
-
-__all__ = [
-    "firstquant_cap_check",
-    "site_vector",
-    "firstquant_vector",
-    "orbital_project",
-    "axis_diagonal",
-    "pair_diagonal",
-]
-
-FIRSTQUANT_DIM_CAP = 600_000
-
-
-def firstquant_cap_check(basis: TwoSpeciesBasis):
-    dim = basis.M ** (basis.N1 + basis.N2)
-    if dim > FIRSTQUANT_DIM_CAP:
-        raise ManyBodyError(
-            f"first-quantized dimension M^(N1+N2) = {dim} exceeds the cap "
-            f"{FIRSTQUANT_DIM_CAP}; this diagnostic path is desk-scale only"
-        )
-
-
-def site_vector(f: Field) -> np.ndarray:
-    """Orbital as a unit vector in the site basis (values times sqrt(h))."""
-    return f.values.ravel() * math.sqrt(f.grid.volume_element)
+from becmix.manybody import ManyBodyState
 
 
 def _species_maps(occs: np.ndarray, index: dict, M: int, N: int):
@@ -68,7 +38,6 @@ def _species_maps(occs: np.ndarray, index: dict, M: int, N: int):
 def firstquant_vector(state: ManyBodyState) -> np.ndarray:
     """Symmetric tensor-grid amplitudes, shape (M,)*(N1+N2), A axes first."""
     b = state.basis
-    firstquant_cap_check(b)
     idx_a, amp_a = _species_maps(b.A.occs, b.A.index, b.M, b.N1)
     idx_b, amp_b = _species_maps(b.B.occs, b.B.index, b.M, b.N2)
     psi = state.psi[np.ix_(idx_a, idx_b)] * np.outer(amp_a, amp_b)
@@ -90,16 +59,10 @@ def axis_diagonal(psi: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
 
 
 def pair_diagonal(psi: np.ndarray, kernel: np.ndarray, axis_i: int, axis_j: int) -> np.ndarray:
-    """Multiply by kernel[(s_i - s_j) mod M] over two particle axes."""
-    if axis_i == axis_j:
-        raise ValueError("pair_diagonal needs two distinct axes")
+    """Multiply by kernel[(s_i - s_j) mod M] over two particle axes, axis_i < axis_j."""
     M = kernel.size
     i = np.arange(M)
-    K = kernel[(i[:, None] - i[None, :]) % M]
-    if axis_i > axis_j:
-        axis_i, axis_j = axis_j, axis_i
-        K = K.T
     shape = [1] * psi.ndim
     shape[axis_i] = M
     shape[axis_j] = M
-    return psi * K.reshape(shape)
+    return psi * kernel[(i[:, None] - i[None, :]) % M].reshape(shape)

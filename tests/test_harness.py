@@ -63,6 +63,12 @@ def test_zero_particle_entry_rejected_by_name():
     assert "[ladder] entries" in str(err.value)
 
 
+def test_duplicate_ladder_entry_rejected():
+    doc = MINIMAL.format(out="x").replace("entries = 1,1; 2,2", "entries = 1,1; 2,2; 2,2")
+    with pytest.raises(ConfigError, match=r"\[ladder\] entries: \(2,2\) listed twice"):
+        parse_config(doc)
+
+
 def test_cap_violation_reports_dimension():
     doc = MINIMAL.format(out="x").replace("entries = 1,1; 2,2",
                                           "entries = 6,6\ncap = 1000")

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from becmix.config import parse_config
 from becmix.grids import Field, Grid, make_grid, normalize
-from becmix.fock import firstquant_vector, site_vector
+from firstquant import firstquant_vector
 from becmix.manybody import (
     Hamiltonian,
     HamiltonianSpec,
@@ -24,6 +26,7 @@ from becmix.indicators import (
     insertion_terms,
     marginal_bounds_check,
     reduce_density,
+    site_vector,
     trace_distance,
     weight_expectation,
     weight_m,
@@ -455,7 +458,7 @@ def test_insertion_identities_random_states():
 
 
 def test_insertion_sum_matches_direct_commutator():
-    from becmix.fock import axis_diagonal, orbital_project, pair_diagonal
+    from firstquant import axis_diagonal, orbital_project, pair_diagonal
     from becmix.manybody import _circulant
 
     g, u, v = _grid_and_orbitals(M=4)
@@ -573,6 +576,31 @@ def test_corrected_alpha_single_particle_has_no_corrections():
     g_any = np.ones(4)
     val = corrected_alpha(ps, u, v, g_any, g_any, wm, (1.0, 1.0))
     assert val == pytest.approx(wm(0), abs=1e-12)
+
+
+def test_corrected_alpha_rejects_kernel_of_wrong_length():
+    g, u, v = _grid_and_orbitals(M=4)
+    st = random_state(build_basis(4, 2, 2), np.random.default_rng(19))
+    for same, cross in ((np.ones(5), None), (None, np.ones(3))):
+        with pytest.raises(IndicatorError, match="pair kernel has [35] entries, the basis has 4"):
+            corrected_alpha(st, u, v, same, cross, weight_m(2, 0.2), (1.0, 1.0))
+
+
+def test_labelled_functionals_on_the_ladder_33_entry():
+    # the bundled ladder's (3,3) entry at M = 10 has 10^6 labelled amplitudes
+    cfg = parse_config((Path(__file__).parents[1] / "configs" / "sweep_ladder.ini").read_text())
+    u, v = cfg.orbital_field("u0"), cfg.orbital_field("v0")
+    st = random_state(build_basis(cfg.points, 3, 3), np.random.default_rng(20))
+    t = insertion_terms(st, u, v, cfg.potential_field("v12"))
+    assert abs(t["pp,pp"]) < 1e-12
+    assert abs(t["qq,qq"]) < 1e-12
+    assert abs(t["pq,pq"] + t["qp,qp"]) < 1e-12
+    assert abs(t["pp,qp"] + np.conj(t["pp,qp"])) < 1e-10
+    wm = weight_m(3, cfg.xi)
+    g_same, g_cross = (cfg.potential_field(w).values.real for w in ("v1", "v12"))
+    assert np.isfinite(corrected_alpha(st, u, v, g_same, g_cross, wm, (1.3, 1.1)))
+    expected = weight_expectation(st, wm, "A", u) + 0.2
+    assert corrected_alpha(st, u, v, None, None, wm, (1.3, 1.1)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_condensate_depletion_on_pure_orbital():

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from becmix.grids import Field, Grid, make_grid, normalize
-from becmix.fock import firstquant_vector
+from firstquant import firstquant_vector
 from becmix.manybody import (
     Hamiltonian,
     HamiltonianSpec,
