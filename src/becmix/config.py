@@ -319,10 +319,7 @@ def parse_config(text: str) -> ExperimentConfig:
                          lambda v: None if v >= 0 else "snapshots must be >= 0")
 
     # zero potentials are legal; zero initial orbitals are not
-    required_orbitals = ("u0", "v0", "w0") if cfg.mode == "spin1" else ("u0", "v0")
-    for key in required_orbitals:
-        if key == "w0":
-            continue  # the third spinor component may start empty
+    for key in ("u0", "v0"):  # the third spinor component w0 may start empty
         if getattr(cfg, key).split()[:1] == ["zero"]:
             errors.append(f"[system] {key}: initial orbital must be nonzero")
 

@@ -4,11 +4,12 @@ One sweep runs the particle-number ladder of an ExperimentConfig.  The
 coupled convolution system is advanced in dt Strang steps once per
 distinct c1 (lattice kinetic term on both sides, so the derivative
 identity is exact) and kept at the sample points.  Each entry prepares
-the condensed product state, propagates it exactly from one sample point
-to the next in one Krylov call, and samples every indicator column there
-against the orbitals of its c1.  Reports are deterministic functions of
-(config, seed): re-running writes byte-identical CSVs at any thread
-count, since entries are independent and assembled in ladder order.
+the condensed product state, propagates it from one sample point to the
+next in one step-controlled Krylov propagation, and samples every
+indicator column there against the orbitals of its c1.  Reports are
+deterministic functions of (config, seed): re-running writes
+byte-identical CSVs at any thread count, since entries are independent
+and assembled in ladder order.
 """
 
 from __future__ import annotations

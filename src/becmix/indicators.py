@@ -31,12 +31,14 @@ import numpy as np
 
 from .grids import Field
 from .manybody import (
+    KRYLOV_TOL,
     HamiltonianSpec,
     ManyBodyState,
     TwoSpeciesBasis,
     _SpeciesBasis,
     _circulant,
     _interaction_diagonals,
+    _lanczos,
 )
 
 __all__ = [
@@ -106,7 +108,7 @@ class _ModeOps:
     """Apply a(u), a+(u), n_u and Q = N - n_u for one species."""
 
     def __init__(self, basis: TwoSpeciesBasis, species: str, u: Field):
-        self.species = species
+        self.axis = 0 if species == "A" else 1
         self.N = basis.particle_number(species)
         self.u_site = _orbital_sites(basis, u)
         if abs(np.linalg.norm(self.u_site) - 1.0) > 1e-8:
@@ -115,15 +117,11 @@ class _ModeOps:
 
     def annihilate(self, psi: np.ndarray) -> np.ndarray:
         """a(u) psi, mapping into the (N-1)-particle sector of the species."""
-        if self.species == "A":
-            return self.a @ psi
-        return (self.a @ psi.T).T
+        return _along(self.a, psi, self.axis)
 
     def create(self, phi: np.ndarray) -> np.ndarray:
         """a+(u) phi, mapping back into the N-particle sector."""
-        if self.species == "A":
-            return self.a_dag @ phi
-        return (self.a_dag @ phi.T).T
+        return _along(self.a_dag, phi, self.axis)
 
     def n_u(self, psi: np.ndarray) -> np.ndarray:
         return self.create(self.annihilate(psi))
@@ -280,24 +278,6 @@ def marginal_bounds_check(state: ManyBodyState, u: Field, v: Field,
 # ---------------------------------------------------------------------------
 # counting projectors and weights
 
-def _binomial_split(apply_q: Callable[[np.ndarray], np.ndarray], psi: np.ndarray,
-                    N: int) -> list[np.ndarray]:
-    """All P_k psi from powers of the excitation-number operator Q.
-
-    Uses the falling-factorial basis B_m = binom(Q, m), built by the
-    recurrence B_m = (Q - m + 1) B_{m-1} / m, and the inversion
-    P_k = sum_{m>=k} (-1)^{m-k} C(m,k) B_m.  Exact on the integer
-    spectrum {0..N}; coefficients stay small at desk-scale N.
-    """
-    bs = [psi]
-    cur = psi
-    for m in range(1, N + 1):
-        cur = (apply_q(cur) - (m - 1) * cur) / m
-        bs.append(cur)
-    return [sum(((-1) ** (m - k)) * math.comb(m, k) * bs[m] for m in range(k, N + 1))
-            for k in range(N + 1)]
-
-
 @dataclass(frozen=True)
 class WeightFunction:
     """Nonnegative weight g(k) on the excitation count k = 0..N.
@@ -360,8 +340,13 @@ class CountingProjectorSet:
 
     Realized through the spectral calculus of Q = sum_i q_i rather than
     the symmetrized projector strings; the two definitions agree (unit
-    tested against the literal strings at small N) and this one costs N
-    applications of Q.
+    tested against the literal strings at small N).  Q has the integer
+    spectrum {0..N}, so Lanczos on Q from psi spans every P_k psi with
+    N + 1 vectors in exact arithmetic, and P_k psi is the sum of the Ritz
+    components whose Ritz values round to k.  A sector of tiny weight makes
+    the Lanczos couplings small, which amplifies round-off into new
+    directions; the space then grows past N + 1 vectors (at most 2N + 2)
+    until the residual estimate of every P_k psi is below KRYLOV_TOL.
     """
 
     basis: TwoSpeciesBasis
@@ -375,12 +360,31 @@ class CountingProjectorSet:
     def N(self) -> int:
         return self._mode.N
 
-    def split(self, state: ManyBodyState) -> list[np.ndarray]:
-        return _binomial_split(self._mode.q_total, state.psi, self.N)
+    def _ritz(self, psi: np.ndarray):
+        """(k, c, U, V): P_k psi sums c_j (U^T V)_j over the Ritz values rounding to k."""
+        def sectors(lam):
+            return np.clip(np.rint(lam), 0, self.N).astype(int)
+
+        def accept(lam, U, beta):
+            # beta |e_m^T 1_k(T) e_1| estimates ||Q P_k psi - k P_k psi|| / ||psi||
+            last = np.bincount(sectors(lam), weights=U[-1] * U[0], minlength=self.N + 1)
+            return beta * np.abs(last).max() < KRYLOV_TOL
+
+        beta0, V, lam, U, _ = _lanczos(lambda x: self._mode.q_total(x.reshape(psi.shape)).ravel(),
+                                       psi, 2 * self.N + 2, accept)
+        return sectors(lam), beta0 * U[0], U, V
+
+    def split(self, state: ManyBodyState) -> np.ndarray:
+        """P_k psi for k = 0..N, stacked on a leading axis."""
+        k, c, U, V = self._ritz(state.psi)
+        parts = np.zeros((self.N + 1, state.psi.size), dtype=complex)
+        np.add.at(parts, k, c[:, None] * (U.T @ V))
+        return parts.reshape(self.N + 1, *state.psi.shape)
 
     def sector_weights(self, state: ManyBodyState) -> np.ndarray:
-        """||P_k psi||^2 for k = 0..N."""
-        return np.array([np.vdot(p, p).real for p in self.split(state)])
+        """||P_k psi||^2 for k = 0..N, read from the Ritz weights without forming P_k psi."""
+        k, c, _, _ = self._ritz(state.psi)
+        return np.bincount(k, weights=c**2, minlength=self.N + 1)
 
 
 def counting_projectors(basis: TwoSpeciesBasis, u: Field, species: str) -> CountingProjectorSet:
@@ -544,9 +548,13 @@ def insertion_terms(state: ManyBodyState, u: Field, v: Field,
     ops = {"p": (p_u, p_v), "q": (np.eye(b.M) - p_u, np.eye(b.M) - p_v)}
     T = _pair_lowered(b, state.psi) / math.sqrt(n1 * n2)
     sides = {a + c: _along(ops[c][1], _along(ops[a][0], T, 0), 2) for a in "pq" for c in "pq"}
-    commuted = {t: K * apply_pbar(s) - apply_pbar(K * s) for t, s in sides.items()}
-    return {f"{left},{right}": complex(np.vdot(sides[left], commuted[right]))
-            for left in sides for right in sides}
+    del T                                  # the four sides and one commuted side stay alive
+    terms = {}
+    for right, side in sides.items():
+        commuted = K * apply_pbar(side)
+        commuted -= apply_pbar(K * side)
+        terms.update({f"{left},{right}": complex(np.vdot(sides[left], commuted)) for left in sides})
+    return {key: terms[key] for key in INSERTION_KEYS}
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +594,7 @@ def corrected_alpha(state: ManyBodyState, u: Field, v: Field,
     counting = counting_projectors(b, u if species == "A" else v, species)
     parts = counting.split(state)
     e_many, e_eff = energies
-    sectors = np.array([np.vdot(p, p).real for p in parts])
+    sectors = np.sum(np.abs(parts.reshape(own.N + 1, -1)) ** 2, axis=1)
     base = float(np.dot(weight.values, sectors)) + abs(e_many - e_eff)
 
     no_same = g_pair_same is None or not np.any(g_pair_same)
@@ -604,11 +612,8 @@ def corrected_alpha(state: ManyBodyState, u: Field, v: Field,
         one = _along(own.lowered.lowering[0], one.reshape(M, own.lowered.dim, -1), 1)
         return one.reshape(M, M, own.lowered.lowered.dim, -1)
 
-    w0 = weight.values
-    w1 = weight.shifted_values(1)
-    w2 = weight.shifted_values(2)
-    y1 = labelled(sum((w0[k] - w1[k]) * parts[k] for k in range(n_own + 1)))
-    y2 = labelled(sum((w0[k] - w2[k]) * parts[k] for k in range(n_own + 1)))
+    y1, y2 = (labelled(np.tensordot(weight.values - weight.shifted_values(j), parts, 1))
+              for j in (1, 2))
     r_psi = (_along(p, _along(p, y2, 1), 0) + _along(p, y1 - _along(p, y1, 1), 0)
              + _along(p, y1 - _along(p, y1, 0), 1))
     psi = labelled(state.psi)

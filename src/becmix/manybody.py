@@ -17,7 +17,8 @@ short-range family amplitudes N^{2 beta - 1} V(N^beta x) in which the
 argument scaling is folded into the sampled kernel.
 
 Time propagation is a Lanczos approximation of exp(-i dt H) with full
-reorthogonalization and adaptive substepping.
+reorthogonalization: one Krylov space per step, the step length chosen
+from that space's residual estimate.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .grids import Field, Grid, l2_norm
+from .grids import Field, Grid, l2_norm, read_tagged, write_tagged
 
 __all__ = [
     "TwoSpeciesBasis",
@@ -356,10 +357,9 @@ class Hamiltonian:
         val = np.vdot(state.psi, self.apply(state.psi))
         return float(val.real)
 
-    def propagate(self, state: ManyBodyState, dt: float, *, krylov_dim: int = 30,
-                  tol: float = 1e-12, max_substeps: int = 4096) -> ManyBodyState:
-        return propagate(self, state, dt, krylov_dim=krylov_dim, tol=tol,
-                         max_substeps=max_substeps)
+    def propagate(self, state: ManyBodyState, dt: float, *,
+                  krylov_dim: int = 30) -> ManyBodyState:
+        return propagate(self, state, dt, krylov_dim=krylov_dim)
 
 
 def apply_hamiltonian(spec: HamiltonianSpec | Hamiltonian, state: ManyBodyState) -> ManyBodyState:
@@ -370,83 +370,76 @@ def apply_hamiltonian(spec: HamiltonianSpec | Hamiltonian, state: ManyBodyState)
     return ManyBodyState(state.basis, H.apply(state.psi), state.time)
 
 
-def _expi_tridiag(alphas: Sequence[float], betas: Sequence[float], dt: float) -> np.ndarray:
-    """First column of exp(-i dt T) for the real symmetric tridiagonal T."""
-    # dense eigh of the (at most krylov_dim + 1)-square T keeps scipy.linalg unloaded
-    lam, U = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-    return U @ (np.exp(-1j * dt * lam) * U[0, :])
+def _lanczos(apply_op, psi: np.ndarray, m_max: int, accept=lambda lam, U, beta: False):
+    """Lanczos on apply_op from psi, with two-pass full reorthogonalization.
 
-
-def _lanczos_expm(apply_H, psi: np.ndarray, dt: float, m_max: int, tol: float):
-    """One Krylov approximation of exp(-i dt H) psi.
-
-    Returns (result, converged).  Convergence uses the standard residual
-    estimate beta_m * |last component of exp(-i dt T) e1|; full
-    reorthogonalization (vectorized against the stored basis) keeps the
-    basis clean at these sizes.
+    Stops at breakdown, after m_max basis vectors, or once accept(lam, U,
+    beta) holds.  Returns (beta0, V, lam, U, beta): beta0 = ||psi||, the
+    orthonormal basis as the rows of V (psi = beta0 V[0]), the eigenpairs
+    T = U diag(lam) U^T of the tridiagonal projection and the coupling beta
+    out of the space, 0 at breakdown (the space is then invariant).  A zero
+    psi gives beta0 = 0 and one zero basis vector, so all it spans is zero.
     """
-    beta0 = np.linalg.norm(psi)
-    if beta0 == 0:
-        return psi, True
-    dim = psi.size
-    V = np.empty((m_max + 1, dim), dtype=np.complex128)
-    V[0] = psi / beta0
+    beta0 = float(np.linalg.norm(psi))
+    if not beta0:
+        return 0.0, np.zeros((1, psi.size), dtype=np.complex128), np.zeros(1), np.eye(1), 0.0
+    V = np.empty((m_max, psi.size), dtype=np.complex128)
     alphas: list[float] = []
     betas: list[float] = []
-    w = apply_H(V[0])
-    a = float(np.vdot(V[0], w).real)
-    alphas.append(a)
-    w = w - a * V[0]
-    scale = max(1.0, abs(a))
-    y = np.array([np.exp(-1j * dt * a)])
-    for j in range(1, m_max + 1):
-        # reorthogonalize against everything computed so far (two passes)
+    w, beta = psi.ravel(), beta0
+    for m in range(1, m_max + 1):
+        V[m - 1] = w / beta
+        w = apply_op(V[m - 1])
+        alphas.append(float(np.vdot(V[m - 1], w).real))
         for _ in range(2):
-            coeffs = (V[:j] @ w.conj()).conj()
-            w = w - V[:j].T @ coeffs
-        b = float(np.linalg.norm(w))
-        if b < 1e-14 * scale:
-            # breakdown: the Krylov space is invariant, the result is exact
-            y = _expi_tridiag(alphas, betas, dt)
-            return beta0 * (V[:j].T @ y), True
-        betas.append(b)
-        scale = max(scale, b)
-        V[j] = w / b
-        w = apply_H(V[j])
-        a = float(np.vdot(V[j], w).real)
-        alphas.append(a)
-        scale = max(scale, abs(a))
-        w = w - a * V[j] - b * V[j - 1]
-        y = _expi_tridiag(alphas, betas, dt)
-        if j >= 2 and abs(betas[-1] * y[-1]) < tol:
-            return beta0 * (V[:j + 1].T @ y), True
-    return beta0 * (V[:len(y)].T @ y), False
+            w = w - V[:m].T @ (V[:m] @ w.conj()).conj()
+        beta = float(np.linalg.norm(w))
+        # dense eigh of the at most m_max-square T keeps scipy.linalg unloaded
+        lam, U = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        if beta < 1e-14 * max(1.0, np.abs(lam).max()):
+            beta = 0.0
+        if beta == 0.0 or m == m_max or accept(lam, U, beta):
+            return beta0, V[:m], lam, U, beta
+        betas.append(beta)
+
+
+KRYLOV_TOL = 1e-12
+MIN_STEP_FRACTION = 4096
 
 
 def propagate(spec: HamiltonianSpec | Hamiltonian, state: ManyBodyState, dt: float, *,
-              krylov_dim: int = 30, tol: float = 1e-12,
-              max_substeps: int = 4096) -> ManyBodyState:
-    """exp(-i dt H) state by Lanczos, substepping until the residual converges.
+              krylov_dim: int = 30) -> ManyBodyState:
+    """exp(-i dt H) state by Lanczos, one Krylov space per step.
 
-    dt may be negative (backward evolution); norm is preserved to the
-    Krylov tolerance per step and never renormalized.
+    Each step builds a space of at most krylov_dim + 1 vectors from the
+    current state, checking after every vector whether the residual estimate
+    beta |sum_j U[m, j] exp(-i tau lam_j) U[0, j]| of the remaining time is
+    below KRYLOV_TOL.  If the space fills first, the step takes the largest
+    halving of the remaining time that meets it; a step below
+    |dt| / MIN_STEP_FRACTION raises.  dt may be negative (backward
+    evolution); the norm is preserved to the Krylov tolerance per step and
+    never renormalized.
     """
-    if dt == 0.0:
-        raise ManyBodyError("dt must be nonzero")
+    if dt == 0.0 or not math.isfinite(dt):
+        raise ManyBodyError(f"dt must be finite and nonzero, got {dt}")
     H = spec if isinstance(spec, Hamiltonian) else Hamiltonian(spec, state.basis)
-    n_sub = 1
-    while n_sub <= max_substeps:
-        psi = state.psi.ravel().copy()
-        ok = True
-        for _ in range(n_sub):
-            psi, converged = _lanczos_expm(H.apply, psi, dt / n_sub, krylov_dim, tol)
-            if not converged:
-                ok = False
-                break
-        if ok:
-            return ManyBodyState(state.basis, psi.reshape(state.psi.shape), state.time + dt)
-        n_sub *= 2
-    raise ManyBodyError(f"Krylov propagation failed to converge with {max_substeps} substeps")
+
+    def error(tau, lam, U, beta):
+        return beta * abs(np.sum(U[-1] * np.exp(-1j * tau * lam) * U[0]))
+
+    psi, remaining = state.psi.ravel(), dt
+    while remaining:
+        beta0, V, lam, U, beta = _lanczos(
+            H.apply, psi, krylov_dim + 1, lambda *space: error(remaining, *space) < KRYLOV_TOL)
+        tau = remaining
+        while not error(tau, lam, U, beta) < KRYLOV_TOL:
+            tau /= 2
+            if abs(tau) < abs(dt) / MIN_STEP_FRACTION:
+                raise ManyBodyError(f"Krylov propagation needs steps below |dt|/"
+                                    f"{MIN_STEP_FRACTION} with krylov_dim={krylov_dim}")
+        psi = beta0 * (V.T @ (U @ (np.exp(-1j * tau * lam) * U[0])))
+        remaining -= tau
+    return ManyBodyState(state.basis, psi.reshape(state.psi.shape), state.time + dt)
 
 
 def product_state(u: Field, v: Field, basis: TwoSpeciesBasis) -> ManyBodyState:
@@ -499,48 +492,20 @@ _STATE_MAGIC = "becmix-state 1"
 def save_state(state: ManyBodyState, grid: Grid, path) -> None:
     """Checkpoint: structured-text header plus little-endian coefficients."""
     b = state.basis
-    header = (
-        f"{_STATE_MAGIC}\n"
-        f"M = {b.M}\n"
-        f"L = {grid.length_per_axis!r}\n"
-        f"N1 = {b.N1}\n"
-        f"N2 = {b.N2}\n"
-        f"time = {state.time!r}\n"
-        f"basis_order = {BASIS_ORDER_TAG}\n"
-        "\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(state.psi).astype("<c16").tobytes())
+    write_tagged(path, _STATE_MAGIC, {"M": b.M, "L": repr(grid.length_per_axis), "N1": b.N1,
+                                      "N2": b.N2, "time": repr(state.time),
+                                      "basis_order": BASIS_ORDER_TAG}, state.psi)
 
 
 def load_state(path) -> tuple[ManyBodyState, Grid]:
     """Read a `save_state` checkpoint; a malformed file raises ManyBodyError naming it."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head, _, payload = raw.partition(b"\n\n")
-    lines = head.decode("ascii", "replace").splitlines()
-    if not lines or lines[0] != _STATE_MAGIC:
-        raise ManyBodyError(f"{path}: not a state checkpoint")
-    meta = {}
-    for line in lines[1:]:
-        key, _, val = line.partition("=")
-        meta[key.strip()] = val.strip()
-    if meta.get("basis_order") != BASIS_ORDER_TAG:
-        raise ManyBodyError(
-            f"{path}: basis order {meta.get('basis_order')!r} does not match {BASIS_ORDER_TAG!r}"
-        )
-    try:
+    def parse(meta):
+        if meta.get("basis_order") != BASIS_ORDER_TAG:
+            raise ValueError(f"basis order {meta.get('basis_order')!r} does not match "
+                             f"{BASIS_ORDER_TAG!r}")
         basis = build_basis(int(meta["M"]), int(meta["N1"]), int(meta["N2"]))
-        grid = Grid(1, basis.M, float(meta["L"]))
-        time = float(meta["time"])
-    except KeyError as exc:
-        raise ManyBodyError(f"{path}: header lacks {exc.args[0]}") from None
-    except ValueError as exc:
-        raise ManyBodyError(f"{path}: bad header: {exc}") from exc
-    expected = basis.dim * np.dtype("<c16").itemsize
-    if len(payload) != expected:
-        raise ManyBodyError(f"{path}: payload is {len(payload)} bytes, expected {expected} "
-                            f"for basis dimension {basis.dim}")
-    psi = np.frombuffer(payload, dtype="<c16")
+        return (basis, Grid(1, basis.M, float(meta["L"])), float(meta["time"])), basis.dim
+
+    (basis, grid, time), psi = read_tagged(path, _STATE_MAGIC, "state checkpoint",
+                                           ManyBodyError, parse)
     return ManyBodyState(basis, psi.reshape(basis.shape), time), grid

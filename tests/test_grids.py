@@ -177,6 +177,24 @@ def test_field_norm_and_normalize():
     assert l2_norm(normalize(f)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("edit,needle", [
+    (lambda good: good[:-8], "payload is 1016 bytes, expected 1024"),
+    (lambda good: good + b"\0" * 16, "payload is 1040 bytes, expected 1024"),
+    (lambda good: good.replace(b"M = 8\n", b""), "header lacks M"),
+    (lambda good: good.replace(b"L = 3.5", b"L = two"), "bad header"),
+    (lambda good: good.replace(b"dim = 2", b"dim = 4"), "bad header: dim must be 1, 2 or 3"),
+    (lambda good: good.replace(b"becmix-field", b"becmix-state"), "not a field file"),
+], ids=["truncated", "oversized", "missing_key", "bad_length", "bad_dim", "bad_magic"])
+def test_field_file_rejects_malformed_file(tmp_path, edit, needle):
+    g = make_grid(2, 8, 3.5)
+    path = tmp_path / "field.bin"
+    save_field(Field(g, np.ones(g.shape)), path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(GridError, match=needle) as err:
+        load_field(path)
+    assert str(path) in str(err.value)
+
+
 def test_field_roundtrip_binary(tmp_path):
     rng = np.random.default_rng(5)
     g = make_grid(2, 8, 3.5)

@@ -234,26 +234,30 @@ def test_failed_trajectory_fails_every_entry_of_its_ratio(tmp_path, monkeypatch)
     assert report.entries[1].error is None and len(report.entries[1].rows) == 2
 
 
-@pytest.mark.parametrize("timing,doubles", [
+@pytest.mark.parametrize("timing,several", [
     ("t = 0.05\nsample_every = 20\n\n[indicators]\nprobe_time = 0.033", False),
     ("t = 2.0\ndt = 0.01\nsample_every = 200", True),
-], ids=["probe_off_the_sample_grid", "one_interval_doubles_substeps"])
-def test_sample_interval_propagation_matches_per_dt_steps(tmp_path, monkeypatch, timing, doubles):
+], ids=["probe_off_the_sample_grid", "one_interval_many_steps"])
+def test_sample_interval_propagation_matches_per_dt_steps(tmp_path, monkeypatch, timing, several):
     # the sweep advances the many-body state once per sample interval;
     # the reference takes one Krylov step per effective dt
     cfg = parse_config(MINIMAL.format(out=tmp_path).replace("t = 0.05", timing))
-    real_expm = manybody_mod._lanczos_expm
-    converged = []
+    real_propagate, real_lanczos = manybody_mod.propagate, manybody_mod._lanczos
+    steps = []  # Krylov spaces built per propagate call
 
-    def recording_expm(*args):
-        out = real_expm(*args)
-        converged.append(out[1])
-        return out
+    def counting_propagate(*args, **kwargs):
+        steps.append(0)
+        return real_propagate(*args, **kwargs)
 
-    monkeypatch.setattr(manybody_mod, "_lanczos_expm", recording_expm)
+    def counting_lanczos(*args, **kwargs):
+        steps[-1] += 1
+        return real_lanczos(*args, **kwargs)
+
+    monkeypatch.setattr(manybody_mod, "propagate", counting_propagate)
+    monkeypatch.setattr(manybody_mod, "_lanczos", counting_lanczos)
     fast = run_convergence_sweep(cfg)
-    # one interval of 2.0 is beyond one Krylov pass: the propagator doubles
-    assert (False in converged) is doubles
+    # one interval of 2.0 is beyond one Krylov space: it takes several steps
+    assert steps and (max(steps) > 1) is several
     real = manybody_mod.Hamiltonian.propagate
 
     def per_dt(self, state, interval):
@@ -268,7 +272,7 @@ def test_sample_interval_propagation_matches_per_dt_steps(tmp_path, monkeypatch,
         assert np.max(np.abs(np.array(a.rows) - np.array(b.rows))) < 1e-10
         assert abs(a.alpha_probe - b.alpha_probe) < 1e-10
     times = [r[0] for r in fast.entries[0].rows]
-    assert times == ([0.0, 0.02, 0.033, 0.04, 0.05] if not doubles else [0.0, 2.0])
+    assert times == ([0.0, 0.02, 0.033, 0.04, 0.05] if not several else [0.0, 2.0])
 
 
 def test_system_forms_and_keys_validated_per_slot():

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st_
 import numpy as np
 import pytest
 
@@ -249,6 +250,28 @@ def test_counting_resolution_orthogonality_and_q():
     q_direct = mode.q_total(st.psi)
     q_spectral = sum(k * p for k, p in enumerate(parts))
     assert np.max(np.abs(q_direct - q_spectral)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(n1=st_.integers(1, 24), seed=st_.integers(0, 10_000))
+def test_counting_split_stable_up_to_the_cap_edge(n1, seed):
+    # c07 counting algebra at M = 4, N2 = 1 up to N1 = 24 (dim 11,700)
+    rng = np.random.default_rng(seed)
+    g = Grid(1, 4, 2.0)
+    u = normalize(Field(g, rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    basis = build_basis(4, n1, 1)
+    st = random_state(basis, rng)
+    cp = counting_projectors(basis, u, "A")
+    parts = np.array(cp.split(st))
+    assert np.linalg.norm(sum(parts) - st.psi) < 1e-12
+    overlaps = np.abs(np.einsum("jab,kab->jk", parts.conj(), parts))
+    np.fill_diagonal(overlaps, 0.0)
+    assert overlaps.max() < 1e-12
+    assert abs(cp.sector_weights(st).sum() - st.norm ** 2) < 1e-12
+    # the stopping rule holds each estimated ||Q P_k psi - k P_k psi|| below 1e-12
+    from becmix.indicators import _ModeOps
+    mode = _ModeOps(basis, "A", u)
+    assert max(np.linalg.norm(mode.q_total(p) - k * p) for k, p in enumerate(parts)) < 1e-11
 
 
 def test_counting_matches_literal_symmetrized_strings():
@@ -683,8 +706,6 @@ def test_orbital_with_wrong_site_count_rejected():
         with pytest.raises(IndicatorError, match="orbital has 8 sites, the basis has 6"):
             call()
 
-
-from hypothesis import given, settings, strategies as st_
 
 
 @settings(max_examples=15, deadline=None)

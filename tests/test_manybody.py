@@ -400,11 +400,20 @@ def test_propagate_substeps_large_step_against_dense():
     assert abs(out.norm - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("dt", [0.0, np.inf, np.nan])
+def test_propagate_rejects_zero_or_non_finite_step(dt):
+    g = Grid(1, 3, 1.5)
+    b = build_basis(3, 1, 1)
+    H = Hamiltonian(HamiltonianSpec.mean_field(g, *_cos_fields(g), 1, 1), b)
+    with pytest.raises(ManyBodyError, match="dt must be finite and nonzero"):
+        propagate(H, random_state(b, np.random.default_rng(2)), dt)
+
+
 def test_propagate_substep_budget_exhausted():
     g = Grid(1, 3, 0.05)  # tiny box -> huge kinetic scale
-    zero = Field(g, np.zeros(3))
     b = build_basis(3, 2, 2)
-    H = Hamiltonian(HamiltonianSpec.mean_field(g, zero, zero, zero, 2, 2), b)
+    # 24 distinct eigenvalues: no 4-vector space covers a useful step of dt = 50
+    H = Hamiltonian(HamiltonianSpec.mean_field(g, *_cos_fields(g), 2, 2), b)
     st = random_state(b, np.random.default_rng(9))
     with pytest.raises(ManyBodyError):
-        propagate(H, st, 50.0, krylov_dim=4, max_substeps=2)
+        propagate(H, st, 50.0, krylov_dim=4)
