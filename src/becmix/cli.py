@@ -123,11 +123,8 @@ def _radial_from_expr(expr: str) -> RadialPotential:
         return square_barrier(kw.get("amp", 2.0), kw.get("radius", 1.0))
     sigma = kw.get("sigma", 0.5)
     edges = np.linspace(0.0, 6.0 * sigma, GAUSSIAN_CELLS + 1)
-    cells = kw.get("amp", 1.0) * np.exp(-(edges[:-1] + edges[1:]) ** 2 / (8.0 * sigma**2))
     return RadialPotential(
-        profile=lambda r: cells[np.clip(np.searchsorted(edges, r, side="right") - 1,
-                                        0, cells.size - 1)],
-        support_radius=6.0 * sigma, breakpoints=tuple(edges[1:]))
+        edges, kw.get("amp", 1.0) * np.exp(-(edges[:-1] + edges[1:]) ** 2 / (8.0 * sigma**2)))
 
 
 def _cmd_scattering(args) -> int:

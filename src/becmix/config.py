@@ -16,13 +16,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grids import Field, Grid, make_grid, normalize
+from .manybody import DEFAULT_DIM_CAP
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
 
 DEFAULT_DT = 1e-3
 DEFAULT_XI = 0.2
 DEFAULT_SEED = 0
-DEFAULT_CAP = 200_000
 
 _KNOWN_KEYS = {
     "grid": {"dim", "points", "length"},
@@ -52,6 +52,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite(raw: str) -> float:
+    """float(raw) that refuses inf and nan."""
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(f"{raw!r} is not finite")
+    return val
+
+
 def _parse_expr(text: str, path: str, errors: list[str]) -> tuple[str, dict[str, float]]:
     parts = text.split()
     if not parts:
@@ -64,9 +72,9 @@ def _parse_expr(text: str, path: str, errors: list[str]) -> tuple[str, dict[str,
             errors.append(f"{path}: expected key=value, got {tok!r}")
             continue
         try:
-            kwargs[key] = float(val)
+            kwargs[key] = _finite(val)
         except ValueError:
-            errors.append(f"{path}: non-numeric value {val!r} for {key!r}")
+            errors.append(f"{path}: {key!r} needs a finite number, got {val!r}")
     return name, kwargs
 
 
@@ -146,7 +154,7 @@ class ExperimentConfig:
     kinetic: str = "spectral"
     seed: int = DEFAULT_SEED
     ladder: list[tuple[int, int]] = dc_field(default_factory=list)
-    cap: int = DEFAULT_CAP
+    cap: int = DEFAULT_DIM_CAP
     ratio_fixed: bool = True
     T: float = 0.5
     dt: float = DEFAULT_DT
@@ -209,6 +217,7 @@ def parse_config(text: str) -> ExperimentConfig:
             try:
                 val = cast(raw)
             except (ValueError, TypeError, KeyError):
+                describe = describe or {_finite: " as a finite number"}.get(cast, "")
                 errors.append(f"[{section}] {key}: cannot parse {raw!r}{describe}")
                 return default
         else:
@@ -222,7 +231,7 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.dim = read("grid", "dim", int, 1, lambda v: None if v in (1, 2, 3) else f"dim must be 1..3, got {v}")
     cfg.points = read("grid", "points", int, cfg.points,
                       lambda v: None if v >= 4 else f"need at least 4 points, got {v}")
-    cfg.length = read("grid", "length", float, cfg.length,
+    cfg.length = read("grid", "length", _finite, cfg.length,
                       lambda v: None if v > 0 else f"length must be positive, got {v}")
 
     cfg.mode = read("system", "mode", str, cfg.mode,
@@ -230,13 +239,13 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in ("v1", "v2", "v12", "u0", "v0", "w0"):
         setattr(cfg, key, read("system", key, str, getattr(cfg, key)))
         _check_form(getattr(cfg, key), key, errors)
-    cfg.c1 = read("system", "c1", float, cfg.c1,
+    cfg.c1 = read("system", "c1", _finite, cfg.c1,
                   lambda v: None if 0.0 < v < 1.0 else f"c1 must lie in (0,1), got {v}")
-    cfg.a1 = read("system", "a1", float, cfg.a1)
-    cfg.a2 = read("system", "a2", float, cfg.a2)
-    cfg.a12 = read("system", "a12", float, cfg.a12)
-    cfg.a = read("system", "a", float, cfg.a)
-    cfg.b_field = read("system", "b", float, cfg.b_field)
+    cfg.a1 = read("system", "a1", _finite, cfg.a1)
+    cfg.a2 = read("system", "a2", _finite, cfg.a2)
+    cfg.a12 = read("system", "a12", _finite, cfg.a12)
+    cfg.a = read("system", "a", _finite, cfg.a)
+    cfg.b_field = read("system", "b", _finite, cfg.b_field)
     cfg.kinetic = read("system", "kinetic", str, cfg.kinetic,
                        lambda v: None if v in ("spectral", "stencil") else f"unknown kinetic {v!r}")
     cfg.seed = read("system", "seed", int, cfg.seed,
@@ -248,12 +257,13 @@ def parse_config(text: str) -> ExperimentConfig:
         return [int(tok) for tok in raw.replace(";", " ").split()]
 
     def float_list(raw: str) -> list[float]:
-        return [float(tok) for tok in raw.replace(";", " ").split()]
+        return [_finite(tok) for tok in raw.replace(";", " ").split()]
 
     cfg.n_values = read("system", "n_values", int_list, cfg.n_values,
                         lambda v: None if all(n >= 2 for n in v) else "all N must be >= 2")
     cfg.beta_values = read("system", "beta_values", float_list, cfg.beta_values,
-                           lambda v: None if all(0 < b <= 1 for b in v) else "beta must lie in (0,1]")
+                           lambda v: None if all(0 < b <= 1 for b in v) else "beta must lie in (0,1]",
+                           describe=" as finite numbers")
 
     def ladder_list(raw: str) -> list[tuple[int, int]]:
         out = []
@@ -288,9 +298,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if len(ratios) > 1:
             errors.append("[ladder] entries: population ratio varies but ratio_fixed is on")
 
-    cfg.T = read("time", "t", float, cfg.T,
+    cfg.T = read("time", "t", _finite, cfg.T,
                  lambda v: None if v > 0 else f"t must be positive, got {v}")
-    cfg.dt = read("time", "dt", float, cfg.dt,
+    cfg.dt = read("time", "dt", _finite, cfg.dt,
                   lambda v: None if v > 0 else f"dt must be positive, got {v}")
     cfg.sample_every = read("time", "sample_every", int, cfg.sample_every,
                             lambda v: None if v >= 1 else "sample_every must be >= 1")
@@ -304,9 +314,9 @@ def parse_config(text: str) -> ExperimentConfig:
     elif cfg.T > 0 and off_lattice(cfg.T):
         errors.append(f"[time] t: {cfg.T!r} is not a multiple of dt {cfg.dt!r}")
 
-    cfg.xi = read("indicators", "xi", float, cfg.xi,
+    cfg.xi = read("indicators", "xi", _finite, cfg.xi,
                   lambda v: None if v > 0 else f"xi must be positive, got {v}")
-    cfg.probe_time = read("indicators", "probe_time", float, cfg.T)
+    cfg.probe_time = read("indicators", "probe_time", _finite, cfg.T)
     if not 0.0 <= cfg.probe_time <= cfg.T:
         errors.append(f"[indicators] probe_time: {cfg.probe_time!r} outside [0, t] "
                       f"with t = {cfg.T!r}")

@@ -123,15 +123,20 @@ class _SpeciesBasis:
         return stack, (indptr, col[order], site[order], sqrt_n[order])
 
 
+def _basis_dim(M: int, N1: int, N2: int) -> int:
+    """Dimension of the joint basis of N1 and N2 bosons on M sites."""
+    if M < 2:
+        raise ManyBodyError(f"need at least 2 sites, got {M}")
+    if N1 < 1 or N2 < 1:
+        raise ManyBodyError("particle numbers must be >= 1")
+    return math.comb(M + N1 - 1, N1) * math.comb(M + N2 - 1, N2)
+
+
 class TwoSpeciesBasis:
     """Joint basis: (A occupation) x (B occupation), A-major flattening."""
 
     def __init__(self, M: int, N1: int, N2: int, dim_cap: int = DEFAULT_DIM_CAP):
-        if M < 2:
-            raise ManyBodyError(f"need at least 2 sites, got {M}")
-        if N1 < 1 or N2 < 1:
-            raise ManyBodyError("particle numbers must be >= 1")
-        dim = math.comb(M + N1 - 1, N1) * math.comb(M + N2 - 1, N2)
+        dim = _basis_dim(M, N1, N2)
         if dim > dim_cap:
             raise ManyBodyError(
                 f"basis dimension {dim} exceeds the cap {dim_cap} "
@@ -458,17 +463,9 @@ def product_state(u: Field, v: Field, basis: TwoSpeciesBasis) -> ManyBodyState:
 
     def species_coeffs(f: Field, species: _SpeciesBasis) -> np.ndarray:
         site = f.values.ravel() * math.sqrt(f.grid.volume_element)
-        coeffs = np.empty(species.dim, dtype=np.complex128)
-        logN = math.lgamma(species.N + 1)
-        for i in range(species.dim):
-            occ = species.occs[i]
-            amp = math.exp(0.5 * (logN - sum(math.lgamma(n + 1) for n in occ)))
-            prod = 1.0 + 0.0j
-            for x in range(species.M):
-                if occ[x]:
-                    prod *= site[x] ** int(occ[x])
-            coeffs[i] = amp * prod
-        return coeffs
+        log_fact = np.array([math.lgamma(n + 1) for n in range(species.N + 1)])
+        amp = np.exp(0.5 * (log_fact[-1] - log_fact[species.occs].sum(axis=1)))
+        return amp * np.prod(site ** species.occs, axis=1)
 
     psi = np.outer(species_coeffs(u, basis.A), species_coeffs(v, basis.B))
     psi /= np.linalg.norm(psi)
@@ -503,9 +500,12 @@ def load_state(path) -> tuple[ManyBodyState, Grid]:
         if meta.get("basis_order") != BASIS_ORDER_TAG:
             raise ValueError(f"basis order {meta.get('basis_order')!r} does not match "
                              f"{BASIS_ORDER_TAG!r}")
-        basis = build_basis(int(meta["M"]), int(meta["N1"]), int(meta["N2"]))
-        return (basis, Grid(1, basis.M, float(meta["L"])), float(meta["time"])), basis.dim
+        M, N1, N2 = int(meta["M"]), int(meta["N1"]), int(meta["N2"])
+        grid = Grid(1, M, float(meta["L"]))
+        return (M, N1, N2, grid, float(meta["time"])), _basis_dim(M, N1, N2)
 
-    (basis, grid, time), psi = read_tagged(path, _STATE_MAGIC, "state checkpoint",
-                                           ManyBodyError, parse)
+    # the payload was checked against the header's dimension: no cap applies
+    (M, N1, N2, grid, time), psi = read_tagged(path, _STATE_MAGIC, "state checkpoint",
+                                               ManyBodyError, parse)
+    basis = build_basis(M, N1, N2, dim_cap=psi.size)
     return ManyBodyState(basis, psi.reshape(basis.shape), time), grid

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -53,31 +52,42 @@ class CalibrationError(ScatteringError):
 class RadialPotential:
     """Compactly supported, piecewise-constant radial profile V(r).
 
-    V is zero for r > support_radius and constant between consecutive
-    points of 0, `breakpoints` and support_radius; `scattering_length`
-    raises ScatteringError where V differs between a segment's midpoint
-    and its quarter points.  Sample a smooth profile onto cells first.
+    V equals values[j] on the cell edges[j] < r < edges[j + 1], where
+    0 = edges[0] < edges[1] < ... and support_radius = edges[-1], and V
+    is zero beyond.  Sample a smooth profile onto cells first.
     """
 
-    profile: Callable[[np.ndarray], np.ndarray]
-    support_radius: float
-    breakpoints: tuple[float, ...] = ()
+    edges: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if not (self.support_radius >= 0):
-            raise ScatteringError("support_radius must be nonnegative")
+        for name in ("edges", "values"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        edges, values = self.edges, self.values
+        if edges.ndim != 1 or edges.size == 0 or edges[0] != 0.0:
+            raise ScatteringError("cell edges must start at 0")
+        if not np.all(np.diff(edges) > 0.0):
+            raise ScatteringError("cell edges must increase")
+        if values.shape != (edges.size - 1,):
+            raise ScatteringError(f"{edges.size} cell edges need {edges.size - 1} values, "
+                                  f"got {values.size}")
+        if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(values))):
+            raise ScatteringError("cell edges and values must be finite")
+
+    @property
+    def support_radius(self) -> float:
+        return float(self.edges[-1])
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.where(r <= self.support_radius, self.profile(r), 0.0)
+        j = np.searchsorted(self.edges, r, side="right") - 1
+        out = np.append(self.values, 0.0)[j]  # j = -1 below 0 and j = n past R read 0
         return out if out.ndim else float(out)
 
 
 def square_barrier(height: float, radius: float) -> RadialPotential:
-    return RadialPotential(
-        profile=lambda r, _h=height: np.full_like(np.asarray(r, dtype=float), _h),
-        support_radius=radius,
-    )
+    return RadialPotential([0.0, radius], [height])
 
 
 def scale_potential(V: RadialPotential, N: int, beta: float = 1.0) -> RadialPotential:
@@ -91,11 +101,7 @@ def scale_potential(V: RadialPotential, N: int, beta: float = 1.0) -> RadialPote
         raise ScatteringError("N must be >= 1")
     s = float(N) ** beta
     amp = float(N) ** (3.0 * beta - 1.0)
-    return RadialPotential(
-        profile=lambda r, _V=V, _s=s, _a=amp: _a * _V(np.asarray(r) * _s),
-        support_radius=V.support_radius / s,
-        breakpoints=tuple(b / s for b in V.breakpoints),
-    )
+    return RadialPotential(V.edges / s, amp * V.values)
 
 
 @dataclass(frozen=True)
@@ -143,13 +149,14 @@ class ShellPotential:
 
 
 def modified_potential(V_scaled: RadialPotential, shell: ShellPotential) -> RadialPotential:
-    """The scaled potential minus the compensating shell."""
-    return RadialPotential(
-        profile=lambda r, _V=V_scaled, _W=shell: _V(r) - _W(r),
-        support_radius=max(V_scaled.support_radius, shell.outer_radius),
-        breakpoints=(*V_scaled.breakpoints, V_scaled.support_radius,
-                     shell.inner_radius, shell.outer_radius),
-    )
+    """The scaled potential minus the compensating shell, on the union of their edges."""
+    pts = np.union1d(V_scaled.edges, (shell.inner_radius, shell.outer_radius))
+    # merge edges equal up to round-off (a scaled R/s against s^-1): the
+    # sliver between them has no interior point to read V at
+    edges = pts[np.r_[True, np.diff(pts) > 1e-12 * pts[-1]]]
+    edges[-1] = pts[-1]
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    return RadialPotential(edges, V_scaled(mid) - shell(mid))
 
 
 @dataclass
@@ -158,19 +165,7 @@ class ScatteringResult:
     r: np.ndarray
     f: np.ndarray
     g: np.ndarray
-    slope: float  # exterior slope of u with u'(0) = 1; inf where that overflows
     support_radius: float
-
-
-def _segments(V: RadialPotential) -> np.ndarray:
-    """Edges of the constant segments of V: 0, the breakpoints and R."""
-    R = V.support_radius
-    pts = np.array(sorted({0.0, R, *(b for b in V.breakpoints if 0.0 < b < R)}))
-    # merge breakpoints equal up to round-off (a scaled R/s against s^-1):
-    # the sliver between them has no interior point to read V at
-    edges = pts[np.r_[True, np.diff(pts) > 1e-12 * R]]
-    edges[-1] = R
-    return edges
 
 
 def _transfer(q: np.ndarray, s: np.ndarray):
@@ -212,29 +207,23 @@ def scattering_length(V: RadialPotential, r_max: float, *,
     """Scattering length and correlation profile of a radial potential.
 
     (u, u') is carried from u(0) = 0, u'(0) = 1 to the support radius R by
-    the exact propagator of each constant segment, V read at its midpoint;
-    beyond R, u = kappa (r - a) with a = R - u(R)/u'(R).  f = u/(kappa r)
-    is sampled on n_samples points of [0, r_max].  Every zero of u at
-    r > 0, the exterior one at r = a > R included, is located exactly and
-    raises BoundStateError unless it lies in the allowed window (shell-
-    modified problems may push u through zero between the shell radii
-    without invalidating the exterior line).
+    the exact propagator of each cell of V; beyond R, u = kappa (r - a)
+    with a = R - u(R)/u'(R).  f = u/(kappa r) is sampled on n_samples
+    points of [0, r_max].  Every zero of u at r > 0, the exterior one at
+    r = a > R included, is located exactly and raises BoundStateError
+    unless it lies in the allowed window (shell-modified problems may
+    push u through zero between the shell radii without invalidating the
+    exterior line).
     """
     R = V.support_radius
     if R == 0.0:
         r = np.linspace(0.0, max(r_max, 1.0), n_samples)
-        return ScatteringResult(0.0, r, np.ones_like(r), np.zeros_like(r), 1.0, 0.0)
+        return ScatteringResult(0.0, r, np.ones_like(r), np.zeros_like(r), 0.0)
     if not (r_max > 2.0 * R):
         raise ScatteringError(f"r_max must exceed twice the support radius {R}")
-    edges = _segments(V)
+    edges = V.edges
     lo, width = edges[:-1], np.diff(edges)
-    mid = V(lo + 0.5 * width)
-    bad = (V(lo + 0.25 * width) != mid) | (V(edges[1:] - 0.25 * width) != mid)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise ScatteringError(f"V is not constant on [{edges[j]:.6g}, {edges[j + 1]:.6g}]; "
-                              "the profile must be constant between breakpoints")
-    q = 0.5 * mid
+    q = 0.5 * V.values
     c, m01, m10, g = (x.tolist() for x in _transfer(q, width))
     u, du, log, zeros = [0.0], [1.0], [0.0], []  # u, u' at the edges are exp(log) (u, du)
     for j, (qj, h, r0) in enumerate(zip(q.tolist(), width.tolist(), lo.tolist())):
@@ -263,8 +252,7 @@ def scattering_length(V: RadialPotential, r_max: float, *,
             c_r * np.take(u, j) + m01_r * np.take(du, j))
         f = u_r / (kappa * r)
         f[0] = np.exp(-log[-1]) / kappa
-        slope = kappa * np.exp(log[-1])
-    return ScatteringResult(float(a), r, f, 1.0 - f, float(slope), R)
+    return ScatteringResult(float(a), r, f, 1.0 - f, R)
 
 
 def g_norms(result: ScatteringResult) -> tuple[float, float, float]:
@@ -300,9 +288,10 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, species: str = "1",
     effective well past the bound-state threshold, where the residual
     jumps, so the walk stops at the first bracket (this also selects the
     smallest root).  The bracket is spot-checked for continuity and
-    monotonicity, then refined by Brent's method until the residual is
-    below RESIDUAL_TOL times the problem's length scale.  Raises
-    CalibrationError, with the walked residuals, if no bracket exists.
+    monotonicity, then bisected down to adjacent floats; the end with the
+    smaller |residual| is returned if that is below RESIDUAL_TOL times the
+    problem's length scale.  Raises CalibrationError, with the walked
+    residuals, if no bracket exists.
     """
     if not (0.0 < beta <= 1.0):
         raise ScatteringError(f"beta must lie in (0, 1], got {beta}")
@@ -330,38 +319,38 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, species: str = "1",
 
     c_lo = 1.0 + 1e-6
     walked = [(c_lo, residual(c_lo))]
-    bracket = None
-    c = c_lo
-    while c < c_max and bracket is None:
-        c = min(c + SCAN_STEP, c_max)
+    while np.signbit(walked[-1][1]) == np.signbit(walked[0][1]):
+        if walked[-1][0] >= c_max:
+            raise CalibrationError(
+                f"no root bracketed for C in ({c_lo:.6g}, {c_max:.6g}]: "
+                f"residuals run from {walked[0][1]:.6g} to {walked[-1][1]:.6g}"
+            )
+        c = min(walked[-1][0] + SCAN_STEP, c_max)
         try:
-            val = residual(c)
+            walked.append((c, residual(c)))
         except BoundStateError as exc:
             raise CalibrationError(
                 f"hit the bound-state regime at C = {c:.6g} before bracketing a root; "
                 f"walked residuals: {[(round(cc, 6), float(vv)) for cc, vv in walked]}"
             ) from exc
-        walked.append((c, val))
-        if np.signbit(val) != np.signbit(walked[0][1]):
-            bracket = (walked[-2][0], c)
-    if bracket is None:
-        raise CalibrationError(
-            f"no root bracketed for C in ({c_lo:.6g}, {c_max:.6g}]: "
-            f"residuals run from {walked[0][1]:.6g} to {walked[-1][1]:.6g}"
-        )
-    lo, hi = bracket
+    (lo, f_lo), (hi, f_hi) = walked[-2:]
     # continuity/monotonicity spot check across the bracket
     probes = np.linspace(lo, hi, 6)
-    probe_vals = ([walked[-2][1]] + [residual(cc) for cc in probes[1:-1]]
-                  + [walked[-1][1]])
+    probe_vals = [f_lo] + [residual(cc) for cc in probes[1:-1]] + [f_hi]
     diffs = np.diff(probe_vals)
     slack = 1e-10 * max(1.0, float(np.max(np.abs(probe_vals))))
     if not (np.all(diffs <= slack) or np.all(diffs >= -slack)):
         raise CalibrationError("residual scattering length is not monotone over the bracket")
     length_scale = max(V_scaled.support_radius, hi * inner)
-    from scipy.optimize import brentq
-    c_star = float(brentq(residual, lo, hi, xtol=1e-9, rtol=8.9e-16, maxiter=200))
-    final = residual(c_star)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        f_mid = residual(mid)
+        if np.signbit(f_mid) == np.signbit(f_lo):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+        mid = 0.5 * (lo + hi)
+    c_star, final = min((lo, f_lo), (hi, f_hi), key=lambda end: abs(end[1]))
     if abs(final) > RESIDUAL_TOL * length_scale:
         raise CalibrationError(
             f"calibration residual {final:.3e} exceeds {RESIDUAL_TOL:.1e} * {length_scale:.3e}"

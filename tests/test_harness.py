@@ -111,6 +111,20 @@ def test_probe_time_off_the_step_lattice_rejected():
     assert parse_config(doc.replace("0.0335", "0.033")).probe_time == 0.033
 
 
+@pytest.mark.parametrize("doc, key", [
+    ("[time]\nt = inf", "[time] t"),
+    ("[grid]\nlength = inf", "[grid] length"),
+    ("[system]\na1 = inf", "[system] a1"),
+    ("[system]\nb = nan", "[system] b"),
+    ("[indicators]\nxi = inf", "[indicators] xi"),
+    ("[system]\nv1 = cosine amp=nan", "[system] v1"),
+])
+def test_non_finite_numbers_rejected_at_parse_time(doc, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc + "\n")
+    assert f"{key}: " in str(err.value) and "finite" in str(err.value)
+
+
 @pytest.mark.parametrize("probe", ["0.051", "-0.01"])
 def test_probe_time_outside_the_run_rejected(probe):
     doc = MINIMAL.format(out="x").replace("t = 0.05",
@@ -338,7 +352,7 @@ dir = {out}
 
 
 def test_cli_effective_loads_no_scipy(tmp_path):
-    # only the lattice gas and the scattering calibration need scipy
+    # only the lattice gas needs scipy
     doc = """
 [grid]
 points = 16
@@ -390,6 +404,26 @@ def test_cli_sweep_loads_no_scipy_linalg(tmp_path):
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "sweep" / "summary.csv").exists()
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_scattering_loads_no_scipy(tmp_path):
+    # the shell calibration bisects; no scipy.optimize
+    cfg_path = tmp_path / "scat.ini"
+    cfg_path.write_text("[system]\nmode = scattering\npotential = box amp=2 radius=1\n"
+                        "n_values = 8\n")
+    code = (
+        "import sys\n"
+        "from becmix.cli import main\n"
+        f"assert main(['--out', {str(tmp_path / 'sc')!r}, 'scattering', {str(cfg_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(becmix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "sc" / "scattering.csv").exists()
     assert run.stdout.splitlines()[-1] == "[]"
 
 

@@ -241,6 +241,18 @@ def test_product_state_examples():
     assert np.max(np.abs(st11.psi - expect)) < 1e-12
 
 
+def test_product_state_is_the_symmetric_product_tensor():
+    # first-quantized, u^(N1) x v^(N2) is the plain tensor product of the site vectors
+    g = Grid(1, 4, 2.0)
+    rng = np.random.default_rng(11)
+    u, v = (normalize(Field(g, rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+            for _ in range(2))
+    psi = firstquant_vector(product_state(u, v, build_basis(4, 3, 2)))
+    us, vs = u.values * np.sqrt(g.spacing), v.values * np.sqrt(g.spacing)
+    expect = np.einsum("a,b,c,d,e->abcde", us, us, us, vs, vs)
+    assert np.max(np.abs(psi - expect)) < 1e-14
+
+
 def test_product_state_rejects_bad_orbitals():
     g = Grid(1, 4, 2.0)
     b = build_basis(4, 1, 1)
@@ -354,6 +366,18 @@ def test_checkpoint_roundtrip(tmp_path):
     back, grid = load_state(path)
     assert grid == g
     assert back.time == 0.75
+    assert np.array_equal(back.psi, st.psi)
+
+
+def test_checkpoint_of_a_raised_cap_basis_roundtrips(tmp_path):
+    # dim 213,444 exceeds the default cap; the payload length bounds the load
+    g = Grid(1, 6, 2.0)
+    st = random_state(build_basis(6, 6, 6, dim_cap=300_000), np.random.default_rng(5))
+    path = tmp_path / "state.bin"
+    save_state(st, g, path)
+    back, grid = load_state(path)
+    assert grid == g
+    assert back.basis.shape == st.basis.shape
     assert np.array_equal(back.psi, st.psi)
 
 

@@ -24,7 +24,7 @@ A_EXACT = 1.0 - math.tanh(1.0)
 
 
 def test_zero_potential():
-    V = RadialPotential(lambda r: np.zeros_like(np.asarray(r, float)), 0.0)
+    V = RadialPotential(np.array([0.0]), np.array([]))
     res = scattering_length(V, 3.0)
     assert res.scattering_length == 0.0
     assert np.all(res.g == 0.0)
@@ -89,10 +89,15 @@ def test_bound_state_beyond_the_support():
             scattering_length(V, r_max)
 
 
-def test_non_constant_profile_rejected():
-    V = RadialPotential(lambda r: 1.0 + np.asarray(r, float), 1.0)
-    with pytest.raises(ScatteringError, match="not constant"):
-        scattering_length(V, 2.5)
+@pytest.mark.parametrize("edges, values, match", [
+    ([0.5, 1.0], [1.0], "start at 0"),
+    ([0.0, 1.0, 1.0], [1.0, 2.0], "increase"),
+    ([0.0, 0.5, 1.0], [1.0], "need 2 values"),
+    ([0.0, 1.0], [math.nan], "finite"),
+], ids=["offset", "not_increasing", "value_count", "non_finite"])
+def test_radial_potential_rejects_malformed_cells(edges, values, match):
+    with pytest.raises(ScatteringError, match=match):
+        RadialPotential(np.array(edges), np.array(values))
 
 
 def test_calibration_with_round_off_twin_breakpoints():
@@ -174,8 +179,25 @@ def test_calibration_deterministic():
     assert s1.C == s2.C
 
 
+def test_calibration_brackets_the_root_to_adjacent_floats():
+    V = cli._radial_from_expr("gaussian amp=2 sigma=0.5")
+    a = scattering_length(V, 2.5 * V.support_radius).scattering_length
+    C = calibrate_shell(V, 8, 1.0, a=a).C
+
+    def residual(c):
+        shell = ShellPotential.for_species(a, 8, 1.0, c)
+        mod = modified_potential(scale_potential(V, 8, 1.0), shell)
+        return scattering_length(mod, 2.5 * mod.support_radius,
+                                 allow_crossing_window=(shell.inner_radius,
+                                                        shell.outer_radius)).scattering_length
+
+    at_c = residual(C)
+    neighbours = [residual(np.nextafter(C, side)) for side in (-np.inf, np.inf)]
+    assert at_c == 0.0 or any(np.signbit(n) != np.signbit(at_c) for n in neighbours)
+
+
 def test_calibration_zero_potential_convention():
-    V = RadialPotential(lambda r: np.zeros_like(np.asarray(r, float)), 0.0)
+    V = RadialPotential(np.array([0.0]), np.array([]))
     shell = calibrate_shell(V, 8, 1.0)
     assert shell.amplitude == 0.0
     assert shell.C == pytest.approx(1.0)
