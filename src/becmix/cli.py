@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, parse_config, _parse_expr
+from .config import ConfigError, ExperimentConfig, parse_config
 from .effective import CouplingSpec, OrbitalState, evolve
 from .grids import Field
 from .harness import emit_report, run_convergence_sweep
@@ -29,8 +29,6 @@ from .scattering import (
     modified_potential,
     scale_potential,
     scattering_length,
-    square_barrier,
-    RadialPotential,
     ScatteringError,
 )
 
@@ -111,25 +109,9 @@ def _cmd_effective(args) -> int:
     return 0
 
 
-# midpoint cells of the gaussian radial form; the error in a(V) is second
-# order in the cell width (2.7e-6 relative at the defaults)
-GAUSSIAN_CELLS = 1024
-
-
-def _radial_from_expr(expr: str) -> RadialPotential:
-    """The validated `[system] potential` as a piecewise-constant profile."""
-    name, kw = _parse_expr(expr, "[system] potential", [])
-    if name == "box":
-        return square_barrier(kw.get("amp", 2.0), kw.get("radius", 1.0))
-    sigma = kw.get("sigma", 0.5)
-    edges = np.linspace(0.0, 6.0 * sigma, GAUSSIAN_CELLS + 1)
-    return RadialPotential(
-        edges, kw.get("amp", 1.0) * np.exp(-(edges[:-1] + edges[1:]) ** 2 / (8.0 * sigma**2)))
-
-
 def _cmd_scattering(args) -> int:
     cfg = _load_config(args.config, args)
-    V = _radial_from_expr(cfg.scatter_potential)
+    V = cfg.radial_potential()
     base = scattering_length(V, 2.5 * V.support_radius)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grids import Field, Grid, make_grid, normalize
-from .manybody import DEFAULT_DIM_CAP
+from .manybody import DEFAULT_DIM_CAP, _basis_dim
+from .scattering import RadialPotential, square_barrier
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
 
@@ -35,14 +36,16 @@ _KNOWN_KEYS = {
     "output": {"dir", "snapshots"},
 }
 
-# forms of each [system] expression slot and the keys each form takes
-_POTENTIAL_FORMS = {"zero": set(), "cosine": {"amp", "k"}, "gaussian": {"amp", "sigma"},
-                    "box": {"amp", "radius"}}
-_ORBITAL_FORMS = {"zero": set(), "uniform": set(), "mode": {"k"}, "cospack": {"eps", "k"},
-                  "gaussian": {"x0", "sigma", "k"}}
-_SLOT_FORMS = {"v1": _POTENTIAL_FORMS, "v2": _POTENTIAL_FORMS, "v12": _POTENTIAL_FORMS,
-               "u0": _ORBITAL_FORMS, "v0": _ORBITAL_FORMS, "w0": _ORBITAL_FORMS,
-               "potential": {"box": {"amp", "radius"}, "gaussian": {"amp", "sigma"}}}
+# the forms of each [system] expression slot, and each form's keys with
+# their defaults; a None default is set by the grid
+_POTENTIALS = {"zero": {}, "cosine": {"amp": 1.0, "k": 1.0},
+               "gaussian": {"amp": 1.0, "sigma": 0.5}, "box": {"amp": 1.0, "radius": 1.0}}
+_ORBITALS = {"zero": {}, "uniform": {}, "mode": {"k": 1.0}, "cospack": {"eps": 0.3, "k": 1.0},
+             "gaussian": {"x0": None, "sigma": None, "k": 0.0}}
+_SLOT_FORMS = {"v1": _POTENTIALS, "v2": _POTENTIALS, "v12": _POTENTIALS,
+               "u0": _ORBITALS, "v0": _ORBITALS, "w0": _ORBITALS,
+               "potential": {"box": {"amp": 2.0, "radius": 1.0},
+                             "gaussian": _POTENTIALS["gaussian"]}}
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 _MODES = ("mean_field", "hartree", "gross_pitaevskii", "rabi", "spin1", "scattering")
@@ -60,75 +63,74 @@ def _finite(raw: str) -> float:
     return val
 
 
-def _parse_expr(text: str, path: str, errors: list[str]) -> tuple[str, dict[str, float]]:
-    parts = text.split()
-    if not parts:
-        errors.append(f"{path}: empty expression")
-        return "zero", {}
-    name, kwargs = parts[0], {}
-    for tok in parts[1:]:
-        key, eq, val = tok.partition("=")
-        if not eq:
-            errors.append(f"{path}: expected key=value, got {tok!r}")
-            continue
-        try:
-            kwargs[key] = _finite(val)
-        except ValueError:
-            errors.append(f"{path}: {key!r} needs a finite number, got {val!r}")
-    return name, kwargs
+def _parse_expr(text: str, slot: str, errors: list[str]) -> tuple[str, dict]:
+    """The form of one [system] expression and its keys, defaults filled in.
 
-
-def _check_form(text: str, key: str, errors: list[str]) -> None:
-    """Validate one [system] expression against the forms its slot accepts."""
-    path, forms = f"[system] {key}", _SLOT_FORMS[key]
-    name, kw = _parse_expr(text, path, errors)
+    Checks the form against the slot, the key names against the form, that
+    every value is finite and that sigma and radius are positive; each
+    violation is appended to errors, tagged with the slot.
+    """
+    path, forms = f"[system] {slot}", _SLOT_FORMS[slot]
+    name, *tokens = text.split() or [""]
     if name not in forms:
         errors.append(f"{path}: unknown form {name!r} (expected one of {', '.join(forms)})")
-    elif not set(kw) <= forms[name]:
-        errors.append(f"{path}: {name} takes {', '.join(sorted(forms[name])) or 'no keys'}, "
-                      f"got {', '.join(sorted(set(kw) - forms[name]))}")
+        return name, {}
+    kw = dict(forms[name])
+    for tok in tokens:
+        key, eq, raw = tok.partition("=")
+        if not eq:
+            errors.append(f"{path}: expected key=value, got {tok!r}")
+        elif key not in kw:
+            errors.append(f"{path}: {name} takes {', '.join(sorted(kw)) or 'no keys'}, got {key}")
+        else:
+            try:
+                kw[key] = _finite(raw)
+            except ValueError:
+                errors.append(f"{path}: {key!r} needs a finite number, got {raw!r}")
+            else:
+                if key in ("sigma", "radius") and kw[key] <= 0:
+                    errors.append(f"{path}: {key} must be positive, got {kw[key]:g}")
+    return name, kw
 
 
 def _potential_values(grid: Grid, name: str, kw: dict[str, float]) -> np.ndarray:
     """Sample an even periodic potential on the grid."""
     L = grid.length_per_axis
     d = grid.signed_coordinates()[0]
-    if name == "zero":
-        return np.zeros(grid.shape)
     if name == "cosine":
-        return kw.get("amp", 1.0) * np.cos(2.0 * np.pi * kw.get("k", 1.0) * d / L)
+        return kw["amp"] * np.cos(2.0 * np.pi * kw["k"] * d / L)
     if name == "gaussian":
-        sigma = kw.get("sigma", 0.5)
         out = np.zeros(grid.shape)
         for shift in (-L, 0.0, L):
-            out += np.exp(-((d + shift) ** 2) / (2.0 * sigma**2))
-        return kw.get("amp", 1.0) * out
+            out += np.exp(-((d + shift) ** 2) / (2.0 * kw["sigma"]**2))
+        return kw["amp"] * out
     if name == "box":
-        return kw.get("amp", 1.0) * (np.abs(d) <= kw.get("radius", 1.0)).astype(float)
-    raise ConfigError(f"unknown potential form {name!r}")
+        return kw["amp"] * (np.abs(d) <= kw["radius"]).astype(float)
+    return np.zeros(grid.shape)
 
 
-def _orbital_values(grid: Grid, name: str, kw: dict[str, float]) -> np.ndarray:
+def _orbital_values(grid: Grid, name: str, kw: dict[str, float | None]) -> np.ndarray:
     L = grid.length_per_axis
     x = grid.coordinate_arrays()[0]
-    if name == "zero":
-        return np.zeros(grid.shape, dtype=complex)
-    if name == "uniform":
-        return np.ones(grid.shape, dtype=complex)
     if name == "mode":
-        return np.exp(2j * np.pi * kw.get("k", 1.0) * x / L)
+        return np.exp(2j * np.pi * kw["k"] * x / L)
     if name == "cospack":
-        return (1.0 + kw.get("eps", 0.3)
-                * np.cos(2.0 * np.pi * kw.get("k", 1.0) * x / L)).astype(complex)
+        return (1.0 + kw["eps"] * np.cos(2.0 * np.pi * kw["k"] * x / L)).astype(complex)
     if name == "gaussian":
-        x0 = kw.get("x0", L / 2.0)
-        sigma = kw.get("sigma", L / 10.0)
+        x0 = L / 2.0 if kw["x0"] is None else kw["x0"]
+        sigma = L / 10.0 if kw["sigma"] is None else kw["sigma"]
         out = np.zeros(grid.shape)
         for shift in (-L, 0.0, L):
             out += np.exp(-((x - x0 + shift) ** 2) / (2.0 * sigma**2))
-        phase = np.exp(2j * np.pi * kw.get("k", 0.0) * x / L)
-        return out * phase
-    raise ConfigError(f"unknown orbital form {name!r}")
+        return out * np.exp(2j * np.pi * kw["k"] * x / L)
+    if name == "uniform":
+        return np.ones(grid.shape, dtype=complex)
+    return np.zeros(grid.shape, dtype=complex)
+
+
+# midpoint cells of the gaussian radial potential; the error in a(V) is
+# second order in the cell width (2.7e-6 relative at the defaults)
+GAUSSIAN_CELLS = 1024
 
 
 @dataclass
@@ -171,20 +173,38 @@ class ExperimentConfig:
     def build_grid(self) -> Grid:
         return make_grid(self.dim, self.points, self.length)
 
+    def _expr(self, slot: str) -> tuple[str, dict]:
+        """The form and keys of one [system] expression, or ConfigError."""
+        errors: list[str] = []
+        form = _parse_expr(getattr(self, "scatter_potential" if slot == "potential" else slot),
+                           slot, errors)
+        if errors:
+            raise ConfigError("; ".join(errors))
+        return form
+
     def potential_field(self, which: str) -> Field:
-        expr = {"v1": self.v1, "v2": self.v2, "v12": self.v12}[which]
-        name, kw = _parse_expr(expr, f"[system] {which}", [])
+        if which not in ("v1", "v2", "v12"):
+            raise ConfigError(f"no potential slot {which!r}")
         grid = self.build_grid()
-        return Field(grid, _potential_values(grid, name, kw))
+        return Field(grid, _potential_values(grid, *self._expr(which)))
 
     def orbital_field(self, which: str) -> Field:
-        expr = {"u0": self.u0, "v0": self.v0, "w0": self.w0}[which]
-        name, kw = _parse_expr(expr, f"[system] {which}", [])
+        if which not in ("u0", "v0", "w0"):
+            raise ConfigError(f"no orbital slot {which!r}")
+        name, kw = self._expr(which)
         grid = self.build_grid()
-        vals = _orbital_values(grid, name, kw)
-        if name == "zero":
-            return Field(grid, vals)
-        return normalize(Field(grid, vals))
+        vals = Field(grid, _orbital_values(grid, name, kw))
+        return vals if name == "zero" else normalize(vals)
+
+    def radial_potential(self) -> RadialPotential:
+        """[system] potential as cells: the box is one, the gaussian is
+        GAUSSIAN_CELLS midpoint cells out to 6 sigma."""
+        name, kw = self._expr("potential")
+        if name == "box":
+            return square_barrier(kw["amp"], kw["radius"])
+        edges = np.linspace(0.0, 6.0 * kw["sigma"], GAUSSIAN_CELLS + 1)
+        return RadialPotential(
+            edges, kw["amp"] * np.exp(-(edges[:-1] + edges[1:]) ** 2 / (8.0 * kw["sigma"]**2)))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -238,7 +258,7 @@ def parse_config(text: str) -> ExperimentConfig:
                     lambda v: None if v in _MODES else f"unknown mode {v!r}")
     for key in ("v1", "v2", "v12", "u0", "v0", "w0"):
         setattr(cfg, key, read("system", key, str, getattr(cfg, key)))
-        _check_form(getattr(cfg, key), key, errors)
+        _parse_expr(getattr(cfg, key), key, errors)
     cfg.c1 = read("system", "c1", _finite, cfg.c1,
                   lambda v: None if 0.0 < v < 1.0 else f"c1 must lie in (0,1), got {v}")
     cfg.a1 = read("system", "a1", _finite, cfg.a1)
@@ -251,7 +271,7 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.seed = read("system", "seed", int, cfg.seed,
                     lambda v: None if v >= 0 else "seed must be nonnegative")
     cfg.scatter_potential = read("system", "potential", str, cfg.scatter_potential)
-    _check_form(cfg.scatter_potential, "potential", errors)
+    _parse_expr(cfg.scatter_potential, "potential", errors)
 
     def int_list(raw: str) -> list[int]:
         return [int(tok) for tok in raw.replace(";", " ").split()]
@@ -288,8 +308,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if n1 < 1 or n2 < 1:
             errors.append(f"[ladder] entries: particle numbers must be >= 1, got ({n1},{n2})")
             continue
-        dim = math.comb(cfg.points + n1 - 1, n1) * math.comb(cfg.points + n2 - 1, n2)
-        if dim > cfg.cap:
+        if cfg.points >= 4 and (dim := _basis_dim(cfg.points, n1, n2)) > cfg.cap:
             errors.append(
                 f"[ladder] entries: ({n1},{n2}) has basis dimension {dim} > cap {cfg.cap}"
             )
@@ -305,12 +324,17 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.sample_every = read("time", "sample_every", int, cfg.sample_every,
                             lambda v: None if v >= 1 else "sample_every must be >= 1")
 
+    # t / dt overflows for a subnormal dt; every lattice test needs it finite
+    lattice = cfg.dt > 0 and math.isfinite(cfg.T / cfg.dt)
+
     def off_lattice(x: float) -> bool:
         """x is not a whole number of dt steps, to a relative 1e-9."""
-        return cfg.dt > 0 and abs(round(x / cfg.dt) * cfg.dt - x) > 1e-9 * abs(x)
+        return lattice and abs(round(x / cfg.dt) * cfg.dt - x) > 1e-9 * abs(x)
 
     if cfg.dt > cfg.T:
         errors.append("[time] dt: dt exceeds t")
+    elif cfg.dt > 0 and not lattice:
+        errors.append(f"[time] dt: {cfg.dt!r} is too small, t / dt overflows")
     elif cfg.T > 0 and off_lattice(cfg.T):
         errors.append(f"[time] t: {cfg.T!r} is not a multiple of dt {cfg.dt!r}")
 

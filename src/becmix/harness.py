@@ -127,9 +127,7 @@ def _run_entry(cfg: ExperimentConfig, n1: int, n2: int, traj: _Trajectory) -> Sw
         for (last, k), eff in zip(pairwise(traj.steps), traj.orbitals[1:], strict=True):
             psi = H.propagate(psi, (k - last) * cfg.dt)
             entry.rows.append((k * cfg.dt, *evaluate(psi, *eff.components)))
-        probe_step = int(round(cfg.probe_time / cfg.dt))
-        entry.alpha_probe = next((row[1] for row, k in zip(entry.rows, traj.steps)
-                                  if k == probe_step), entry.rows[-1][1])
+        entry.alpha_probe = entry.rows[traj.steps.index(round(cfg.probe_time / cfg.dt))][1]
     except Exception as exc:  # keep the sweep alive; the entry carries the diagnostic
         entry.error = f"{type(exc).__name__}: {exc}"
         entry.traceback = format_exc()

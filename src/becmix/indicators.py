@@ -109,7 +109,7 @@ class _ModeOps:
 
     def __init__(self, basis: TwoSpeciesBasis, species: str, u: Field):
         self.axis = 0 if species == "A" else 1
-        self.N = basis.particle_number(species)
+        self.N = basis.species(species).N
         self.u_site = _orbital_sites(basis, u)
         if abs(np.linalg.norm(self.u_site) - 1.0) > 1e-8:
             raise IndicatorError("orbital must be normalized")
@@ -547,13 +547,20 @@ def insertion_terms(state: ManyBodyState, u: Field, v: Field,
 
     ops = {"p": (p_u, p_v), "q": (np.eye(b.M) - p_u, np.eye(b.M) - p_v)}
     T = _pair_lowered(b, state.psi) / math.sqrt(n1 * n2)
-    sides = {a + c: _along(ops[c][1], _along(ops[a][0], T, 0), 2) for a in "pq" for c in "pq"}
-    del T                                  # the four sides and one commuted side stay alive
-    terms = {}
-    for right, side in sides.items():
-        commuted = K * apply_pbar(side)
-        commuted -= apply_pbar(K * side)
-        terms.update({f"{left},{right}": complex(np.vdot(sides[left], commuted)) for left in sides})
+
+    def side(ac: str) -> np.ndarray:
+        return _along(ops[ac[1]][1], _along(ops[ac[0]][0], T, 0), 2)
+
+    terms, pairs = {}, ("pp", "pq", "qp", "qq")
+    for right in pairs:          # T, one commuted right side and one left side stay alive
+        x = side(right)
+        commuted = apply_pbar(x)
+        commuted *= K
+        x *= K
+        commuted -= apply_pbar(x)
+        del x
+        for left in pairs:
+            terms[f"{left},{right}"] = complex(np.vdot(side(left), commuted))
     return {key: terms[key] for key in INSERTION_KEYS}
 
 

@@ -163,9 +163,6 @@ class TwoSpeciesBasis:
             return self.B
         raise ManyBodyError(f"species must be 'A' or 'B', got {tag!r}")
 
-    def particle_number(self, tag: str) -> int:
-        return self.N1 if tag == "A" else self.N2
-
 
 def build_basis(M: int, N1: int, N2: int, dim_cap: int = DEFAULT_DIM_CAP) -> TwoSpeciesBasis:
     return TwoSpeciesBasis(M, N1, N2, dim_cap)
@@ -193,12 +190,6 @@ class ManyBodyState:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.psi))
-
-    def normalized(self) -> "ManyBodyState":
-        n = self.norm
-        if n == 0:
-            raise ManyBodyError("cannot normalize the zero state")
-        return ManyBodyState(self.basis, self.psi / n, self.time)
 
 
 def _displacement_kernel(grid: Grid, V) -> np.ndarray:

@@ -115,32 +115,19 @@ class ShellPotential:
     amplitude: float
     inner_radius: float
     outer_radius: float
-    species: str
-    beta: float
-    n_particles: int
 
     def __post_init__(self):
         if self.amplitude != 0.0 and not (self.inner_radius < self.outer_radius):
             raise ScatteringError("shell needs inner_radius < outer_radius")
-        if self.species not in ("1", "2", "12"):
-            raise ScatteringError(f"species must be '1', '2' or '12', got {self.species!r}")
 
     @property
     def C(self) -> float:
         return self.outer_radius / self.inner_radius
 
     @classmethod
-    def for_species(cls, a: float, N: int, beta: float, C: float,
-                    species: str = "1") -> "ShellPotential":
+    def for_species(cls, a: float, N: int, beta: float, C: float) -> "ShellPotential":
         inner = float(N) ** (-beta)
-        return cls(
-            amplitude=4.0 * np.pi * a * float(N) ** (3.0 * beta - 1.0),
-            inner_radius=inner,
-            outer_radius=C * inner,
-            species=species,
-            beta=beta,
-            n_particles=N,
-        )
+        return cls(4.0 * np.pi * a * float(N) ** (3.0 * beta - 1.0), inner, C * inner)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -279,7 +266,7 @@ RESIDUAL_TOL = 1e-8
 SCAN_STEP = 0.25
 
 
-def calibrate_shell(V: RadialPotential, N: int, beta: float, species: str = "1", *,
+def calibrate_shell(V: RadialPotential, N: int, beta: float, *,
                     a: float | None = None, c_max: float = 8.0) -> ShellPotential:
     """Find the smallest C > 1 whose shell cancels the scaled scattering length.
 
@@ -303,14 +290,14 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, species: str = "1",
     inner = float(N) ** (-beta)
     if a == 0.0:
         # nothing to cancel; C = 1 by convention (empty shell)
-        return ShellPotential(0.0, inner, inner, species, beta, N)
+        return ShellPotential(0.0, inner, inner)
     if a < 0.0:
         raise CalibrationError("calibration expects a positive scattering length")
 
     V_scaled = scale_potential(V, N, beta)
 
     def residual(C: float) -> float:
-        shell = ShellPotential.for_species(a, N, beta, C, species)
+        shell = ShellPotential.for_species(a, N, beta, C)
         mod = modified_potential(V_scaled, shell)
         return scattering_length(
             mod, 2.5 * mod.support_radius,
@@ -355,4 +342,4 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, species: str = "1",
         raise CalibrationError(
             f"calibration residual {final:.3e} exceeds {RESIDUAL_TOL:.1e} * {length_scale:.3e}"
         )
-    return ShellPotential.for_species(a, N, beta, c_star, species)
+    return ShellPotential.for_species(a, N, beta, c_star)

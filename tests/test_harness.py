@@ -77,6 +77,13 @@ def test_cap_violation_reports_dimension():
     assert "213444" in str(err.value)  # C(11,6)^2 at 6 sites
 
 
+def test_negative_points_with_ladder_is_a_config_error():
+    # the cap check sizes the basis only once the point count is valid
+    doc = MINIMAL.format(out="x").replace("points = 6", "points = -5")
+    with pytest.raises(ConfigError, match=r"\[grid\] points: need at least 4 points"):
+        parse_config(doc)
+
+
 def test_varying_ratio_rejected_when_fixed():
     doc = MINIMAL.format(out="x").replace("entries = 1,1; 2,2", "entries = 1,1; 1,2")
     with pytest.raises(ConfigError) as err:
@@ -123,6 +130,35 @@ def test_non_finite_numbers_rejected_at_parse_time(doc, key):
     with pytest.raises(ConfigError) as err:
         parse_config(doc + "\n")
     assert f"{key}: " in str(err.value) and "finite" in str(err.value)
+
+
+def test_subnormal_dt_rejected_at_parse_time():
+    # t / dt overflows to inf, which the step-lattice test cannot round
+    with pytest.raises(ConfigError, match=r"\[time\] dt: 1e-320 is too small"):
+        parse_config("[time]\nt = 0.5\ndt = 1e-320\n")
+
+
+@pytest.mark.parametrize("line, needle", [
+    ("potential = box radius=0", "[system] potential: radius must be positive, got 0"),
+    ("potential = gaussian sigma=-0.5", "[system] potential: sigma must be positive, got -0.5"),
+    ("v1 = gaussian sigma=0", "[system] v1: sigma must be positive, got 0"),
+    ("u0 = gaussian sigma=0", "[system] u0: sigma must be positive, got 0"),
+    ("v12 = box radius=-1", "[system] v12: radius must be positive, got -1"),
+])
+def test_expression_widths_must_be_positive(line, needle):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[system]\n{line}\n")
+    assert needle in str(err.value)
+
+
+def test_cli_scattering_zero_radius_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "box.ini"
+    cfg_path.write_text(f"[system]\nmode = scattering\npotential = box radius=0\n"
+                        f"[output]\ndir = {tmp_path / 'sc'}\n")
+    assert cli.main(["scattering", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: invalid configuration" in err and "radius must be positive" in err
+    assert not (tmp_path / "sc").exists()
 
 
 @pytest.mark.parametrize("probe", ["0.051", "-0.01"])

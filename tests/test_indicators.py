@@ -518,6 +518,25 @@ def test_insertion_sum_matches_direct_commutator():
     assert abs(sum(t.values()) - direct) < 1e-12
 
 
+def test_insertion_terms_peak_memory():
+    # T = b_y a_x psi at (3,3), M = 8 has M^2 dimA' dimB' complex entries;
+    # T, one side, one commuted side and the P-bar temporaries fit in 8 T
+    import tracemalloc
+    g, u, v = _grid_and_orbitals(M=8)
+    V12 = Field(g, 0.7 * np.cos(2 * np.pi * g.axis_coordinates / 2.0))
+    basis = build_basis(8, 3, 3)
+    st = random_state(basis, np.random.default_rng(15))
+    t_bytes = 8**2 * basis.A.lowered.dim * basis.B.lowered.dim * 16
+    insertion_terms(st, u, v, V12)       # warm caches: lowered sectors and stacks
+    tracemalloc.start()
+    try:
+        insertion_terms(st, u, v, V12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * t_bytes
+
+
 def test_insertion_zero_potential():
     g, u, v = _grid_and_orbitals(M=3)
     basis = build_basis(3, 2, 2)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from becmix import cli
+from becmix import config
+from becmix.config import parse_config
 from becmix.scattering import (
     BoundStateError,
     CalibrationError,
@@ -34,6 +35,12 @@ def test_zero_potential():
 def test_square_barrier_closed_form():
     res = scattering_length(BARRIER, 2.5)
     assert abs(res.scattering_length - A_EXACT) < 1e-9
+
+
+def test_box_potential_takes_its_defaults():
+    # `box` alone is amp=2 radius=1, whose a(V) is 1 - tanh 1 to the last bit
+    V = parse_config("[system]\npotential = box\n").radial_potential()
+    assert scattering_length(V, 2.5).scattering_length == A_EXACT
 
 
 def test_exterior_profile_matches_asymptote():
@@ -123,13 +130,14 @@ def _gaussian_oracle(amp, sigma):
 def test_gaussian_cells_converge_to_ode_oracle(monkeypatch):
     expr = "gaussian amp=2 sigma=0.5"
     ref = _gaussian_oracle(2.0, 0.5)
-    V = cli._radial_from_expr(expr)
+    cfg = parse_config(f"[system]\npotential = {expr}\n")
+    V = cfg.radial_potential()
     a = scattering_length(V, 2.5 * V.support_radius).scattering_length
     assert abs(a - ref) < 5e-6 * abs(ref)
     errors = []
     for cells in (256, 512, 1024):
-        monkeypatch.setattr(cli, "GAUSSIAN_CELLS", cells)
-        V = cli._radial_from_expr(expr)
+        monkeypatch.setattr(config, "GAUSSIAN_CELLS", cells)
+        V = cfg.radial_potential()
         errors.append(abs(scattering_length(V, 2.5 * V.support_radius).scattering_length - ref))
     # midpoint cells are second order: each halving cuts the error ~4x
     for coarse, fine in zip(errors, errors[1:]):
@@ -180,7 +188,7 @@ def test_calibration_deterministic():
 
 
 def test_calibration_brackets_the_root_to_adjacent_floats():
-    V = cli._radial_from_expr("gaussian amp=2 sigma=0.5")
+    V = parse_config("[system]\npotential = gaussian amp=2 sigma=0.5\n").radial_potential()
     a = scattering_length(V, 2.5 * V.support_radius).scattering_length
     C = calibrate_shell(V, 8, 1.0, a=a).C
 
@@ -218,7 +226,7 @@ def test_calibration_softer_scaling():
 
 
 def test_shell_amplitude_formula():
-    shell = ShellPotential.for_species(0.25, 8, 1.0, 1.5, "12")
+    shell = ShellPotential.for_species(0.25, 8, 1.0, 1.5)
     assert shell.amplitude == pytest.approx(4 * np.pi * 0.25 * 8**2)
     assert shell.inner_radius == pytest.approx(1 / 8)
     assert shell.outer_radius == pytest.approx(1.5 / 8)
