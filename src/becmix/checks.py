@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .grids import Field, make_grid, normalize, apply_laplacian, periodic_convolve, l2_norm
-from .effective import CouplingSpec, OrbitalState, evolve, step
+from .effective import CouplingSpec, OrbitalState, evolve, integrate
 from .scattering import scattering_length, scale_potential, square_barrier
 from .manybody import (
     Hamiltonian,
@@ -73,9 +73,7 @@ def run_invariant_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
     record("effective.energy_drift",
            float(np.max(np.abs(energies - energies[0])) / abs(energies[0])), 1e-6)
     rspec = CouplingSpec.rabi(g, 0.0, 1.0)
-    st = OrbitalState((u0, Field(g, np.zeros(64))), 0.0)
-    for _ in range(200):
-        st = step(st, rspec, 1e-3)
+    st = integrate(OrbitalState((u0, Field(g, np.zeros(64))), 0.0), rspec, 1e-3, [200])[0]
     m1, m2 = (l2_norm(c) ** 2 for c in st.components)
     record("effective.rabi_two_level",
            abs(m1 - math.cos(0.2) ** 2) + abs(m2 - math.sin(0.2) ** 2), 1e-8)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grids import Field, Grid, make_grid, normalize
+from .grids import Field, Grid, GridError, make_grid, normalize
 from .manybody import DEFAULT_DIM_CAP, _basis_dim
 from .scattering import RadialPotential, square_barrier
 
@@ -24,6 +24,7 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
 DEFAULT_DT = 1e-3
 DEFAULT_XI = 0.2
 DEFAULT_SEED = 0
+MAX_STEPS = 10**8  # ceiling on the step count round(t / dt), as DEFAULT_DIM_CAP is on dim
 
 _KNOWN_KEYS = {
     "grid": {"dim", "points", "length"},
@@ -67,22 +68,26 @@ def _parse_expr(text: str, slot: str, errors: list[str]) -> tuple[str, dict]:
     """The form of one [system] expression and its keys, defaults filled in.
 
     Checks the form against the slot, the key names against the form, that
-    every value is finite and that sigma and radius are positive; each
-    violation is appended to errors, tagged with the slot.
+    no key is given twice, that every value is finite and that sigma and
+    radius are positive; each violation is appended to errors, tagged with
+    the slot.
     """
     path, forms = f"[system] {slot}", _SLOT_FORMS[slot]
     name, *tokens = text.split() or [""]
     if name not in forms:
         errors.append(f"{path}: unknown form {name!r} (expected one of {', '.join(forms)})")
         return name, {}
-    kw = dict(forms[name])
+    kw, given = dict(forms[name]), set()
     for tok in tokens:
         key, eq, raw = tok.partition("=")
         if not eq:
             errors.append(f"{path}: expected key=value, got {tok!r}")
         elif key not in kw:
             errors.append(f"{path}: {name} takes {', '.join(sorted(kw)) or 'no keys'}, got {key}")
+        elif key in given:
+            errors.append(f"{path}: {key} given twice")
         else:
+            given.add(key)
             try:
                 kw[key] = _finite(raw)
             except ValueError:
@@ -182,19 +187,29 @@ class ExperimentConfig:
             raise ConfigError("; ".join(errors))
         return form
 
+    def _sampled(self, slot: str, values: np.ndarray) -> Field:
+        """values as a Field, or ConfigError if a sample is not finite."""
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"[system] {slot}: {getattr(self, slot)!r} samples to "
+                              "non-finite values on the grid")
+        return Field(self.build_grid(), values)
+
     def potential_field(self, which: str) -> Field:
         if which not in ("v1", "v2", "v12"):
             raise ConfigError(f"no potential slot {which!r}")
-        grid = self.build_grid()
-        return Field(grid, _potential_values(grid, *self._expr(which)))
+        return self._sampled(which, _potential_values(self.build_grid(), *self._expr(which)))
 
     def orbital_field(self, which: str) -> Field:
         if which not in ("u0", "v0", "w0"):
             raise ConfigError(f"no orbital slot {which!r}")
         name, kw = self._expr(which)
-        grid = self.build_grid()
-        vals = Field(grid, _orbital_values(grid, name, kw))
-        return vals if name == "zero" else normalize(vals)
+        vals = self._sampled(which, _orbital_values(self.build_grid(), name, kw))
+        if name == "zero":
+            return vals
+        try:
+            return normalize(vals)
+        except GridError as exc:
+            raise ConfigError(f"[system] {which}: {getattr(self, which)!r}: {exc}") from None
 
     def radial_potential(self) -> RadialPotential:
         """[system] potential as cells: the box is one, the gaussian is
@@ -326,6 +341,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # t / dt overflows for a subnormal dt; every lattice test needs it finite
     lattice = cfg.dt > 0 and math.isfinite(cfg.T / cfg.dt)
+    too_many_steps = cfg.dt > 0 and (not lattice or round(cfg.T / cfg.dt) > MAX_STEPS)
 
     def off_lattice(x: float) -> bool:
         """x is not a whole number of dt steps, to a relative 1e-9."""
@@ -333,8 +349,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if cfg.dt > cfg.T:
         errors.append("[time] dt: dt exceeds t")
-    elif cfg.dt > 0 and not lattice:
-        errors.append(f"[time] dt: {cfg.dt!r} is too small, t / dt overflows")
+    elif too_many_steps:
+        errors.append(f"[time] dt: {cfg.dt!r} is too small, t / dt exceeds {MAX_STEPS:,} steps")
     elif cfg.T > 0 and off_lattice(cfg.T):
         errors.append(f"[time] t: {cfg.T!r} is not a multiple of dt {cfg.dt!r}")
 

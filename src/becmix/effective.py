@@ -15,7 +15,8 @@ transform basis), half potential flow.  Every potential substep is an
 exact pointwise flow: for hartree/gp a phase multiplication because the
 densities are invariant under it; for rabi the 2x2 rotation; for spin1
 the 3x3 rotation exp(-i g tau F.f), because the exchange flow conserves
-the local spin density F.
+the local spin density F.  `integrate` runs the steps of a whole
+trajectory and merges the two half flows between unsampled steps.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "Trajectory",
     "EffectiveError",
     "step",
+    "integrate",
     "evolve",
     "mass",
     "magnetization",
@@ -44,6 +46,9 @@ __all__ = [
     "hartree_energy",
     "conserved_energy",
 ]
+
+
+_MODES = ("hartree", "gross_pitaevskii", "rabi", "spin1")
 
 
 class EffectiveError(ValueError):
@@ -85,6 +90,8 @@ class CouplingSpec:
     kinetic: str = "spectral"
 
     def __post_init__(self):
+        if self.mode not in _MODES:
+            raise EffectiveError(f"unknown mode {self.mode!r}, expected one of {_MODES}")
         try:
             self.grid.laplacian_symbol(self.kinetic)
         except GridError as exc:
@@ -176,62 +183,79 @@ def magnetization(state: OrbitalState) -> float:
     return float(hd * np.sum(np.abs(u.values) ** 2 - np.abs(w.values) ** 2))
 
 
-def _densities(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-    return [np.abs(a) ** 2 for a in arrays]
+def _potential_flow(spec: CouplingSpec):
+    """The exact potential-only flow `flow(psi, tau, theta)` of one spec.
 
-
-def _potential_substep(arrays, spec: CouplingSpec, t0: float, tau: float):
-    """Advance the potential-only flow from t0 by tau."""
+    psi stacks the components on axis 0; theta is the rabi rotation angle,
+    the integral of B over the substep, and unused by the other modes.
+    Every flow keeps the density that drives it (|u|^2 and |v|^2, n_tot,
+    F), so the flows of tau1 and tau2 compose to the flow of tau1 + tau2,
+    with the angles added.
+    """
+    axes = tuple(range(1, spec.grid.dim + 1))
     if spec.mode == "hartree":
-        # periodic_convolve's arithmetic on the cached potential transforms
-        u, v = arrays
-        hd = spec.grid.volume_element
+        # W = hd ifft(K rho_hat), K = [[V1, c2 V12], [c1 V12, V2]] on the transforms
         V1, V2, V12 = spec.potential_transforms
-        ru, rv = (np.fft.fftn(rho) for rho in _densities(arrays))
-        Wu = np.fft.ifftn(V1 * ru).real * hd + spec.c2 * (np.fft.ifftn(V12 * rv).real * hd)
-        Wv = np.fft.ifftn(V2 * rv).real * hd + spec.c1 * (np.fft.ifftn(V12 * ru).real * hd)
-        return [np.exp(-1j * tau * Wu) * u, np.exp(-1j * tau * Wv) * v]
+        kernel = spec.grid.volume_element * np.array([[V1, spec.c2 * V12],
+                                                      [spec.c1 * V12, V2]])
+
+        def flow(psi, tau, theta):
+            rho_hat = np.fft.fftn(np.abs(psi) ** 2, axes=axes)
+            W = np.fft.ifftn((kernel * rho_hat).sum(axis=1), axes=axes).real
+            return np.exp(-1j * tau * W) * psi
+        return flow
 
     if spec.mode == "gross_pitaevskii":
-        u, v = arrays
-        rho_u, rho_v = _densities(arrays)
-        Wu = 8.0 * np.pi * (spec.a1 * rho_u + spec.c2 * spec.a12 * rho_v)
-        Wv = 8.0 * np.pi * (spec.a2 * rho_v + spec.c1 * spec.a12 * rho_u)
-        return [np.exp(-1j * tau * Wu) * u, np.exp(-1j * tau * Wv) * v]
+        couplings = 8.0 * np.pi * np.array([[spec.a1, spec.c2 * spec.a12],
+                                            [spec.c1 * spec.a12, spec.a2]])
+
+        def flow(psi, tau, theta):
+            W = np.tensordot(couplings, np.abs(psi) ** 2, axes=1)
+            return np.exp(-1j * tau * W) * psi
+        return flow
 
     if spec.mode == "rabi":
-        u, v = arrays
-        n_tot = np.abs(u) ** 2 + np.abs(v) ** 2
-        phase = np.exp(-1j * tau * 8.0 * np.pi * spec.a * n_tot)
-        # The 2x2 rotation exp(-i theta sigma_x) commutes with the common
-        # nonlinear phase; theta uses the midpoint value of B.
-        theta = tau * spec.rabi_field(t0 + 0.5 * tau)
-        c, s = math.cos(theta), -1j * math.sin(theta)
-        return [phase * (c * u + s * v), phase * (s * u + c * v)]
+        g = 8.0 * np.pi * spec.a
 
-    if spec.mode == "spin1":
-        # i ds/dt = g (F.f) s, g = 8 pi a, conserves the spin density F pointwise, and
+        def flow(psi, tau, theta):
+            # the rotation exp(-i theta sigma_x) commutes with the common
+            # nonlinear phase
+            phase = np.exp(-1j * tau * g * (np.abs(psi) ** 2).sum(axis=0))
+            return phase * (math.cos(theta) * psi - 1j * math.sin(theta) * psi[::-1])
+        return flow
+
+    g = 8.0 * np.pi * spec.a
+
+    def flow(psi, tau, theta):
+        # spin1: i ds/dt = g (F.f) s conserves the spin density F pointwise, and
         # A = F.f/|F| satisfies A^3 = A, so the flow is the rotation
         # exp(-i theta A) = I - i sin(theta) A + (cos(theta) - 1) A^2 with
         # theta = g tau |F|; sinc keeps F = 0 at the identity.
-        u, v, w = arrays
-        gt = 8.0 * np.pi * spec.a * tau
+        u, v, w = psi
+        gt = g * tau
         fz = np.abs(u) ** 2 - np.abs(w) ** 2
         fp = np.conj(u) * v + np.conj(v) * w  # (F_x + i F_y) / sqrt(2)
         fm = np.conj(fp)
-        theta = gt * np.sqrt(fz**2 + 2.0 * np.abs(fp) ** 2)
-        sin_coef = -1j * gt * np.sinc(theta / np.pi)
-        cos_coef = -0.5 * gt**2 * np.sinc(theta / (2.0 * np.pi)) ** 2
-        Au, Av, Aw = fz * u + fm * v, fp * u + fm * w, fp * v - fz * w
-        AAu, AAv, AAw = fz * Au + fm * Av, fp * Au + fm * Aw, fp * Av - fz * Aw
-        return [u + sin_coef * Au + cos_coef * AAu, v + sin_coef * Av + cos_coef * AAv,
-                w + sin_coef * Aw + cos_coef * AAw]
-
-    raise EffectiveError(f"unknown mode {spec.mode!r}")
+        angle = gt * np.sqrt(fz**2 + 2.0 * np.abs(fp) ** 2)
+        sin_coef = -1j * gt * np.sinc(angle / np.pi)
+        cos_coef = -0.5 * gt**2 * np.sinc(angle / (2.0 * np.pi)) ** 2
+        A = np.array([fz * u + fm * v, fp * u + fm * w, fp * v - fz * w])
+        AA = np.array([fz * A[0] + fm * A[1], fp * A[0] + fm * A[2], fp * A[1] - fz * A[2]])
+        return psi + sin_coef * A + cos_coef * AA
+    return flow
 
 
-def step(state: OrbitalState, spec: CouplingSpec, dt: float) -> OrbitalState:
-    """One Strang step of length dt (dt < 0 runs the flow backwards)."""
+def integrate(state: OrbitalState, spec: CouplingSpec, dt: float,
+              steps: Sequence[int]) -> list[OrbitalState]:
+    """The states after each of the increasing step counts `steps` of
+    Strang steps of length dt from `state` (dt < 0 runs the flow backwards).
+
+    One step is half potential flow, full kinetic flow, half potential
+    flow.  The kinetic phase and the potential flow are built once.  Where
+    a step is not sampled, its closing half flow and the opening half flow
+    of the next step are one flow of length dt, exact because every flow
+    keeps its driving density; the rabi angles of the two halves add.
+    """
     if len(state.components) != spec.n_components:
         raise EffectiveError(
             f"{spec.mode} expects {spec.n_components} components, got {len(state.components)}"
@@ -240,17 +264,36 @@ def step(state: OrbitalState, spec: CouplingSpec, dt: float) -> OrbitalState:
         raise EffectiveError("state and spec grids differ")
     if dt == 0.0:
         raise EffectiveError("dt must be nonzero")
-    t = state.time
-    arrays = [c.values for c in state.components]
-    arrays = _potential_substep(arrays, spec, t, 0.5 * dt)
+    if not steps or steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
+        raise EffectiveError(f"steps must be increasing counts >= 1, got {list(steps)!r}")
+    axes = tuple(range(1, spec.grid.dim + 1))
     kin_phase = np.exp(-1j * dt * spec.grid.laplacian_symbol(spec.kinetic))
-    arrays = [np.fft.ifftn(kin_phase * np.fft.fftn(a)) for a in arrays]
-    arrays = _potential_substep(arrays, spec, t + 0.5 * dt, 0.5 * dt)
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise EffectiveError("non-finite values produced during step")
-    comps = tuple(Field(spec.grid, a) for a in arrays)
-    return OrbitalState(comps, time=t + dt)
+    flow = _potential_flow(spec)
+    half = 0.5 * dt
+    B = spec.rabi_field if spec.mode == "rabi" else (lambda t: 0.0)
+    sampled, last = set(steps), steps[-1]
+    out = []
+    t = state.time
+    psi = flow(np.array([c.values for c in state.components]), half, half * B(t + 0.5 * half))
+    for k in range(1, last + 1):
+        psi = np.fft.ifftn(kin_phase * np.fft.fftn(psi, axes=axes), axes=axes)
+        closing = half * B((t + half) + 0.5 * half)
+        t = t + dt
+        if k not in sampled:
+            psi = flow(psi, dt, closing + half * B(t + 0.5 * half))
+            continue
+        psi = flow(psi, half, closing)
+        if not np.all(np.isfinite(psi)):
+            raise EffectiveError(f"non-finite values produced by step {k}")
+        out.append(OrbitalState(tuple(Field(spec.grid, a) for a in psi), time=t))
+        if k < last:
+            psi = flow(psi, half, half * B(t + 0.5 * half))
+    return out
+
+
+def step(state: OrbitalState, spec: CouplingSpec, dt: float) -> OrbitalState:
+    """One Strang step of length dt (dt < 0 runs the flow backwards)."""
+    return integrate(state, spec, dt, [1])[0]
 
 
 @dataclass
@@ -297,12 +340,16 @@ class Trajectory:
 
 def evolve(state: OrbitalState, spec: CouplingSpec, T: float, dt: float,
            sample_every: int = 1) -> Trajectory:
-    """Repeat `step` until time T, sampling every `sample_every` steps.
+    """Strang steps of length dt until time T, sampling every `sample_every` steps.
 
     The step count is round(T/dt), which must reach T to a relative 1e-9.
     """
+    if not (math.isfinite(T) and math.isfinite(dt)):
+        raise EffectiveError(f"T and dt must be finite, got T = {T!r}, dt = {dt!r}")
     if T <= 0 or dt <= 0 or dt > T:
         raise EffectiveError("need 0 < dt <= T")
+    if not math.isfinite(T / dt):
+        raise EffectiveError(f"dt = {dt!r} is too small, T / dt overflows")
     if sample_every < 1:
         raise EffectiveError("sample_every must be >= 1")
     n_steps = int(round(T / dt))
@@ -310,10 +357,9 @@ def evolve(state: OrbitalState, spec: CouplingSpec, T: float, dt: float,
         raise EffectiveError(f"T = {T!r} is not a multiple of dt = {dt!r}")
     traj = Trajectory()
     traj.append(state, spec)
-    for k in range(1, n_steps + 1):
-        state = step(state, spec, dt)
-        if k % sample_every == 0 or k == n_steps:
-            traj.append(state, spec)
+    for sample in integrate(state, spec, dt, [*range(sample_every, n_steps, sample_every),
+                                              n_steps]):
+        traj.append(sample, spec)
     return traj
 
 
@@ -403,11 +449,9 @@ def conserved_energy(state: OrbitalState, spec: CouplingSpec) -> float:
         B = spec.rabi_field(state.time)
         return (kin + 4.0 * np.pi * spec.a * float(hd * np.sum(n_tot**2))
                 + 2.0 * B * inner(u, v).real)
-    if spec.mode == "spin1":
-        u, v, w = (c.values for c in state.components)
-        fz = np.abs(u) ** 2 - np.abs(w) ** 2
-        fplus = np.sqrt(2.0) * (np.conj(u) * v + np.conj(v) * w)
-        f_sq = fz**2 + np.abs(fplus) ** 2
-        kin = sum(kinetic_energy(c, spec.kinetic) for c in state.components)
-        return kin + 4.0 * np.pi * spec.a * float(hd * np.sum(f_sq))
-    raise EffectiveError(f"unknown mode {spec.mode!r}")
+    u, v, w = (c.values for c in state.components)  # spin1
+    fz = np.abs(u) ** 2 - np.abs(w) ** 2
+    fplus = np.sqrt(2.0) * (np.conj(u) * v + np.conj(v) * w)
+    f_sq = fz**2 + np.abs(fplus) ** 2
+    kin = sum(kinetic_energy(c, spec.kinetic) for c in state.components)
+    return kin + 4.0 * np.pi * spec.a * float(hd * np.sum(f_sq))

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .effective import CouplingSpec, OrbitalState, hartree_energy, step
+from .effective import CouplingSpec, OrbitalState, hartree_energy, integrate
+from .effective import step  # noqa: F401  (perfbench/tracer.py patches it on this module)
 from .indicators import SampleEvaluator, weight_m, weight_n, weight_s
 # the sweep no longer calls these; perfbench/tracer.py patches them on this module
 from .indicators import (alpha_11, condensate_depletion, derivative_decomposition,  # noqa: F401
@@ -93,11 +94,7 @@ def _effective_trajectory(cfg: ExperimentConfig, c1: float) -> _Trajectory:
         traj.spec = CouplingSpec.hartree(cfg.potential_field("v1"), cfg.potential_field("v2"),
                                          cfg.potential_field("v12"), c1=c1, kinetic="stencil")
         eff = OrbitalState((cfg.orbital_field("u0"), cfg.orbital_field("v0")), 0.0)
-        traj.orbitals.append(eff)
-        for k in range(1, n_steps + 1):
-            eff = step(eff, traj.spec, cfg.dt)
-            if k == traj.steps[len(traj.orbitals)]:
-                traj.orbitals.append(eff)
+        traj.orbitals = [eff, *integrate(eff, traj.spec, cfg.dt, traj.steps[1:])]
     except Exception as exc:  # every entry of this c1 carries the diagnostic
         traj.error = f"{type(exc).__name__}: {exc}"
         traj.traceback = format_exc()

@@ -14,6 +14,7 @@ from becmix.effective import (
     evolve,
     gp_energy,
     hartree_energy,
+    integrate,
     kinetic_energy,
     magnetization,
     mass,
@@ -356,7 +357,7 @@ def _spin_exchange_rhs(u, v, w, g):
 
 
 def test_spin1_exchange_flow_is_exact():
-    from becmix.effective import _potential_substep
+    from becmix.effective import _potential_flow
 
     g = make_grid(1, 32, 2 * np.pi)
     rng = np.random.default_rng(0)
@@ -366,7 +367,7 @@ def test_spin1_exchange_flow_is_exact():
     spec = CouplingSpec.spin1(g, 0.05)
 
     def flow(arrays, tau):
-        return _potential_substep(arrays, spec, 0.0, tau)
+        return _potential_flow(spec)(arrays, tau, 0.0)
 
     def spin_density(arrays):
         u, v, w = arrays
@@ -396,6 +397,64 @@ def test_spin1_strang_second_order():
     ref = final(1e-4)
     e1, e2, e3 = (np.linalg.norm(final(dt) - ref) for dt in (1e-2, 5e-3, 2.5e-3))
     assert 3.5 < e1 / e2 < 4.5 and 3.5 < e2 / e3 < 4.5
+
+
+def _four_modes():
+    g, hartree, st = _hartree_setup(M=32, c1=0.3)
+    x = g.axis_coordinates
+    pair = OrbitalState((normalize(Field(g, (1 + 0.3 * np.cos(x)) * np.exp(1j * x))),
+                         normalize(Field(g, 1 + 0.2 * np.cos(2 * x)))), 0.1)
+    return [
+        (hartree, st),
+        (CouplingSpec.gross_pitaevskii(g, 0.3, 0.2, 0.25, c1=0.3), pair),
+        # time dependent B: the fused halves add B at t_k - dt/4 and t_k + dt/4
+        (CouplingSpec.rabi(g, 0.2, lambda t: 1.0 + np.sin(3.0 * t)), pair),
+        (CouplingSpec.spin1(g, 0.4), _spin1_state(g)),
+    ]
+
+
+def _chained_steps(st, spec, dt, keep):
+    out = []
+    for k in range(1, keep[-1] + 1):
+        st = step(st, spec, dt)
+        if k in keep:
+            out.append(st)
+    return out
+
+
+@pytest.mark.parametrize("case", range(4), ids=["hartree", "gp", "rabi_B_of_t", "spin1"])
+def test_fused_trajectory_matches_chained_steps(case):
+    spec, st = _four_modes()[case]
+    dt, start = 7e-3, dataclasses.replace(st, time=0.0)
+    traj = evolve(start, spec, 50 * dt, dt, sample_every=7)  # 7 does not divide 50
+    sampled = [start, *_chained_steps(start, spec, dt, [*range(7, 50, 7), 50])]
+    # off-grid sample steps from a start time other than 0, run backwards
+    off_grid = integrate(st, spec, -dt, [3, 4, 11])
+    for got, want in ((traj.states, sampled),
+                      (off_grid, _chained_steps(st, spec, -dt, [3, 4, 11]))):
+        assert [s.time for s in got] == [s.time for s in want]
+        for a, b in zip(got, want, strict=True):
+            assert np.max(np.abs(_values(a) - _values(b))) < 1e-12
+
+
+def test_integrate_rejects_bad_sample_steps():
+    spec, st = _four_modes()[0]
+    for steps in ([], [0, 2], [3, 3], [4, 2]):
+        with pytest.raises(EffectiveError, match="increasing counts"):
+            integrate(st, spec, 1e-3, steps)
+
+
+@pytest.mark.parametrize("T, dt", [(math.nan, 1e-3), (1.0, math.nan), (math.inf, 1e-3),
+                                   (1.0, math.inf), (1.0, 1e-320)])
+def test_evolve_rejects_non_finite_time_arguments(T, dt):
+    _, spec, st = _hartree_setup(M=16)
+    with pytest.raises(EffectiveError, match="finite|too small"):
+        evolve(st, spec, T, dt)
+
+
+def test_unknown_mode_rejected_at_construction():
+    with pytest.raises(EffectiveError, match="unknown mode 'foo'"):
+        CouplingSpec(mode="foo", grid=make_grid(1, 16, 2 * np.pi))
 
 
 def test_unknown_kinetic_rejected_at_construction():

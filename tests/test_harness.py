@@ -138,6 +138,35 @@ def test_subnormal_dt_rejected_at_parse_time():
         parse_config("[time]\nt = 0.5\ndt = 1e-320\n")
 
 
+@pytest.mark.parametrize("dt", ["1e-300", "9.9e-09"])
+def test_step_count_above_the_ceiling_rejected(dt):
+    with pytest.raises(ConfigError, match=rf"\[time\] dt: {dt} is too small, t / dt exceeds "
+                                          r"100,000,000 steps"):
+        parse_config(f"[time]\nt = 1\ndt = {dt}\n")
+    assert parse_config("[time]\nt = 1\ndt = 1e-8\n").dt == 1e-8
+
+
+def test_repeated_expression_key_rejected():
+    with pytest.raises(ConfigError, match=r"\[system\] v1: amp given twice"):
+        parse_config("[system]\nv1 = cosine amp=1 amp=3\n")
+
+
+@pytest.mark.parametrize("line, needle", [
+    ("u0 = gaussian sigma=1e-300", "[system] u0: 'gaussian sigma=1e-300' samples to non-finite"),
+    ("v1 = gaussian sigma=1e-300", "[system] v1: 'gaussian sigma=1e-300' samples to non-finite"),
+    ("v0 = gaussian sigma=1e-3 x0=0.3", "[system] v0: 'gaussian sigma=1e-3 x0=0.3': "
+                                        "cannot normalize a zero field"),
+])
+def test_cli_effective_unusable_samples_are_config_errors(tmp_path, capsys, line, needle):
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text(f"[grid]\npoints = 16\n[system]\nmode = hartree\n{line}\n"
+                        f"[time]\nt = 0.01\n[output]\ndir = {tmp_path / 'eff'}\n")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert cli.main(["effective", str(cfg_path)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "eff").exists()
+
+
 @pytest.mark.parametrize("line, needle", [
     ("potential = box radius=0", "[system] potential: radius must be positive, got 0"),
     ("potential = gaussian sigma=-0.5", "[system] potential: sigma must be positive, got -0.5"),
@@ -240,17 +269,16 @@ def test_effective_trajectory_integrated_once_per_ratio(tmp_path, monkeypatch, e
     doc = MINIMAL.format(out=tmp_path).replace(
         "entries = 1,1; 2,2", f"entries = {entries}\nratio_fixed = false")
     cfg = parse_config(doc)
-    n_steps = round(cfg.T / cfg.dt)
-    real = harness_mod.step
+    real = harness_mod.integrate
     calls = []
 
-    def counting_step(*args):
+    def counting_integrate(*args):
         calls.append(args[1].c1)
         return real(*args)
 
-    monkeypatch.setattr(harness_mod, "step", counting_step)
+    monkeypatch.setattr(harness_mod, "integrate", counting_integrate)
     shared = run_convergence_sweep(cfg, threads=2)
-    assert len(calls) == trajectories * n_steps
+    assert len(calls) == trajectories
     # each entry alone integrates its own trajectory: the rows are the same bits
     for entry in shared.entries:
         assert entry.error is None
@@ -266,20 +294,20 @@ def test_failed_trajectory_fails_every_entry_of_its_ratio(tmp_path, monkeypatch)
     doc = MINIMAL.format(out=tmp_path).replace(
         "entries = 1,1; 2,2", "entries = 1,2; 2,2; 2,4\nratio_fixed = false")
     cfg = parse_config(doc)
-    real = harness_mod.step
+    real = harness_mod.integrate
 
-    def failing_step(state, spec, dt):
+    def failing_integrate(state, spec, dt, steps):
         if spec.c1 < 0.5:
             raise RuntimeError("synthetic step failure")
-        return real(state, spec, dt)
+        return real(state, spec, dt, steps)
 
-    monkeypatch.setattr(harness_mod, "step", failing_step)
+    monkeypatch.setattr(harness_mod, "integrate", failing_integrate)
     report = run_convergence_sweep(cfg)
     failed = {(e.n1, e.n2): e for e in report.entries if e.error is not None}
     assert sorted(failed) == [(1, 2), (2, 4)]
     for entry in failed.values():
         assert entry.error == "RuntimeError: synthetic step failure"
-        assert "in failing_step" in entry.traceback
+        assert "in failing_integrate" in entry.traceback
         assert entry.dim > 0 and entry.rows == []
     assert report.entries[1].error is None and len(report.entries[1].rows) == 2
 
