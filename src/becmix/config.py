@@ -98,6 +98,10 @@ def _parse_expr(text: str, slot: str, errors: list[str]) -> tuple[str, dict]:
     return name, kw
 
 
+# the sampling functions run with numpy's floating-point warnings off: a
+# sample that overflows or divides by zero (a gaussian's 2 sigma^2 underflows
+# for a tiny sigma) is reported by ExperimentConfig._sampled, naming its slot
+@np.errstate(all="ignore")
 def _potential_values(grid: Grid, name: str, kw: dict[str, float]) -> np.ndarray:
     """Sample an even periodic potential on the grid."""
     L = grid.length_per_axis
@@ -114,6 +118,7 @@ def _potential_values(grid: Grid, name: str, kw: dict[str, float]) -> np.ndarray
     return np.zeros(grid.shape)
 
 
+@np.errstate(all="ignore")
 def _orbital_values(grid: Grid, name: str, kw: dict[str, float | None]) -> np.ndarray:
     L = grid.length_per_axis
     x = grid.coordinate_arrays()[0]

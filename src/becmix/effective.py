@@ -22,7 +22,7 @@ trajectory and merges the two half flows between unsampled steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 import csv
 import math
 from typing import Callable, Sequence
@@ -183,6 +183,18 @@ def magnetization(state: OrbitalState) -> float:
     return float(hd * np.sum(np.abs(u.values) ** 2 - np.abs(w.values) ** 2))
 
 
+def _spatial_fft(dim: int):
+    """(fft, ifft) over the spatial axes 1..dim of a component stack.
+
+    On a 1-D grid that is the last axis, where np.fft.fft gives fftn's
+    values without its per-call axis handling.
+    """
+    if dim == 1:
+        return np.fft.fft, np.fft.ifft
+    axes = tuple(range(1, dim + 1))
+    return partial(np.fft.fftn, axes=axes), partial(np.fft.ifftn, axes=axes)
+
+
 def _potential_flow(spec: CouplingSpec):
     """The exact potential-only flow `flow(psi, tau, theta)` of one spec.
 
@@ -192,16 +204,16 @@ def _potential_flow(spec: CouplingSpec):
     F), so the flows of tau1 and tau2 compose to the flow of tau1 + tau2,
     with the angles added.
     """
-    axes = tuple(range(1, spec.grid.dim + 1))
     if spec.mode == "hartree":
         # W = hd ifft(K rho_hat), K = [[V1, c2 V12], [c1 V12, V2]] on the transforms
         V1, V2, V12 = spec.potential_transforms
         kernel = spec.grid.volume_element * np.array([[V1, spec.c2 * V12],
                                                       [spec.c1 * V12, V2]])
+        fft, ifft = _spatial_fft(spec.grid.dim)
 
         def flow(psi, tau, theta):
-            rho_hat = np.fft.fftn(np.abs(psi) ** 2, axes=axes)
-            W = np.fft.ifftn((kernel * rho_hat).sum(axis=1), axes=axes).real
+            rho_hat = fft(np.abs(psi) ** 2)
+            W = ifft((kernel * rho_hat).sum(axis=1)).real
             return np.exp(-1j * tau * W) * psi
         return flow
 
@@ -266,7 +278,7 @@ def integrate(state: OrbitalState, spec: CouplingSpec, dt: float,
         raise EffectiveError("dt must be nonzero")
     if not steps or steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
         raise EffectiveError(f"steps must be increasing counts >= 1, got {list(steps)!r}")
-    axes = tuple(range(1, spec.grid.dim + 1))
+    fft, ifft = _spatial_fft(spec.grid.dim)
     kin_phase = np.exp(-1j * dt * spec.grid.laplacian_symbol(spec.kinetic))
     flow = _potential_flow(spec)
     half = 0.5 * dt
@@ -276,7 +288,7 @@ def integrate(state: OrbitalState, spec: CouplingSpec, dt: float,
     t = state.time
     psi = flow(np.array([c.values for c in state.components]), half, half * B(t + 0.5 * half))
     for k in range(1, last + 1):
-        psi = np.fft.ifftn(kin_phase * np.fft.fftn(psi, axes=axes), axes=axes)
+        psi = ifft(kin_phase * fft(psi))
         closing = half * B((t + half) + 0.5 * half)
         t = t + dt
         if k not in sampled:

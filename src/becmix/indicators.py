@@ -371,7 +371,7 @@ class CountingProjectorSet:
             return beta * np.abs(last).max() < KRYLOV_TOL
 
         beta0, V, lam, U, _ = _lanczos(lambda x: self._mode.q_total(x.reshape(psi.shape)).ravel(),
-                                       psi, 2 * self.N + 2, accept)
+                                       psi, 2 * self.N + 2, accept, reorthogonalize=True)
         return sectors(lam), beta0 * U[0], U, V
 
     def split(self, state: ManyBodyState) -> np.ndarray:

@@ -16,9 +16,12 @@ with mean-field prefactors g = (1/N1, 1/N2, 1/(N1+N2)) or the
 short-range family amplitudes N^{2 beta - 1} V(N^beta x) in which the
 argument scaling is folded into the sampled kernel.
 
-Time propagation is a Lanczos approximation of exp(-i dt H) with full
-reorthogonalization: one Krylov space per step, the step length chosen
-from that space's residual estimate.
+Time propagation is a Lanczos approximation of exp(-i dt H): one Krylov
+space per step, the step length chosen from that space's residual
+estimate.  It runs the plain three-term recurrence, without
+reorthogonalization, which f(H) psi does not need; the counting split
+(indicators) shares the routine and reorthogonalizes, because it reads
+sectors off individual Ritz vectors.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "ManyBodyError",
     "build_basis",
     "occupation_states",
-    "apply_hamiltonian",
     "propagate",
     "product_state",
     "random_state",
@@ -346,7 +348,9 @@ class Hamiltonian:
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         P = psi.reshape(self.basis.shape)
-        out = self.hop_A @ P + (self.hop_B @ P.T).T + self.diag * P
+        out = self.diag * P
+        out += self.hop_A @ P
+        out += (self.hop_B @ P.T).T
         return out.ravel() if psi.ndim == 1 else out
 
     def expectation(self, state: ManyBodyState) -> float:
@@ -358,20 +362,22 @@ class Hamiltonian:
         return propagate(self, state, dt, krylov_dim=krylov_dim)
 
 
-def apply_hamiltonian(spec: HamiltonianSpec | Hamiltonian, state: ManyBodyState) -> ManyBodyState:
-    """H applied to a state (unnormalized result; Hermitian, sector-preserving)."""
-    H = spec if isinstance(spec, Hamiltonian) else Hamiltonian(spec, state.basis)
-    if H.basis is not state.basis and H.basis.shape != state.basis.shape:
-        raise ManyBodyError("state and Hamiltonian bases differ")
-    return ManyBodyState(state.basis, H.apply(state.psi), state.time)
+def _lanczos(apply_op, psi: np.ndarray, m_max: int, accept=lambda lam, U, beta: False, *,
+             reorthogonalize: bool):
+    """Lanczos on apply_op from psi by the three-term recurrence.
 
-
-def _lanczos(apply_op, psi: np.ndarray, m_max: int, accept=lambda lam, U, beta: False):
-    """Lanczos on apply_op from psi, with two-pass full reorthogonalization.
+    Each step forms w = A v_m - alpha_m v_m - beta_{m-1} v_{m-1} in place.
+    Time steps need nothing more: a Lanczos approximation of f(A) psi stays
+    accurate without orthogonality of the basis (Druskin, Greenbaum &
+    Knizhnerman 1998).  With reorthogonalize, which the counting split sets
+    because it reads sectors off the Ritz vectors, one classical Gram-Schmidt
+    pass over the basis follows, and a second one only when the first leaves
+    less than 1/sqrt(2) of ||w|| (Daniel, Gragg, Kaufman & Stewart 1976).
 
     Stops at breakdown, after m_max basis vectors, or once accept(lam, U,
     beta) holds.  Returns (beta0, V, lam, U, beta): beta0 = ||psi||, the
-    orthonormal basis as the rows of V (psi = beta0 V[0]), the eigenpairs
+    basis as the rows of V (psi = beta0 V[0]; orthonormal to round-off only
+    with reorthogonalize), the eigenpairs
     T = U diag(lam) U^T of the tridiagonal projection and the coupling beta
     out of the space, 0 at breakdown (the space is then invariant).  A zero
     psi gives beta0 = 0 and one zero basis vector, so all it spans is zero.
@@ -384,12 +390,20 @@ def _lanczos(apply_op, psi: np.ndarray, m_max: int, accept=lambda lam, U, beta: 
     betas: list[float] = []
     w, beta = psi.ravel(), beta0
     for m in range(1, m_max + 1):
-        V[m - 1] = w / beta
-        w = apply_op(V[m - 1])
-        alphas.append(float(np.vdot(V[m - 1], w).real))
-        for _ in range(2):
-            w = w - V[:m].T @ (V[:m] @ w.conj()).conj()
-        beta = float(np.linalg.norm(w))
+        # numpy divides complex by real through a complex division; the
+        # product with 1 / beta has the same bits, several times faster
+        v = np.multiply(w, 1.0 / beta, out=V[m - 1])
+        w = apply_op(v)
+        if betas:
+            w -= betas[-1] * V[m - 2]
+        alphas.append(float(np.vdot(v, w).real))
+        w -= alphas[-1] * v
+        beta = math.sqrt(np.vdot(w, w).real)
+        for _ in range(2 if reorthogonalize else 0):
+            w -= V[:m].T @ (V[:m] @ w.conj()).conj()
+            beta, before = math.sqrt(np.vdot(w, w).real), beta
+            if beta >= before / math.sqrt(2):
+                break
         # dense eigh of the at most m_max-square T keeps scipy.linalg unloaded
         lam, U = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         if beta < 1e-14 * max(1.0, np.abs(lam).max()):
@@ -426,14 +440,15 @@ def propagate(spec: HamiltonianSpec | Hamiltonian, state: ManyBodyState, dt: flo
     psi, remaining = state.psi.ravel(), dt
     while remaining:
         beta0, V, lam, U, beta = _lanczos(
-            H.apply, psi, krylov_dim + 1, lambda *space: error(remaining, *space) < KRYLOV_TOL)
+            H.apply, psi, krylov_dim + 1, lambda *space: error(remaining, *space) < KRYLOV_TOL,
+            reorthogonalize=False)
         tau = remaining
         while not error(tau, lam, U, beta) < KRYLOV_TOL:
             tau /= 2
             if abs(tau) < abs(dt) / MIN_STEP_FRACTION:
                 raise ManyBodyError(f"Krylov propagation needs steps below |dt|/"
                                     f"{MIN_STEP_FRACTION} with krylov_dim={krylov_dim}")
-        psi = beta0 * (V.T @ (U @ (np.exp(-1j * tau * lam) * U[0])))
+        psi = V.T @ (U @ (beta0 * np.exp(-1j * tau * lam) * U[0]))
         remaining -= tau
     return ManyBodyState(state.basis, psi.reshape(state.psi.shape), state.time + dt)
 

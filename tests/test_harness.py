@@ -157,12 +157,12 @@ def test_repeated_expression_key_rejected():
     ("v0 = gaussian sigma=1e-3 x0=0.3", "[system] v0: 'gaussian sigma=1e-3 x0=0.3': "
                                         "cannot normalize a zero field"),
 ])
+@pytest.mark.filterwarnings("error")  # the ConfigError is the only diagnostic
 def test_cli_effective_unusable_samples_are_config_errors(tmp_path, capsys, line, needle):
     cfg_path = tmp_path / "bad.ini"
     cfg_path.write_text(f"[grid]\npoints = 16\n[system]\nmode = hartree\n{line}\n"
                         f"[time]\nt = 0.01\n[output]\ndir = {tmp_path / 'eff'}\n")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert cli.main(["effective", str(cfg_path)]) == 2
+    assert cli.main(["effective", str(cfg_path)]) == 2
     assert needle in capsys.readouterr().err
     assert not (tmp_path / "eff").exists()
 

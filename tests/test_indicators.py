@@ -274,6 +274,18 @@ def test_counting_split_stable_up_to_the_cap_edge(n1, seed):
     assert max(np.linalg.norm(mode.q_total(p) - k * p) for k, p in enumerate(parts)) < 1e-11
 
 
+def test_counting_basis_stays_orthonormal_up_to_the_cap_edge():
+    # the counting split reads sectors off Ritz vectors, so its Lanczos basis
+    # is reorthogonalized: one Gram-Schmidt pass, a second one when needed
+    g = Grid(1, 4, 2.0)
+    for n1 in range(1, 25):
+        rng = np.random.default_rng(n1)
+        u = normalize(Field(g, rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+        basis = build_basis(4, n1, 1)
+        V = counting_projectors(basis, u, "A")._ritz(random_state(basis, rng).psi)[3]
+        assert np.abs(V.conj() @ V.T - np.eye(len(V))).max() < 1e-13
+
+
 def test_counting_matches_literal_symmetrized_strings():
     # N = 2, M = 3: P0 = p1 p2, P1 = q1 p2 + p1 q2, P2 = q1 q2
     g, u, v = _grid_and_orbitals(M=3)

@@ -12,7 +12,6 @@ from becmix.manybody import (
     HamiltonianSpec,
     ManyBodyError,
     ManyBodyState,
-    apply_hamiltonian,
     build_basis,
     load_state,
     manybody_energy,
@@ -129,7 +128,7 @@ def test_hamiltonian_matches_firstquant_dense(M, N1, N2):
     rng = np.random.default_rng(0)
     for _ in range(5):
         st = random_state(b, rng)
-        lhs = firstquant_vector(apply_hamiltonian(H, st)).ravel()
+        lhs = firstquant_vector(ManyBodyState(b, H.apply(st.psi))).ravel()
         rhs = Hfq @ firstquant_vector(st).ravel()
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -422,6 +421,28 @@ def test_propagate_substeps_large_step_against_dense():
     exact = scipy.linalg.expm(-5j * H.matrix.toarray()) @ st.psi.ravel()
     assert np.max(np.abs(out.psi.ravel() - exact)) < 1e-9
     assert abs(out.norm - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("M,n,L,T,krylov_dim", [
+    (6, 2, 3.0, 5.0, 30),
+    (6, 2, 3.0, 5.0, 12),
+    (4, 2, 0.5, 2.0, 30),          # ||H|| ~ 1024
+    (10, 1, 2 * np.pi, 20.0, 30),
+], ids=["M6", "M6-krylov12", "M4-large-norm", "M10-long"])
+def test_propagate_without_reorthogonalization_against_expm(M, n, L, T, krylov_dim):
+    # time steps run the plain three-term recurrence; one long call and
+    # 200 short ones must both stay at round-off of the exact propagator
+    g = Grid(1, M, L)
+    b = build_basis(M, n, n)
+    H = Hamiltonian(HamiltonianSpec.mean_field(g, *_cos_fields(g), n, n), b)
+    st = random_state(b, np.random.default_rng(M))
+    exact = scipy.linalg.expm(-1j * T * H.matrix.toarray()) @ st.psi.ravel()
+    many = st
+    for _ in range(200):
+        many = propagate(H, many, T / 200, krylov_dim=krylov_dim)
+    for out in (propagate(H, st, T, krylov_dim=krylov_dim), many):
+        assert np.max(np.abs(out.psi.ravel() - exact)) < 1e-12
+        assert abs(out.norm - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("dt", [0.0, np.inf, np.nan])
