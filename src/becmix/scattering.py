@@ -16,7 +16,9 @@ is what makes its norms shrink with N.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -146,13 +148,40 @@ def modified_potential(V_scaled: RadialPotential, shell: ShellPotential) -> Radi
     return RadialPotential(edges, V_scaled(mid) - shell(mid))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScatteringResult:
+    """The scattering length, and the radial solution exp(log) (u, du) at the
+    cell edges of V, from which the grid r (n_samples points of [0, r_max]),
+    the profile f and its deficit g = 1 - f are sampled on first read."""
+
     scattering_length: float
-    r: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
     support_radius: float
+    V: RadialPotential
+    u: list[float]
+    du: list[float]
+    log: list[float]
+    r_max: float
+    n_samples: int
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return np.linspace(0.0, self.r_max, self.n_samples)
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        r, edges, log, kappa = self.r, self.V.edges, self.log, self.du[-1]
+        j = np.searchsorted(edges, r, side="right") - 1  # past R: the exterior line, q = 0
+        c_r, m01_r, _, g_r = _transfer(np.append(0.5 * self.V.values, 0.0)[j], r - edges[j])
+        with np.errstate(all="ignore"):  # under/overflow behind hard barriers, 0/0 at r = 0
+            u_r = np.exp(np.take(log, j) + g_r - log[-1]) * (
+                c_r * np.take(self.u, j) + m01_r * np.take(self.du, j))
+            f = u_r / (kappa * r)
+            f[0] = np.exp(-log[-1]) / kappa
+        return f
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return 1.0 - self.f
 
 
 def _transfer(q: np.ndarray, s: np.ndarray):
@@ -195,18 +224,20 @@ def scattering_length(V: RadialPotential, r_max: float, *,
 
     (u, u') is carried from u(0) = 0, u'(0) = 1 to the support radius R by
     the exact propagator of each cell of V; beyond R, u = kappa (r - a)
-    with a = R - u(R)/u'(R).  f = u/(kappa r) is sampled on n_samples
-    points of [0, r_max].  Every zero of u at r > 0, the exterior one at
+    with a = R - u(R)/u'(R), returned at once.  The profile f = u/(kappa r)
+    on n_samples points of [0, r_max] is sampled on first read of the
+    result's r, f or g.  Every zero of u at r > 0, the exterior one at
     r = a > R included, is located exactly and raises BoundStateError
     unless it lies in the allowed window (shell-modified problems may
     push u through zero between the shell radii without invalidating the
     exterior line).
     """
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
+        raise ScatteringError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     R = V.support_radius
     if R == 0.0:
-        r = np.linspace(0.0, max(r_max, 1.0), n_samples)
-        return ScatteringResult(0.0, r, np.ones_like(r), np.zeros_like(r), 0.0)
-    if not (r_max > 2.0 * R):
+        r_max = max(r_max, 1.0)  # no cells: u = r, so a = 0 and f = 1
+    elif not (r_max > 2.0 * R):
         raise ScatteringError(f"r_max must exceed twice the support radius {R}")
     edges = V.edges
     lo, width = edges[:-1], np.diff(edges)
@@ -230,16 +261,7 @@ def scattering_length(V: RadialPotential, r_max: float, *,
                  else f" outside the allowed window [{w_lo:.6g}, {w_hi:.6g}]")
         raise BoundStateError(f"radial solution crosses zero at r = {outside[0]:.6g}{where}; "
                               "the potential supports a bound state")
-
-    r = np.linspace(0.0, r_max, n_samples)
-    j = np.searchsorted(edges, r, side="right") - 1  # past R: the exterior line, q = 0
-    c_r, m01_r, _, g_r = _transfer(np.append(q, 0.0)[j], r - edges[j])
-    with np.errstate(all="ignore"):  # under/overflow behind hard barriers, 0/0 at r = 0
-        u_r = np.exp(np.take(log, j) + g_r - log[-1]) * (
-            c_r * np.take(u, j) + m01_r * np.take(du, j))
-        f = u_r / (kappa * r)
-        f[0] = np.exp(-log[-1]) / kappa
-    return ScatteringResult(float(a), r, f, 1.0 - f, R)
+    return ScatteringResult(float(a), R, V, u, du, log, r_max, n_samples)
 
 
 def g_norms(result: ScatteringResult) -> tuple[float, float, float]:

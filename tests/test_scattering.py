@@ -149,6 +149,31 @@ def test_r_max_precondition():
         scattering_length(BARRIER, 1.5)
 
 
+@pytest.mark.parametrize("n_samples", [0, 1, -5, 2.5, 4001.0, "4001"])
+def test_bad_n_samples_rejected_at_call(n_samples):
+    for V in (BARRIER, RadialPotential(np.array([0.0]), np.array([]))):
+        with pytest.raises(ScatteringError, match="n_samples must be an integer >= 2"):
+            scattering_length(V, 2.5, n_samples=n_samples)
+
+
+def test_profile_same_whatever_is_read_first():
+    shell = calibrate_shell(BARRIER, 16, 1.0)
+    mod = modified_potential(scale_potential(BARRIER, 16, 1.0), shell)
+
+    def solve():
+        return scattering_length(mod, 2.5 * mod.support_radius, n_samples=np.int64(4001),
+                                 allow_crossing_window=(shell.inner_radius,
+                                                        shell.outer_radius))
+
+    norms_first, profile_first = solve(), solve()
+    f = profile_first.f.copy()
+    norms = g_norms(norms_first)
+    assert g_norms(profile_first) == norms
+    assert np.array_equal(norms_first.f, f)
+    assert np.array_equal(norms_first.g, 1.0 - f)
+    assert norms_first.r.size == 4001 and norms_first.r[-1] == 2.5 * mod.support_radius
+
+
 def test_g_norms_against_closed_form():
     # inside the barrier u = sinh(r), outside the line kappa (r - a);
     # f = u / (kappa r) with kappa = cosh(1)
@@ -179,6 +204,12 @@ def test_calibration_cancels_scattering_length():
     res = scattering_length(mod, 2.5 * mod.support_radius,
                             allow_crossing_window=(shell.inner_radius, shell.outer_radius))
     assert abs(res.scattering_length) < 1e-8 * BARRIER.support_radius
+
+
+@pytest.mark.parametrize("N, beta, C", [(8, 1.0, 1.1734511758104325),
+                                          (16, 0.5, 1.182494917058338)])
+def test_calibration_pinned_to_the_last_bit(N, beta, C):
+    assert calibrate_shell(BARRIER, N, beta).C == C
 
 
 def test_calibration_deterministic():
