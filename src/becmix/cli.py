@@ -150,18 +150,22 @@ def _cmd_check(args) -> int:
     return 1 if failures else 0
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """An argparse type that accepts the decimal integers >= low."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="becmix", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", help="output directory (overrides [output] dir)")
-    parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--threads", type=_positive_int, default=1, help="ladder concurrency")
+    parser.add_argument("--seed", type=_int_at_least(0), help="seed override")
+    parser.add_argument("--threads", type=_int_at_least(1), default=1,
+                        help="ladder concurrency")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, needs_config in (("sweep", _cmd_sweep, True),
                                    ("effective", _cmd_effective, True),

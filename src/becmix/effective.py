@@ -42,7 +42,6 @@ __all__ = [
     "mass",
     "magnetization",
     "kinetic_energy",
-    "gp_energy",
     "hartree_energy",
     "conserved_energy",
 ]
@@ -385,27 +384,6 @@ def kinetic_energy(f: Field, kinetic: str = "spectral") -> float:
 
 def _quartic(f: np.ndarray, g: np.ndarray, hd: float) -> float:
     return float(hd * np.sum(np.abs(f) ** 2 * np.abs(g) ** 2))
-
-
-def gp_energy(state: OrbitalState, spec: CouplingSpec) -> float:
-    """Gross-Pitaevskii energy functional of a two-component state.
-
-    kinetic(u) + kinetic(v) + 4 pi a1 int |u|^4 + 4 pi a2 int |v|^4
-    + 8 pi a12 int |u|^2 |v|^2.  Note this unweighted form is the
-    energy whose vanishing-coupling limit is the total kinetic energy;
-    the quantity conserved by the c-weighted flow is
-    `conserved_energy`, which carries c1/c2 weights.
-    """
-    if spec.mode != "gross_pitaevskii":
-        raise EffectiveError(f"gp_energy needs gross_pitaevskii mode, got {spec.mode}")
-    u, v = (c.values for c in state.components)
-    hd = spec.grid.volume_element
-    kin = kinetic_energy(state.components[0], spec.kinetic) \
-        + kinetic_energy(state.components[1], spec.kinetic)
-    return (kin
-            + 4.0 * np.pi * spec.a1 * _quartic(u, u, hd)
-            + 4.0 * np.pi * spec.a2 * _quartic(v, v, hd)
-            + 8.0 * np.pi * spec.a12 * _quartic(u, v, hd))
 
 
 def hartree_energy(state: OrbitalState, spec: CouplingSpec) -> float:

@@ -207,53 +207,39 @@ def periodic_convolve(V: Field, rho: Field) -> Field:
     return V.with_values(out)
 
 
-def write_tagged(path, magic: str, meta: dict, values: np.ndarray) -> None:
-    """Write `magic`, one `key = value` line per meta entry, a blank line,
-    then the row-major values as little-endian (real, imag) float64 pairs."""
-    header = "".join([f"{magic}\n", *(f"{key} = {val}\n" for key, val in meta.items()), "\n"])
+def save_field(f: Field, path) -> None:
+    """Write the `becmix-field 1` line, `dim`, `M` and `L` as `key = value`
+    lines, a blank line, then the row-major values as little-endian
+    (real, imag) float64 pairs."""
+    g = f.grid
+    header = (f"{_HEADER_MAGIC}\ndim = {g.dim}\nM = {g.points_per_axis}\n"
+              f"L = {g.length_per_axis!r}\n\n")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(values).astype("<c16").tobytes())
+        fh.write(f.values.astype("<c16").tobytes())
 
 
-def read_tagged(path, magic: str, what: str, error: type[ValueError], parse):
-    """Read a `write_tagged` file as (parse(meta)[0], flat values).
+def load_field(path) -> Field:
+    """Read a `save_field` file.
 
-    parse(meta) returns the header's meaning and the number of values the
-    payload must hold; a wrong magic line, a missing or bad header value
-    and a payload of the wrong size raise `error` naming the path.
+    A wrong magic line, a missing or bad header value and a payload of the
+    wrong size raise GridError naming the path.
     """
     with open(path, "rb") as fh:
         head, _, payload = fh.read().partition(b"\n\n")
     lines = head.decode("ascii", "replace").splitlines()
-    if not lines or lines[0] != magic:
-        raise error(f"{path}: not a {what}")
+    if not lines or lines[0] != _HEADER_MAGIC:
+        raise GridError(f"{path}: not a field file")
     meta = {key.strip(): val.strip() for key, _, val in (line.partition("=") for line in lines[1:])}
     try:
-        header, count = parse(meta)
+        grid = Grid(int(meta["dim"]), int(meta["M"]), float(meta["L"]))
     except KeyError as exc:
-        raise error(f"{path}: header lacks {exc.args[0]}") from None
+        raise GridError(f"{path}: header lacks {exc.args[0]}") from None
     except ValueError as exc:
-        raise error(f"{path}: bad header: {exc}") from exc
+        raise GridError(f"{path}: bad header: {exc}") from exc
+    count = grid.total_points
     expected = count * np.dtype("<c16").itemsize
     if len(payload) != expected:
-        raise error(f"{path}: payload is {len(payload)} bytes, expected {expected} "
-                    f"for {count} values")
-    return header, np.frombuffer(payload, dtype="<c16")
-
-
-def save_field(f: Field, path) -> None:
-    """Write a field as a structured-text header (dim, M, L) plus raw binary payload."""
-    g = f.grid
-    write_tagged(path, _HEADER_MAGIC, {"dim": g.dim, "M": g.points_per_axis,
-                                       "L": repr(g.length_per_axis)}, f.values)
-
-
-def load_field(path) -> Field:
-    """Read a `save_field` file; a malformed file raises GridError naming it."""
-    def parse(meta):
-        grid = Grid(int(meta["dim"]), int(meta["M"]), float(meta["L"]))
-        return grid, grid.total_points
-
-    grid, values = read_tagged(path, _HEADER_MAGIC, "field file", GridError, parse)
-    return Field(grid, values.reshape(grid.shape))
+        raise GridError(f"{path}: payload is {len(payload)} bytes, expected {expected} "
+                        f"for {count} values")
+    return Field(grid, np.frombuffer(payload, dtype="<c16").reshape(grid.shape))

@@ -424,8 +424,6 @@ def _dressing(kernel_bare: np.ndarray, density: np.ndarray, h: float) -> np.ndar
 
 def _static_diagonals(basis: TwoSpeciesBasis, spec: HamiltonianSpec):
     """The interactions of the three channels, fixed along a run."""
-    if spec.scaling != "mean_field":
-        raise IndicatorError("derivative channels are defined for the mean-field scaling")
     if spec.grid.points_per_axis != basis.M:
         raise IndicatorError("state, orbitals and interaction spec must share one grid")
     return _interaction_diagonals(basis, spec)

@@ -12,9 +12,7 @@ two-body terms sampled on the periodic displacement:
         + g2 * sum_{r<s} V2(y_r - y_s)   (within species B)
         + g12 * sum_{i,r} V12(x_i - y_r) (across species)
 
-with mean-field prefactors g = (1/N1, 1/N2, 1/(N1+N2)) or the
-short-range family amplitudes N^{2 beta - 1} V(N^beta x) in which the
-argument scaling is folded into the sampled kernel.
+with mean-field prefactors g = (1/N1, 1/N2, 1/(N1+N2)).
 
 Time propagation is a Lanczos approximation of exp(-i dt H): one Krylov
 space per step, the step length chosen from that space's residual
@@ -29,11 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import math
-from typing import Callable
 
 import numpy as np
 
-from .grids import Field, Grid, l2_norm, read_tagged, write_tagged
+from .grids import Field, Grid, l2_norm
 
 __all__ = [
     "TwoSpeciesBasis",
@@ -47,11 +44,8 @@ __all__ = [
     "product_state",
     "random_state",
     "manybody_energy",
-    "save_state",
-    "load_state",
 ]
 
-BASIS_ORDER_TAG = "lex-v1"
 DEFAULT_DIM_CAP = 200_000
 
 
@@ -194,24 +188,16 @@ class ManyBodyState:
         return float(np.linalg.norm(self.psi))
 
 
-def _displacement_kernel(grid: Grid, V) -> np.ndarray:
-    """Sample V on the signed periodic displacement of a 1D grid.
-
-    Accepts a Field (values are taken as the kernel directly, validated
-    even) or a callable evaluated at the wrapped displacement.
-    """
+def _displacement_kernel(grid: Grid, V: Field) -> np.ndarray:
+    """The values of V, a real and even field on the 1D grid, as a kernel
+    on the signed periodic displacement."""
     if grid.dim != 1:
         raise ManyBodyError("the many-body harness is one-dimensional")
-    M = grid.points_per_axis
-    if isinstance(V, Field):
-        if V.grid != grid:
-            raise ManyBodyError("potential field lives on a different grid")
-        vals = V.values.real.copy()
-        if not V.is_real(1e-10):
-            raise ManyBodyError("potential must be real")
-    else:
-        d = grid.signed_coordinates()[0]
-        vals = np.asarray(V(np.abs(d)), dtype=float)
+    if V.grid != grid:
+        raise ManyBodyError("potential field lives on a different grid")
+    if not V.is_real(1e-10):
+        raise ManyBodyError("potential must be real")
+    vals = V.values.real.copy()
     if np.max(np.abs(vals - np.roll(vals[::-1], 1))) > 1e-10 * (np.max(np.abs(vals)) or 1.0):
         raise ManyBodyError("potential kernel is not even under site reflection")
     return vals
@@ -219,7 +205,7 @@ def _displacement_kernel(grid: Grid, V) -> np.ndarray:
 
 @dataclass
 class HamiltonianSpec:
-    """Scaling tag plus sampled two-body kernels and particle numbers.
+    """Sampled two-body kernels and particle numbers.
 
     Kernels carry their interaction prefactors already folded in, so the
     Hamiltonian is literally hopping + sum of sampled kernels.
@@ -231,8 +217,6 @@ class HamiltonianSpec:
     kernel1: np.ndarray
     kernel2: np.ndarray
     kernel12: np.ndarray
-    scaling: str = "mean_field"
-    beta: float | None = None
 
     @property
     def c1(self) -> float:
@@ -247,31 +231,10 @@ class HamiltonianSpec:
         k1 = _displacement_kernel(grid, V1) / N1
         k2 = _displacement_kernel(grid, V2) / N2
         k12 = _displacement_kernel(grid, V12) / (N1 + N2)
-        return cls(grid, N1, N2, k1, k2, k12, scaling="mean_field")
-
-    @classmethod
-    def beta_family(cls, grid: Grid, V1: Callable, V2: Callable, V12: Callable,
-                    N1: int, N2: int, beta: float) -> "HamiltonianSpec":
-        """1D short-range family: kernel_N(x) = N^{2 beta - 1} V(N^beta x).
-
-        beta -> 0 recovers the mean-field prefactor 1/N; beta -> 1 is the
-        strongly concentrated limit (out of desk-scale reach, but exposed).
-        """
-        if not (0.0 < beta < 1.0):
-            raise ManyBodyError("beta must lie in (0, 1) for the lattice family")
-        d = np.abs(grid.signed_coordinates()[0])
-
-        def sample(V, N):
-            s = float(N) ** beta
-            return float(N) ** (2.0 * beta - 1.0) * np.asarray(V(d * s), dtype=float)
-
-        return cls(grid, N1, N2, sample(V1, N1), sample(V2, N2), sample(V12, N1 + N2),
-                   scaling="beta_family", beta=beta)
+        return cls(grid, N1, N2, k1, k2, k12)
 
     def bare_kernel(self, which: str) -> np.ndarray:
         """Kernel without the mean-field 1/N prefactor (dressing potentials)."""
-        if self.scaling != "mean_field":
-            raise ManyBodyError("bare kernels are defined for the mean-field scaling")
         if which == "1":
             return self.kernel1 * self.N1
         if which == "2":
@@ -491,30 +454,3 @@ def manybody_energy(spec: HamiltonianSpec | Hamiltonian, state: ManyBodyState) -
     H = spec if isinstance(spec, Hamiltonian) else Hamiltonian(spec, state.basis)
     return H.expectation(state) / (state.basis.N1 + state.basis.N2)
 
-
-_STATE_MAGIC = "becmix-state 1"
-
-
-def save_state(state: ManyBodyState, grid: Grid, path) -> None:
-    """Checkpoint: structured-text header plus little-endian coefficients."""
-    b = state.basis
-    write_tagged(path, _STATE_MAGIC, {"M": b.M, "L": repr(grid.length_per_axis), "N1": b.N1,
-                                      "N2": b.N2, "time": repr(state.time),
-                                      "basis_order": BASIS_ORDER_TAG}, state.psi)
-
-
-def load_state(path) -> tuple[ManyBodyState, Grid]:
-    """Read a `save_state` checkpoint; a malformed file raises ManyBodyError naming it."""
-    def parse(meta):
-        if meta.get("basis_order") != BASIS_ORDER_TAG:
-            raise ValueError(f"basis order {meta.get('basis_order')!r} does not match "
-                             f"{BASIS_ORDER_TAG!r}")
-        M, N1, N2 = int(meta["M"]), int(meta["N1"]), int(meta["N2"])
-        grid = Grid(1, M, float(meta["L"]))
-        return (M, N1, N2, grid, float(meta["time"])), _basis_dim(M, N1, N2)
-
-    # the payload was checked against the header's dimension: no cap applies
-    (M, N1, N2, grid, time), psi = read_tagged(path, _STATE_MAGIC, "state checkpoint",
-                                               ManyBodyError, parse)
-    basis = build_basis(M, N1, N2, dim_cap=psi.size)
-    return ManyBodyState(basis, psi.reshape(basis.shape), time), grid

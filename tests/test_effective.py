@@ -12,7 +12,6 @@ from becmix.effective import (
     OrbitalState,
     conserved_energy,
     evolve,
-    gp_energy,
     hartree_energy,
     integrate,
     kinetic_energy,
@@ -116,29 +115,30 @@ def test_energy_conserved_with_asymmetric_populations():
     assert np.max(np.abs(energies - energies[0])) / abs(energies[0]) < 1e-6
 
 
-def test_gp_energy_examples_and_conservation():
-    # constant fields on a unit-volume box with a1 = a2 = 1: 4 pi + 4 pi
+def test_gp_conserved_energy_examples_and_conservation():
+    # constant fields on a unit-volume box with a1 = a2 = 1, c1 = 1/2: 2 pi + 2 pi
     g = make_grid(1, 16, 1.0)
     u = normalize(Field(g, np.ones(16)))
     spec = CouplingSpec.gross_pitaevskii(g, 1.0, 1.0, 0.0)
     st = OrbitalState((u, u), 0.0)
-    assert gp_energy(st, spec) == pytest.approx(8 * np.pi, rel=1e-12)
+    assert conserved_energy(st, spec) == pytest.approx(4 * np.pi, rel=1e-12)
 
     g2 = make_grid(1, 32, 2 * np.pi)
     x = g2.axis_coordinates
     u2 = normalize(Field(g2, np.exp(2j * x)))
     v2 = normalize(Field(g2, np.ones(32)))
     spec2 = CouplingSpec.gross_pitaevskii(g2, 0.0, 0.0, 0.0)
-    assert gp_energy(OrbitalState((u2, v2), 0.0), spec2) == pytest.approx(4.0, rel=1e-12)
+    # kinetic energies 4 and 0, weighted by c1 = c2 = 1/2
+    assert conserved_energy(OrbitalState((u2, v2), 0.0), spec2) == pytest.approx(2.0, rel=1e-12)
 
     # without cross coupling the functional is conserved along the flow
     spec3 = CouplingSpec.gross_pitaevskii(g2, 0.02, 0.015, 0.0)
     st3 = OrbitalState((normalize(Field(g2, 1 + 0.3 * np.cos(x))),
                         normalize(Field(g2, 1 + 0.2 * np.cos(2 * x)))), 0.0)
-    vals = [gp_energy(st3, spec3)]
+    vals = [conserved_energy(st3, spec3)]
     for _ in range(1000):
         st3 = step(st3, spec3, 1e-3)
-        vals.append(gp_energy(st3, spec3))
+        vals.append(conserved_energy(st3, spec3))
     drift = np.max(np.abs(np.array(vals) - vals[0])) / abs(vals[0])
     assert drift < 1e-6
 
@@ -177,8 +177,6 @@ def test_hartree_energy_values():
 
 def test_wrong_mode_errors():
     g, spec, st = _hartree_setup(M=16)
-    with pytest.raises(EffectiveError):
-        gp_energy(st, spec)
     spec_gp = CouplingSpec.gross_pitaevskii(g, 0.0, 0.0, 0.0)
     with pytest.raises(EffectiveError):
         hartree_energy(st, spec_gp)

@@ -502,6 +502,18 @@ def test_cli_threads_must_be_positive(tmp_path, capsys, threads):
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "seven"])
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_cli_seed_must_be_nonnegative(tmp_path, capsys, seed, command):
+    cfg_path = tmp_path / "sweep.ini"
+    cfg_path.write_text(MINIMAL.format(out=tmp_path / "sweep"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--seed", seed, command, *([str(cfg_path)] if command == "sweep" else [])])
+    assert exc.value.code == 2
+    assert "argument --seed: expected an integer >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_cli_scattering(tmp_path):
     doc = """
 [system]

@@ -460,17 +460,6 @@ def test_derivative_identity_second_order():
     assert errs[1] / errs[2] == pytest.approx(4.0, abs=1.0)
 
 
-def test_derivative_requires_mean_field_scaling():
-    g, *_ = _meanfield_problem()
-    V = lambda r: np.exp(-np.asarray(r) ** 2)
-    spec = HamiltonianSpec.beta_family(g, V, V, V, 2, 2, beta=0.5)
-    basis = build_basis(6, 2, 2)
-    _, _, _, _, u, v, _, _ = _meanfield_problem()
-    st = random_state(basis, np.random.default_rng(11))
-    with pytest.raises(IndicatorError):
-        derivative_decomposition(st, u, v, spec)
-
-
 # ---------------------------------------------------------------------------
 # insertion sandwiches
 

@@ -13,13 +13,11 @@ from becmix.manybody import (
     ManyBodyError,
     ManyBodyState,
     build_basis,
-    load_state,
     manybody_energy,
     occupation_states,
     product_state,
     propagate,
     random_state,
-    save_state,
 )
 
 
@@ -337,78 +335,25 @@ def test_species_exchange_symmetry():
     assert res["fwd"][3] == pytest.approx(res["swap"][2], abs=1e-12)
 
 
-def test_beta_family_matches_meanfield_prefactor_at_small_beta():
-    g = Grid(1, 8, 4.0)
-    V = lambda r: np.exp(-np.asarray(r) ** 2)
-    spec = HamiltonianSpec.beta_family(g, V, V, V, 2, 2, beta=1e-9)
-    mf = HamiltonianSpec.mean_field(
-        g, Field(g, V(np.abs(g.signed_coordinates()[0]))),
-        Field(g, V(np.abs(g.signed_coordinates()[0]))),
-        Field(g, V(np.abs(g.signed_coordinates()[0]))), 2, 2)
-    assert np.max(np.abs(spec.kernel1 - mf.kernel1)) < 1e-7
-
-
-def test_beta_family_concentrates():
-    g = Grid(1, 16, 8.0)
-    V = lambda r: np.exp(-np.asarray(r) ** 2)
-    k_soft = HamiltonianSpec.beta_family(g, V, V, V, 4, 4, beta=0.25).kernel1
-    k_hard = HamiltonianSpec.beta_family(g, V, V, V, 4, 4, beta=0.75).kernel1
-    assert k_hard[0] > k_soft[0]           # taller on site
-    assert k_hard[4] < k_soft[4]           # narrower off site
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    g = Grid(1, 5, 2.5)
-    b = build_basis(5, 2, 1)
-    st = random_state(b, np.random.default_rng(6))
-    st.time = 0.75
-    path = tmp_path / "state.bin"
-    save_state(st, g, path)
-    back, grid = load_state(path)
-    assert grid == g
-    assert back.time == 0.75
-    assert np.array_equal(back.psi, st.psi)
-
-
-def test_checkpoint_of_a_raised_cap_basis_roundtrips(tmp_path):
-    # dim 213,444 exceeds the default cap; the payload length bounds the load
-    g = Grid(1, 6, 2.0)
-    st = random_state(build_basis(6, 6, 6, dim_cap=300_000), np.random.default_rng(5))
-    path = tmp_path / "state.bin"
-    save_state(st, g, path)
-    back, grid = load_state(path)
-    assert grid == g
-    assert back.basis.shape == st.basis.shape
-    assert np.array_equal(back.psi, st.psi)
-
-
-def test_checkpoint_rejects_wrong_basis_tag(tmp_path):
-    g = Grid(1, 4, 2.0)
-    b = build_basis(4, 1, 1)
-    st = random_state(b, np.random.default_rng(7))
-    path = tmp_path / "state.bin"
-    save_state(st, g, path)
-    data = path.read_bytes().replace(b"lex-v1", b"lex-v9")
-    path.write_bytes(data)
-    with pytest.raises(ManyBodyError):
-        load_state(path)
-
-
-def test_checkpoint_rejects_malformed_file(tmp_path):
-    g = Grid(1, 4, 2.0)
-    st = random_state(build_basis(4, 1, 1), np.random.default_rng(7))
-    path = tmp_path / "state.bin"
-    save_state(st, g, path)
-    good = path.read_bytes()
-    n = 16 * st.basis.dim
-    for data, needle in ((good[:-8], f"payload is {n - 8} bytes, expected {n}"),
-                         (good + b"\0" * 16, f"payload is {n + 16} bytes, expected {n}"),
-                         (good.replace(b"N1 = 1\n", b""), "header lacks N1"),
-                         (good.replace(b"M = 4", b"M = four"), "bad header")):
-        path.write_bytes(data)
-        with pytest.raises(ManyBodyError, match=needle) as err:
-            load_state(path)
-        assert str(path) in str(err.value)
+@pytest.mark.parametrize("case,message", [
+    ("grid_2d", "the many-body harness is one-dimensional"),
+    ("other_grid", "potential field lives on a different grid"),
+    ("complex", "potential must be real"),
+    ("odd", "potential kernel is not even under site reflection"),
+])
+def test_mean_field_rejects_unusable_potential(case, message):
+    g = Grid(1, 6, 3.0)
+    x = g.axis_coordinates
+    even = Field(g, np.cos(2 * np.pi * x / 3.0))
+    grid, bad = {
+        "grid_2d": (Grid(2, 6, 3.0), Field(Grid(2, 6, 3.0), np.ones((6, 6)))),
+        "other_grid": (g, Field(Grid(1, 6, 4.0), even.values)),
+        "complex": (g, Field(g, (1 + 0.5j) * even.values)),
+        "odd": (g, Field(g, np.sin(2 * np.pi * x / 3.0))),
+    }[case]
+    with pytest.raises(ManyBodyError) as err:
+        HamiltonianSpec.mean_field(grid, even, even, bad, 1, 1)
+    assert str(err.value) == message
 
 
 def test_propagate_substeps_large_step_against_dense():
