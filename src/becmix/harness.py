@@ -4,9 +4,10 @@ One sweep runs the particle-number ladder of an ExperimentConfig.  The
 coupled convolution system is advanced in dt Strang steps once per
 distinct c1 (lattice kinetic term on both sides, so the derivative
 identity is exact) and kept at the sample points.  Each entry prepares
-the condensed product state, propagates it from one sample point to the
-next in one step-controlled Krylov propagation, and samples every
-indicator column there against the orbitals of its c1.  Reports are
+the condensed product state, draws its states at all sample points from
+one Krylov propagation (each Krylov space serves every sample it
+reaches), and samples every indicator column there against the orbitals
+of its c1.  Reports are
 deterministic functions of (config, seed): re-running writes
 byte-identical CSVs at any thread count, since entries are independent
 and assembled in ladder order.
@@ -17,9 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import pairwise
 from pathlib import Path
 from traceback import format_exc
 
@@ -33,7 +32,8 @@ from .indicators import SampleEvaluator, weight_m, weight_n, weight_s
 # the sweep no longer calls these; perfbench/tracer.py patches them on this module
 from .indicators import (alpha_11, condensate_depletion, derivative_decomposition,  # noqa: F401
                          reduce_density, trace_distance, weight_expectation)  # noqa: F401
-from .manybody import Hamiltonian, HamiltonianSpec, build_basis, manybody_energy, product_state
+from .manybody import (Hamiltonian, HamiltonianSpec, build_basis, manybody_energy, product_state,
+                       propagate_through)
 
 __all__ = ["SweepEntry", "SweepReport", "HarnessError", "run_convergence_sweep", "emit_report"]
 
@@ -121,9 +121,9 @@ def _run_entry(cfg: ExperimentConfig, n1: int, n2: int, traj: _Trajectory) -> Sw
         entry.rows.append((0.0, *evaluate(psi, *eff.components)))
         if entry.rows[0][1] > 1e-10:
             raise HarnessError(f"product initial data has alpha(0) = {entry.rows[0][1]:.3e}")
-        for (last, k), eff in zip(pairwise(traj.steps), traj.orbitals[1:], strict=True):
-            psi = H.propagate(psi, (k - last) * cfg.dt)
-            entry.rows.append((k * cfg.dt, *evaluate(psi, *eff.components)))
+        offsets = [k * cfg.dt for k in traj.steps[1:]]
+        for psi, eff in zip(propagate_through(H, psi, offsets), traj.orbitals[1:], strict=True):
+            entry.rows.append((psi.time, *evaluate(psi, *eff.components)))
         entry.alpha_probe = entry.rows[traj.steps.index(round(cfg.probe_time / cfg.dt))][1]
     except Exception as exc:  # keep the sweep alive; the entry carries the diagnostic
         entry.error = f"{type(exc).__name__}: {exc}"
@@ -146,6 +146,9 @@ def run_convergence_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepRepor
     def each(fn, items):
         if threads <= 1:
             return [fn(item) for item in items]
+        # imported here: concurrent.futures and the logging it loads cost every process
+        # several ms at start-up
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
 

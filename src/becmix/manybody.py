@@ -14,9 +14,10 @@ two-body terms sampled on the periodic displacement:
 
 with mean-field prefactors g = (1/N1, 1/N2, 1/(N1+N2)).
 
-Time propagation is a Lanczos approximation of exp(-i dt H): one Krylov
-space per step, the step length chosen from that space's residual
-estimate.  It runs the plain three-term recurrence, without
+Time propagation is a Lanczos approximation of exp(-i t H) psi at a
+sequence of sample times: each Krylov space serves every sample its
+residual estimate reaches, and halves its step only when it reaches
+none.  It runs the plain three-term recurrence, without
 reorthogonalization, which f(H) psi does not need; the counting split
 (indicators) shares the routine and reorthogonalizes, because it reads
 sectors off individual Ritz vectors.
@@ -24,8 +25,10 @@ sectors off individual Ritz vectors.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 import math
 
 import numpy as np
@@ -41,12 +44,16 @@ __all__ = [
     "build_basis",
     "occupation_states",
     "propagate",
+    "propagate_through",
     "product_state",
     "random_state",
     "manybody_energy",
 ]
 
 DEFAULT_DIM_CAP = 200_000
+KRYLOV_TOL = 1e-12
+MIN_STEP_FRACTION = 4096
+KRYLOV_DIM = 17   # default cap on a time step's Krylov space: krylov_dim + 1 vectors
 
 
 class ManyBodyError(ValueError):
@@ -324,7 +331,7 @@ class Hamiltonian:
         return float(val.real)
 
     def propagate(self, state: ManyBodyState, dt: float, *,
-                  krylov_dim: int = 30) -> ManyBodyState:
+                  krylov_dim: int = KRYLOV_DIM) -> ManyBodyState:
         return propagate(self, state, dt, krylov_dim=krylov_dim)
 
 
@@ -379,44 +386,75 @@ def _lanczos(apply_op, psi: np.ndarray, m_max: int, accept=lambda lam, U, beta: 
         betas.append(beta)
 
 
-KRYLOV_TOL = 1e-12
-MIN_STEP_FRACTION = 4096
-
-
 def propagate(spec: HamiltonianSpec | Hamiltonian, state: ManyBodyState, dt: float, *,
-              krylov_dim: int = 30) -> ManyBodyState:
-    """exp(-i dt H) state by Lanczos, one Krylov space per step.
-
-    Each step builds a space of at most krylov_dim + 1 vectors from the
-    current state, checking after every vector whether the residual estimate
-    beta |sum_j U[m, j] exp(-i tau lam_j) U[0, j]| of the remaining time is
-    below KRYLOV_TOL.  If the space fills first, the step takes the largest
-    halving of the remaining time that meets it; a step below
-    |dt| / MIN_STEP_FRACTION raises.  dt may be negative (backward
-    evolution); the norm is preserved to the Krylov tolerance per step and
-    never renormalized.
-    """
+              krylov_dim: int = KRYLOV_DIM) -> ManyBodyState:
+    """exp(-i dt H) state: propagate_through with the one offset dt."""
     if dt == 0.0 or not math.isfinite(dt):
         raise ManyBodyError(f"dt must be finite and nonzero, got {dt}")
-    H = spec if isinstance(spec, Hamiltonian) else Hamiltonian(spec, state.basis)
+    return next(propagate_through(spec, state, [dt], krylov_dim=krylov_dim))
 
+
+def propagate_through(spec: HamiltonianSpec | Hamiltonian, state: ManyBodyState,
+                      offsets: Iterable[float], *,
+                      krylov_dim: int = KRYLOV_DIM) -> Iterator[ManyBodyState]:
+    """exp(-i t H) state at each offset t, in order, by Lanczos.
+
+    Offsets share one sign (negative: backward evolution) and grow in
+    magnitude; each yielded state has time state.time + t exactly.  A
+    Krylov space is built from the last state reached and grows, up to
+    krylov_dim + 1 vectors, until the residual estimate
+    beta |sum_j U[m, j] exp(-i tau lam_j) U[0, j]| meets KRYLOV_TOL at the
+    last offset.  The space serves every offset ahead that meets it.  When
+    not even the next one does, it takes the largest halving of the way
+    there that does; a step below 1/MIN_STEP_FRACTION of the interval from
+    the previous offset (or the start) raises.  The norm is preserved to
+    the Krylov tolerance per space and never renormalized.
+
+    The states a space reaches are formed in one product with its basis,
+    and the basis is released before they are yielded, so at most one
+    basis is alive at a time.  Bad offsets raise here, not on first use.
+    """
+    offsets = [float(t) for t in offsets]
+    if not offsets or not all(math.isfinite(t) and t * offsets[0] > 0 for t in offsets) \
+            or any(abs(b) <= abs(a) for a, b in pairwise(offsets)):
+        raise ManyBodyError("offsets must be finite, nonzero, of one sign and growing in "
+                            f"magnitude, got {offsets}")
+    H = spec if isinstance(spec, Hamiltonian) else Hamiltonian(spec, state.basis)
+    return _propagate_through(H, state, offsets, krylov_dim)
+
+
+def _propagate_through(H: Hamiltonian, state: ManyBodyState, offsets: list[float],
+                       krylov_dim: int) -> Iterator[ManyBodyState]:
     def error(tau, lam, U, beta):
         return beta * abs(np.sum(U[-1] * np.exp(-1j * tau * lam) * U[0]))
 
-    psi, remaining = state.psi.ravel(), dt
-    while remaining:
+    # ahead[j]: the time from psi to offsets[done + j]
+    psi, ahead, done = state.psi.ravel(), offsets, 0
+    while ahead:
         beta0, V, lam, U, beta = _lanczos(
-            H.apply, psi, krylov_dim + 1, lambda *space: error(remaining, *space) < KRYLOV_TOL,
+            H.apply, psi, krylov_dim + 1, lambda *space: error(ahead[-1], *space) < KRYLOV_TOL,
             reorthogonalize=False)
-        tau = remaining
-        while not error(tau, lam, U, beta) < KRYLOV_TOL:
-            tau /= 2
-            if abs(tau) < abs(dt) / MIN_STEP_FRACTION:
-                raise ManyBodyError(f"Krylov propagation needs steps below |dt|/"
-                                    f"{MIN_STEP_FRACTION} with krylov_dim={krylov_dim}")
-        psi = V.T @ (U @ (beta0 * np.exp(-1j * tau * lam) * U[0]))
-        remaining -= tau
-    return ManyBodyState(state.basis, psi.reshape(state.psi.shape), state.time + dt)
+        reached = next((j for j, tau in enumerate(ahead)
+                        if not error(tau, lam, U, beta) < KRYLOV_TOL), len(ahead))
+        taus = ahead[:reached]
+        if not reached:
+            interval = abs(offsets[done] - (offsets[done - 1] if done else 0.0))
+            tau = ahead[0]
+            while not error(tau, lam, U, beta) < KRYLOV_TOL:
+                tau /= 2
+                if abs(tau) < interval / MIN_STEP_FRACTION:
+                    raise ManyBodyError(f"Krylov propagation needs steps below |interval|/"
+                                        f"{MIN_STEP_FRACTION} with krylov_dim={krylov_dim}")
+            taus = [tau]
+        phases = beta0 * np.exp(-1j * np.array(taus)[:, None] * lam) * U[0]
+        # with one offset, both products are matrix-vector products, the same
+        # bits as V.T @ (U @ phases[0]) in a one-interval call
+        states = (U @ phases.T).T @ V
+        del V
+        psi, ahead = states[-1], [t - taus[-1] for t in ahead[reached:]]
+        for t, row in zip(offsets[done:done + reached], states):
+            yield ManyBodyState(state.basis, row.reshape(state.psi.shape), state.time + t)
+        done += reached
 
 
 def product_state(u: Field, v: Field, basis: TwoSpeciesBasis) -> ManyBodyState:

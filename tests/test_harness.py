@@ -312,45 +312,50 @@ def test_failed_trajectory_fails_every_entry_of_its_ratio(tmp_path, monkeypatch)
     assert report.entries[1].error is None and len(report.entries[1].rows) == 2
 
 
-@pytest.mark.parametrize("timing,several", [
-    ("t = 0.05\nsample_every = 20\n\n[indicators]\nprobe_time = 0.033", False),
-    ("t = 2.0\ndt = 0.01\nsample_every = 200", True),
-], ids=["probe_off_the_sample_grid", "one_interval_many_steps"])
-def test_sample_interval_propagation_matches_per_dt_steps(tmp_path, monkeypatch, timing, several):
-    # the sweep advances the many-body state once per sample interval;
-    # the reference takes one Krylov step per effective dt
+@pytest.mark.parametrize("timing,times,spaces_ok", [
+    ("t = 0.05\nsample_every = 20\n\n[indicators]\nprobe_time = 0.033",
+     [0.0, 0.02, 0.033, 0.04, 0.05], lambda spaces: spaces < 4),
+    ("t = 0.5\nsample_every = 50", [k * 1e-3 for k in range(0, 501, 50)],
+     lambda spaces: spaces < 10),
+    ("t = 2.0\ndt = 0.01\nsample_every = 200", [0.0, 2.0], lambda spaces: spaces > 1),
+], ids=["probe_off_the_sample_grid", "ten_samples", "one_interval_many_steps"])
+def test_sample_interval_propagation_matches_per_dt_steps(tmp_path, monkeypatch, timing, times,
+                                                          spaces_ok):
+    # the sweep draws every sample of an entry from one propagate_through
+    # call, whose Krylov spaces each serve all the samples they reach; the
+    # reference takes one Krylov step per effective dt
     cfg = parse_config(MINIMAL.format(out=tmp_path).replace("t = 0.05", timing))
-    real_propagate, real_lanczos = manybody_mod.propagate, manybody_mod._lanczos
-    steps = []  # Krylov spaces built per propagate call
+    real_through, real_lanczos = harness_mod.propagate_through, manybody_mod._lanczos
+    spaces = []  # Krylov spaces of time steps built per entry
 
-    def counting_propagate(*args, **kwargs):
-        steps.append(0)
-        return real_propagate(*args, **kwargs)
+    def counting_through(*args, **kwargs):
+        spaces.append(0)
+        return real_through(*args, **kwargs)
 
     def counting_lanczos(*args, **kwargs):
-        steps[-1] += 1
+        spaces[-1] += not kwargs["reorthogonalize"]
         return real_lanczos(*args, **kwargs)
 
-    monkeypatch.setattr(manybody_mod, "propagate", counting_propagate)
+    monkeypatch.setattr(harness_mod, "propagate_through", counting_through)
     monkeypatch.setattr(manybody_mod, "_lanczos", counting_lanczos)
     fast = run_convergence_sweep(cfg)
-    # one interval of 2.0 is beyond one Krylov space: it takes several steps
-    assert steps and (max(steps) > 1) is several
-    real = manybody_mod.Hamiltonian.propagate
+    # ten samples share fewer spaces than intervals; one interval of 2.0 is
+    # beyond one Krylov space and takes several
+    assert len(spaces) == len(cfg.ladder) and all(spaces_ok(n) for n in spaces)
 
-    def per_dt(self, state, interval):
-        for _ in range(round(interval / cfg.dt)):
-            state = real(self, state, cfg.dt)
-        return state
+    def per_dt(H, state, offsets):
+        for last, t in zip([0.0, *offsets], offsets):
+            for _ in range(round((t - last) / cfg.dt)):
+                state = manybody_mod.propagate(H, state, cfg.dt)
+            yield state
 
-    monkeypatch.setattr(manybody_mod.Hamiltonian, "propagate", per_dt)
+    monkeypatch.setattr(harness_mod, "propagate_through", per_dt)
     ref = run_convergence_sweep(cfg)
     for a, b in zip(fast.entries, ref.entries, strict=True):
         assert a.error is None and b.error is None
         assert np.max(np.abs(np.array(a.rows) - np.array(b.rows))) < 1e-10
         assert abs(a.alpha_probe - b.alpha_probe) < 1e-10
-    times = [r[0] for r in fast.entries[0].rows]
-    assert times == ([0.0, 0.02, 0.033, 0.04, 0.05] if not several else [0.0, 2.0])
+        assert [r[0] for r in a.rows] == times
 
 
 def test_system_forms_and_keys_validated_per_slot():

@@ -17,8 +17,10 @@ from becmix.manybody import (
     occupation_states,
     product_state,
     propagate,
+    propagate_through,
     random_state,
 )
+import becmix.manybody as manybody_mod
 
 
 def _cos_fields(g, amps=(0.6, 0.4, 0.5)):
@@ -399,6 +401,56 @@ def test_propagate_rejects_zero_or_non_finite_step(dt):
     H = Hamiltonian(HamiltonianSpec.mean_field(g, *_cos_fields(g), 1, 1), b)
     with pytest.raises(ManyBodyError, match="dt must be finite and nonzero"):
         propagate(H, random_state(b, np.random.default_rng(2)), dt)
+
+
+def _through_setup(M=6, n=2, L=3.0):
+    g = Grid(1, M, L)
+    b = build_basis(M, n, n)
+    H = Hamiltonian(HamiltonianSpec.mean_field(g, *_cos_fields(g), n, n), b)
+    st = random_state(b, np.random.default_rng(M))
+    st.time = 0.3
+    return H, st
+
+
+@pytest.mark.parametrize("M,L,offsets,krylov_dim,spaces_ok", [
+    (6, 2 * np.pi, [0.05 * k for k in range(1, 11)], 17, lambda n: n < 10),
+    # a 6-vector space falls short of these intervals, so it halves between samples
+    (4, 2.0, [0.1, 0.25, 0.3, 0.6], 5, lambda n: n > 8),
+], ids=["ten_samples_few_spaces", "halvings_between_samples"])
+def test_propagate_through_matches_dense_exponential_at_every_offset(monkeypatch, M, L, offsets,
+                                                                    krylov_dim, spaces_ok):
+    H, st = _through_setup(M=M, L=L)
+    spaces = []
+    real = manybody_mod._lanczos
+    monkeypatch.setattr(manybody_mod, "_lanczos",
+                        lambda *a, **kw: spaces.append(1) or real(*a, **kw))
+    out = list(propagate_through(H, st, offsets, krylov_dim=krylov_dim))
+    assert spaces_ok(len(spaces))
+    dense = H.matrix.toarray()
+    for t, state in zip(offsets, out, strict=True):
+        exact = scipy.linalg.expm(-1j * t * dense) @ st.psi.ravel()
+        assert np.max(np.abs(state.psi.ravel() - exact)) < 1e-11
+        assert state.time == 0.3 + t and state.psi.shape == st.psi.shape
+
+
+@pytest.mark.parametrize("offsets", [
+    [], [0.0], [0.1, 0.0], [np.nan], [0.1, np.inf], [-np.inf],
+    [0.1, 0.1], [0.2, 0.1], [-0.1, -0.05], [0.1, -0.2], [-0.1, 0.2],
+], ids=["empty", "zero", "zero_after", "nan", "inf", "minus_inf", "repeated", "decreasing",
+        "negative_shrinking", "mixed_sign", "mixed_sign_negative_first"])
+def test_propagate_through_rejects_bad_offsets(offsets):
+    H, st = _through_setup(M=3, n=1)
+    with pytest.raises(ManyBodyError, match="offsets must be finite, nonzero, of one sign"):
+        propagate_through(H, st, offsets)   # raises on the call, before the first state
+
+
+def test_propagate_through_backward_matches_propagate():
+    H, st = _through_setup()
+    offsets = [-0.05, -0.1, -0.2, -0.35]
+    for t, state in zip(offsets, propagate_through(H, st, offsets), strict=True):
+        ref = propagate(H, st, t)
+        assert np.max(np.abs(state.psi - ref.psi)) < 1e-12
+        assert state.time == ref.time == 0.3 + t
 
 
 def test_propagate_substep_budget_exhausted():
