@@ -54,15 +54,6 @@ class EffectiveError(ValueError):
     """Invalid state/spec combination or a failed integration step."""
 
 
-def _check_even(f: Field, name: str):
-    v = f.values
-    for axis in range(f.grid.dim):
-        flipped = np.roll(np.flip(v, axis=axis), 1, axis=axis)
-        scale = np.max(np.abs(v)) or 1.0
-        if np.max(np.abs(v - flipped)) > 1e-10 * scale:
-            raise EffectiveError(f"potential {name} is not even under x -> -x on the grid")
-
-
 @dataclass(frozen=True)
 class CouplingSpec:
     """Mode tag plus the couplings of one effective system.
@@ -106,7 +97,8 @@ class CouplingSpec:
                 raise EffectiveError("potentials must share one grid")
             if not V.is_real(1e-10):
                 raise EffectiveError(f"potential {name} must be real")
-            _check_even(V, name)
+            if not V.is_even(1e-10):
+                raise EffectiveError(f"potential {name} is not even under x -> -x on the grid")
 
     @property
     def c2(self) -> float:

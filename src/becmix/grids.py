@@ -152,6 +152,13 @@ class Field:
         scale = np.max(np.abs(self.values)) or 1.0
         return float(np.max(np.abs(self.values.imag))) <= tol * scale
 
+    def is_even(self, tol: float = 1e-12) -> bool:
+        """f(-x) = f(x) on the periodic grid along every axis, relative to max |f|."""
+        v = self.values
+        scale = np.max(np.abs(v)) or 1.0
+        return all(np.max(np.abs(v - np.roll(np.flip(v, axis), 1, axis))) <= tol * scale
+                   for axis in range(self.grid.dim))
+
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(self.grid, values)
 

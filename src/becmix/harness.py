@@ -9,8 +9,8 @@ one Krylov propagation (each Krylov space serves every sample it
 reaches), and samples every indicator column there against the orbitals
 of its c1.  Reports are
 deterministic functions of (config, seed): re-running writes
-byte-identical CSVs at any thread count, since entries are independent
-and assembled in ladder order.
+byte-identical CSVs at any --threads, at a fixed BLAS thread count, since
+entries are independent and assembled in ladder order.
 """
 
 from __future__ import annotations

@@ -286,7 +286,6 @@ class WeightFunction:
     shifted operators sum g(k+j) P_k.
     """
 
-    kind: str
     N: int
     fn: Callable[[int], float]
 
@@ -307,11 +306,11 @@ class WeightFunction:
 
 
 def weight_s(N: int) -> WeightFunction:
-    return WeightFunction("s", N, lambda k: k / N)
+    return WeightFunction(N, lambda k: k / N)
 
 
 def weight_n(N: int) -> WeightFunction:
-    return WeightFunction("n", N, lambda k: math.sqrt(k / N))
+    return WeightFunction(N, lambda k: math.sqrt(k / N))
 
 
 def weight_m(N: int, xi: float) -> WeightFunction:
@@ -331,7 +330,7 @@ def weight_m(N: int, xi: float) -> WeightFunction:
             return math.sqrt(k / N)
         return 0.5 * (float(N) ** (xi - 1.0) * k + float(N) ** (-xi))
 
-    return WeightFunction("m", N, fn)
+    return WeightFunction(N, fn)
 
 
 @dataclass
@@ -347,6 +346,8 @@ class CountingProjectorSet:
     the Lanczos couplings small, which amplifies round-off into new
     directions; the space then grows past N + 1 vectors (at most 2N + 2)
     until the residual estimate of every P_k psi is below KRYLOV_TOL.
+    P_k psi = beta0 V^T 1_k(T) e_1 is a function of T applied to e_1, so the
+    plain recurrence suffices, as for time steps.
     """
 
     basis: TwoSpeciesBasis
@@ -361,7 +362,7 @@ class CountingProjectorSet:
         return self._mode.N
 
     def _ritz(self, psi: np.ndarray):
-        """(k, c, U, V): P_k psi sums c_j (U^T V)_j over the Ritz values rounding to k."""
+        """(k, c, U, V): P_k psi sums c_j U[:, j] . V over the Ritz values rounding to k."""
         def sectors(lam):
             return np.clip(np.rint(lam), 0, self.N).astype(int)
 
@@ -371,15 +372,15 @@ class CountingProjectorSet:
             return beta * np.abs(last).max() < KRYLOV_TOL
 
         beta0, V, lam, U, _ = _lanczos(lambda x: self._mode.q_total(x.reshape(psi.shape)).ravel(),
-                                       psi, 2 * self.N + 2, accept, reorthogonalize=True)
+                                       psi, 2 * self.N + 2, accept)
         return sectors(lam), beta0 * U[0], U, V
 
     def split(self, state: ManyBodyState) -> np.ndarray:
         """P_k psi for k = 0..N, stacked on a leading axis."""
         k, c, U, V = self._ritz(state.psi)
-        parts = np.zeros((self.N + 1, state.psi.size), dtype=complex)
-        np.add.at(parts, k, c[:, None] * (U.T @ V))
-        return parts.reshape(self.N + 1, *state.psi.shape)
+        coeffs = np.zeros((self.N + 1, len(V)))   # row k: sum of c_j U[:, j] over k_j = k
+        np.add.at(coeffs, k, c[:, None] * U.T)
+        return (coeffs @ V).reshape(self.N + 1, *state.psi.shape)
 
     def sector_weights(self, state: ManyBodyState) -> np.ndarray:
         """||P_k psi||^2 for k = 0..N, read from the Ritz weights without forming P_k psi."""

@@ -17,10 +17,9 @@ with mean-field prefactors g = (1/N1, 1/N2, 1/(N1+N2)).
 Time propagation is a Lanczos approximation of exp(-i t H) psi at a
 sequence of sample times: each Krylov space serves every sample its
 residual estimate reaches, and halves its step only when it reaches
-none.  It runs the plain three-term recurrence, without
-reorthogonalization, which f(H) psi does not need; the counting split
-(indicators) shares the routine and reorthogonalizes, because it reads
-sectors off individual Ritz vectors.
+none.  It runs the plain three-term recurrence, which the counting
+split (indicators) shares: both read a function of the tridiagonal
+projection applied to e_1, which needs no orthogonal basis.
 """
 
 from __future__ import annotations
@@ -204,10 +203,9 @@ def _displacement_kernel(grid: Grid, V: Field) -> np.ndarray:
         raise ManyBodyError("potential field lives on a different grid")
     if not V.is_real(1e-10):
         raise ManyBodyError("potential must be real")
-    vals = V.values.real.copy()
-    if np.max(np.abs(vals - np.roll(vals[::-1], 1))) > 1e-10 * (np.max(np.abs(vals)) or 1.0):
+    if not V.is_even(1e-10):
         raise ManyBodyError("potential kernel is not even under site reflection")
-    return vals
+    return V.values.real.copy()
 
 
 @dataclass
@@ -335,22 +333,17 @@ class Hamiltonian:
         return propagate(self, state, dt, krylov_dim=krylov_dim)
 
 
-def _lanczos(apply_op, psi: np.ndarray, m_max: int, accept=lambda lam, U, beta: False, *,
-             reorthogonalize: bool):
+def _lanczos(apply_op, psi: np.ndarray, m_max: int, accept):
     """Lanczos on apply_op from psi by the three-term recurrence.
 
     Each step forms w = A v_m - alpha_m v_m - beta_{m-1} v_{m-1} in place.
-    Time steps need nothing more: a Lanczos approximation of f(A) psi stays
-    accurate without orthogonality of the basis (Druskin, Greenbaum &
-    Knizhnerman 1998).  With reorthogonalize, which the counting split sets
-    because it reads sectors off the Ritz vectors, one classical Gram-Schmidt
-    pass over the basis follows, and a second one only when the first leaves
-    less than 1/sqrt(2) of ||w|| (Daniel, Gragg, Kaufman & Stewart 1976).
+    Every caller reads f(T) e_1 for a function f of the tridiagonal T, which
+    stays accurate without orthogonality of the basis (Greenbaum 1989;
+    Druskin, Greenbaum & Knizhnerman 1998), so no step reorthogonalizes.
 
     Stops at breakdown, after m_max basis vectors, or once accept(lam, U,
     beta) holds.  Returns (beta0, V, lam, U, beta): beta0 = ||psi||, the
-    basis as the rows of V (psi = beta0 V[0]; orthonormal to round-off only
-    with reorthogonalize), the eigenpairs
+    basis as the rows of V (psi = beta0 V[0]), the eigenpairs
     T = U diag(lam) U^T of the tridiagonal projection and the coupling beta
     out of the space, 0 at breakdown (the space is then invariant).  A zero
     psi gives beta0 = 0 and one zero basis vector, so all it spans is zero.
@@ -372,11 +365,6 @@ def _lanczos(apply_op, psi: np.ndarray, m_max: int, accept=lambda lam, U, beta: 
         alphas.append(float(np.vdot(v, w).real))
         w -= alphas[-1] * v
         beta = math.sqrt(np.vdot(w, w).real)
-        for _ in range(2 if reorthogonalize else 0):
-            w -= V[:m].T @ (V[:m] @ w.conj()).conj()
-            beta, before = math.sqrt(np.vdot(w, w).real), beta
-            if beta >= before / math.sqrt(2):
-                break
         # dense eigh of the at most m_max-square T keeps scipy.linalg unloaded
         lam, U = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         if beta < 1e-14 * max(1.0, np.abs(lam).max()):
@@ -386,16 +374,15 @@ def _lanczos(apply_op, psi: np.ndarray, m_max: int, accept=lambda lam, U, beta: 
         betas.append(beta)
 
 
-def propagate(spec: HamiltonianSpec | Hamiltonian, state: ManyBodyState, dt: float, *,
+def propagate(H: Hamiltonian, state: ManyBodyState, dt: float, *,
               krylov_dim: int = KRYLOV_DIM) -> ManyBodyState:
     """exp(-i dt H) state: propagate_through with the one offset dt."""
     if dt == 0.0 or not math.isfinite(dt):
         raise ManyBodyError(f"dt must be finite and nonzero, got {dt}")
-    return next(propagate_through(spec, state, [dt], krylov_dim=krylov_dim))
+    return next(propagate_through(H, state, [dt], krylov_dim=krylov_dim))
 
 
-def propagate_through(spec: HamiltonianSpec | Hamiltonian, state: ManyBodyState,
-                      offsets: Iterable[float], *,
+def propagate_through(H: Hamiltonian, state: ManyBodyState, offsets: Iterable[float], *,
                       krylov_dim: int = KRYLOV_DIM) -> Iterator[ManyBodyState]:
     """exp(-i t H) state at each offset t, in order, by Lanczos.
 
@@ -419,7 +406,6 @@ def propagate_through(spec: HamiltonianSpec | Hamiltonian, state: ManyBodyState,
             or any(abs(b) <= abs(a) for a, b in pairwise(offsets)):
         raise ManyBodyError("offsets must be finite, nonzero, of one sign and growing in "
                             f"magnitude, got {offsets}")
-    H = spec if isinstance(spec, Hamiltonian) else Hamiltonian(spec, state.basis)
     return _propagate_through(H, state, offsets, krylov_dim)
 
 
@@ -432,8 +418,7 @@ def _propagate_through(H: Hamiltonian, state: ManyBodyState, offsets: list[float
     psi, ahead, done = state.psi.ravel(), offsets, 0
     while ahead:
         beta0, V, lam, U, beta = _lanczos(
-            H.apply, psi, krylov_dim + 1, lambda *space: error(ahead[-1], *space) < KRYLOV_TOL,
-            reorthogonalize=False)
+            H.apply, psi, krylov_dim + 1, lambda *space: error(ahead[-1], *space) < KRYLOV_TOL)
         reached = next((j for j, tau in enumerate(ahead)
                         if not error(tau, lam, U, beta) < KRYLOV_TOL), len(ahead))
         taus = ahead[:reached]

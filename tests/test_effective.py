@@ -486,6 +486,15 @@ def test_potentials_must_be_even_and_real():
         CouplingSpec.hartree(Field(g, even.values * 1j), even, even)
 
 
+def test_hartree_rejects_a_potential_odd_along_one_axis_of_a_2d_grid():
+    g = make_grid(2, 8, 2.0)
+    x, y = g.coordinate_arrays()
+    even = Field(g, np.cos(np.pi * x) * np.cos(np.pi * y))
+    odd_in_y = Field(g, np.cos(np.pi * x) * np.sin(np.pi * y))
+    with pytest.raises(EffectiveError, match="potential V12 is not even under x -> -x"):
+        CouplingSpec.hartree(even, even, odd_in_y)
+
+
 def test_trajectory_csv(tmp_path):
     g = make_grid(1, 16, 2 * np.pi)
     spec = CouplingSpec.spin1(g, 0.05)
