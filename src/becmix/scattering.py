@@ -139,9 +139,9 @@ class ShellPotential:
 
 def modified_potential(V_scaled: RadialPotential, shell: ShellPotential) -> RadialPotential:
     """The scaled potential minus the compensating shell, on the union of their edges."""
-    pts = np.union1d(V_scaled.edges, (shell.inner_radius, shell.outer_radius))
-    # merge edges equal up to round-off (a scaled R/s against s^-1): the
-    # sliver between them has no interior point to read V at
+    pts = np.sort(np.concatenate((V_scaled.edges, (shell.inner_radius, shell.outer_radius))))
+    # merge edges equal up to round-off (a scaled R/s against s^-1), or
+    # exactly equal: the sliver between them has no interior point to read V at
     edges = pts[np.r_[True, np.diff(pts) > 1e-12 * pts[-1]]]
     edges[-1] = pts[-1]
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -297,10 +297,14 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, *,
     effective well past the bound-state threshold, where the residual
     jumps, so the walk stops at the first bracket (this also selects the
     smallest root).  The bracket is spot-checked for continuity and
-    monotonicity, then bisected down to adjacent floats; the end with the
-    smaller |residual| is returned if that is below RESIDUAL_TOL times the
-    problem's length scale.  Raises CalibrationError, with the walked
-    residuals, if no bracket exists.
+    monotonicity, then narrowed by Illinois regula falsi: each step takes
+    the secant point of the bracket, halving the stored residual of an end
+    kept twice in a row, and bisects instead when that point is not
+    strictly inside or the bracket lies within 64 ulps of its upper end,
+    down to adjacent floats.  The end with the smaller |residual| is
+    returned if that is below RESIDUAL_TOL times the problem's length
+    scale.  Raises CalibrationError, with the walked residuals, if no
+    bracket exists.
     """
     if not (0.0 < beta <= 1.0):
         raise ScatteringError(f"beta must lie in (0, 1], got {beta}")
@@ -351,14 +355,18 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, *,
     if not (np.all(diffs <= slack) or np.all(diffs >= -slack)):
         raise CalibrationError("residual scattering length is not monotone over the bracket")
     length_scale = max(V_scaled.support_radius, hi * inner)
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
+    g_lo, g_hi, kept = f_lo, f_hi, None  # the ends' residuals, halved while an end is kept
+    while math.nextafter(lo, hi) < hi:  # until lo and hi are adjacent floats
+        mid = hi - g_hi * (hi - lo) / (g_hi - g_lo)  # opposite signs, never -0.0: no 0/0
+        if not lo < mid < hi or hi - lo <= 64 * math.ulp(hi):
+            mid = 0.5 * (lo + hi)
         f_mid = residual(mid)
         if np.signbit(f_mid) == np.signbit(f_lo):
-            lo, f_lo = mid, f_mid
+            lo, f_lo, g_lo, g_hi = mid, f_mid, f_mid, g_hi / 2 if kept == "hi" else g_hi
+            kept = "hi"
         else:
-            hi, f_hi = mid, f_mid
-        mid = 0.5 * (lo + hi)
+            hi, f_hi, g_hi, g_lo = mid, f_mid, f_mid, g_lo / 2 if kept == "lo" else g_lo
+            kept = "lo"
     c_star, final = min((lo, f_lo), (hi, f_hi), key=lambda end: abs(end[1]))
     if abs(final) > RESIDUAL_TOL * length_scale:
         raise CalibrationError(

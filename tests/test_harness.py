@@ -478,7 +478,7 @@ def test_cli_sweep_loads_no_scipy_linalg(tmp_path):
 
 
 def test_cli_scattering_loads_no_scipy(tmp_path):
-    # the shell calibration bisects; no scipy.optimize
+    # the shell calibration finds its root itself; no scipy.optimize
     cfg_path = tmp_path / "scat.ini"
     cfg_path.write_text("[system]\nmode = scattering\npotential = box amp=2 radius=1\n"
                         "n_values = 8\n")
@@ -487,6 +487,24 @@ def test_cli_scattering_loads_no_scipy(tmp_path):
         "from becmix.cli import main\n"
         f"assert main(['--out', {str(tmp_path / 'sc')!r}, 'scattering', {str(cfg_path)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(becmix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "sc" / "scattering.csv").exists()
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_scattering_loads_no_numpy_ma(tmp_path):
+    # numpy.ma takes 9-15 ms to import; np.union1d would pull it in through np.unique
+    cfg_path = Path(__file__).parents[1] / "configs" / "scattering_box.ini"
+    code = (
+        "import sys\n"
+        "from becmix.cli import main\n"
+        f"assert main(['--out', {str(tmp_path / 'sc')!r}, 'scattering', {str(cfg_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
     )
     src = str(Path(becmix.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

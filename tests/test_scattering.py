@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from becmix import config
+import becmix.scattering as scattering_mod
 from becmix.config import parse_config
 from becmix.scattering import (
     BoundStateError,
@@ -218,21 +219,70 @@ def test_calibration_deterministic():
     assert s1.C == s2.C
 
 
+def _shell_residual(V, a, N, beta, C):
+    shell = ShellPotential.for_species(a, N, beta, C)
+    mod = modified_potential(scale_potential(V, N, beta), shell)
+    return scattering_length(mod, 2.5 * mod.support_radius,
+                             allow_crossing_window=(shell.inner_radius,
+                                                    shell.outer_radius)).scattering_length
+
+
 def test_calibration_brackets_the_root_to_adjacent_floats():
     V = parse_config("[system]\npotential = gaussian amp=2 sigma=0.5\n").radial_potential()
     a = scattering_length(V, 2.5 * V.support_radius).scattering_length
     C = calibrate_shell(V, 8, 1.0, a=a).C
 
     def residual(c):
-        shell = ShellPotential.for_species(a, 8, 1.0, c)
-        mod = modified_potential(scale_potential(V, 8, 1.0), shell)
-        return scattering_length(mod, 2.5 * mod.support_radius,
-                                 allow_crossing_window=(shell.inner_radius,
-                                                        shell.outer_radius)).scattering_length
+        return _shell_residual(V, a, 8, 1.0, c)
 
     at_c = residual(C)
     neighbours = [residual(np.nextafter(C, side)) for side in (-np.inf, np.inf)]
     assert at_c == 0.0 or any(np.signbit(n) != np.signbit(at_c) for n in neighbours)
+
+
+def _counted_calibration(monkeypatch, V, N, beta):
+    """calibrate_shell(V, N, beta) and the number of its residual solves."""
+    a = scattering_length(V, 2.5 * V.support_radius).scattering_length
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return scattering_length(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(scattering_mod, "scattering_length", counted)
+        shell = calibrate_shell(V, N, beta, a=a)
+    return shell, a, len(calls)
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+def test_calibration_takes_few_residual_solves(monkeypatch, N):
+    # the walk, 4 probes and regula falsi steps; bisecting all the way took 56
+    _, _, calls = _counted_calibration(monkeypatch, BARRIER, N, 1.0)
+    assert calls <= 20
+
+
+@pytest.mark.parametrize("potential", ["box amp=2 radius=1", "gaussian amp=2 sigma=0.5"])
+@pytest.mark.parametrize("N, beta", [(8, 0.5), (8, 1.0), (32, 0.5), (32, 1.0)])
+def test_regula_falsi_brackets_the_root_to_adjacent_floats(monkeypatch, potential, N, beta):
+    V = parse_config(f"[system]\npotential = {potential}\n").radial_potential()
+    shell, a, calls = _counted_calibration(monkeypatch, V, N, beta)
+    assert calls <= 56
+    at_c = _shell_residual(V, a, N, beta, shell.C)
+    neighbours = [_shell_residual(V, a, N, beta, np.nextafter(shell.C, side))
+                  for side in (-np.inf, np.inf)]
+    assert at_c == 0.0 or any(np.signbit(n) != np.signbit(at_c) for n in neighbours)
+
+
+def test_modified_potential_merges_exactly_equal_edges():
+    # at beta = 1 the scaled barrier edge 1/N and the shell's inner radius N^-1
+    # are the same float: one breakpoint, and no empty cell between them
+    V_scaled = scale_potential(BARRIER, 8, 1.0)
+    shell = ShellPotential.for_species(0.25, 8, 1.0, 1.5)
+    assert V_scaled.support_radius == shell.inner_radius
+    mod = modified_potential(V_scaled, shell)
+    assert mod.edges.tolist() == [0.0, 0.125, 1.5 * 0.125]
+    assert mod.values.tolist() == [2.0 * 8.0**2, -shell.amplitude]
 
 
 def test_calibration_zero_potential_convention():
