@@ -36,7 +36,11 @@ __all__ = ["main"]
 
 
 def _load_config(path: str, args) -> ExperimentConfig:
-    cfg = parse_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    cfg = parse_config(text)
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.echo.setdefault("system", {})["seed"] = str(args.seed)
@@ -178,7 +182,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ScatteringError, FileNotFoundError) as exc:
+    except (ConfigError, ScatteringError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import Field, Grid, GridError, inner, l2_norm, periodic_convolve, save_field
+from .grids import Field, Grid, GridError, inner, l2_norm, save_field
+from .grids import periodic_convolve  # noqa: F401  (perfbench/tracer.py patches it on this module)
 
 __all__ = [
     "CouplingSpec",
@@ -186,6 +187,31 @@ def _spatial_fft(dim: int):
     return partial(np.fft.fftn, axes=axes), partial(np.fft.ifftn, axes=axes)
 
 
+def _potential(spec: CouplingSpec):
+    """W(rho), the multiplier each component's equation applies, for the
+    stack rho of component densities (hartree, gross_pitaevskii, rabi;
+    rabi's W is common to both components and broadcasts against rho)."""
+    if spec.mode == "hartree":
+        # W = hd ifft(K rho_hat), K = [[V1, c2 V12], [c1 V12, V2]] on the transforms
+        V1, V2, V12 = spec.potential_transforms
+        kernel = spec.grid.volume_element * np.array([[V1, spec.c2 * V12],
+                                                      [spec.c1 * V12, V2]])
+        fft, ifft = _spatial_fft(spec.grid.dim)
+        return lambda rho: ifft((kernel * fft(rho)).sum(axis=1)).real
+    if spec.mode == "gross_pitaevskii":
+        couplings = 8.0 * np.pi * np.array([[spec.a1, spec.c2 * spec.a12],
+                                            [spec.c1 * spec.a12, spec.a2]])
+        return lambda rho: np.tensordot(couplings, rho, axes=1)
+    g = 8.0 * np.pi * spec.a
+    return lambda rho: g * rho.sum(axis=0)
+
+
+def _spin_density(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F_z, F_+) of a spin-1 stack, with F_+ = (F_x + i F_y) / sqrt(2)."""
+    u, v, w = psi
+    return np.abs(u) ** 2 - np.abs(w) ** 2, np.conj(u) * v + np.conj(v) * w
+
+
 def _potential_flow(spec: CouplingSpec):
     """The exact potential-only flow `flow(psi, tau, theta)` of one spec.
 
@@ -195,36 +221,13 @@ def _potential_flow(spec: CouplingSpec):
     F), so the flows of tau1 and tau2 compose to the flow of tau1 + tau2,
     with the angles added.
     """
-    if spec.mode == "hartree":
-        # W = hd ifft(K rho_hat), K = [[V1, c2 V12], [c1 V12, V2]] on the transforms
-        V1, V2, V12 = spec.potential_transforms
-        kernel = spec.grid.volume_element * np.array([[V1, spec.c2 * V12],
-                                                      [spec.c1 * V12, V2]])
-        fft, ifft = _spatial_fft(spec.grid.dim)
+    if spec.mode != "spin1":
+        potential, rotates = _potential(spec), spec.mode == "rabi"
 
         def flow(psi, tau, theta):
-            rho_hat = fft(np.abs(psi) ** 2)
-            W = ifft((kernel * rho_hat).sum(axis=1)).real
-            return np.exp(-1j * tau * W) * psi
-        return flow
-
-    if spec.mode == "gross_pitaevskii":
-        couplings = 8.0 * np.pi * np.array([[spec.a1, spec.c2 * spec.a12],
-                                            [spec.c1 * spec.a12, spec.a2]])
-
-        def flow(psi, tau, theta):
-            W = np.tensordot(couplings, np.abs(psi) ** 2, axes=1)
-            return np.exp(-1j * tau * W) * psi
-        return flow
-
-    if spec.mode == "rabi":
-        g = 8.0 * np.pi * spec.a
-
-        def flow(psi, tau, theta):
-            # the rotation exp(-i theta sigma_x) commutes with the common
-            # nonlinear phase
-            phase = np.exp(-1j * tau * g * (np.abs(psi) ** 2).sum(axis=0))
-            return phase * (math.cos(theta) * psi - 1j * math.sin(theta) * psi[::-1])
+            psi = np.exp(-1j * tau * potential(np.abs(psi) ** 2)) * psi
+            # rabi: the rotation exp(-i theta sigma_x) commutes with the common phase
+            return math.cos(theta) * psi - 1j * math.sin(theta) * psi[::-1] if rotates else psi
         return flow
 
     g = 8.0 * np.pi * spec.a
@@ -236,8 +239,7 @@ def _potential_flow(spec: CouplingSpec):
         # theta = g tau |F|; sinc keeps F = 0 at the identity.
         u, v, w = psi
         gt = g * tau
-        fz = np.abs(u) ** 2 - np.abs(w) ** 2
-        fp = np.conj(u) * v + np.conj(v) * w  # (F_x + i F_y) / sqrt(2)
+        fz, fp = _spin_density(psi)
         fm = np.conj(fp)
         angle = gt * np.sqrt(fz**2 + 2.0 * np.abs(fp) ** 2)
         sin_coef = -1j * gt * np.sinc(angle / np.pi)
@@ -374,10 +376,6 @@ def kinetic_energy(f: Field, kinetic: str = "spectral") -> float:
     return float(np.sum(k2 * np.abs(fhat) ** 2) * g.volume_element / g.total_points)
 
 
-def _quartic(f: np.ndarray, g: np.ndarray, hd: float) -> float:
-    return float(hd * np.sum(np.abs(f) ** 2 * np.abs(g) ** 2))
-
-
 def hartree_energy(state: OrbitalState, spec: CouplingSpec) -> float:
     """Conserved energy of the convolution system, per-particle normalized.
 
@@ -391,49 +389,31 @@ def hartree_energy(state: OrbitalState, spec: CouplingSpec) -> float:
     """
     if spec.mode != "hartree":
         raise EffectiveError(f"hartree_energy needs hartree mode, got {spec.mode}")
-    u, v = state.components
-    rho_u = Field(spec.grid, np.abs(u.values) ** 2)
-    rho_v = Field(spec.grid, np.abs(v.values) ** 2)
-    hd = spec.grid.volume_element
-    self1 = float(hd * np.sum(periodic_convolve(spec.V1, rho_u).values.real * rho_u.values.real))
-    self2 = float(hd * np.sum(periodic_convolve(spec.V2, rho_v).values.real * rho_v.values.real))
-    cross = float(hd * np.sum(periodic_convolve(spec.V12, rho_v).values.real * rho_u.values.real))
-    c1, c2 = spec.c1, spec.c2
-    return (c1 * kinetic_energy(u, spec.kinetic) + c2 * kinetic_energy(v, spec.kinetic)
-            + 0.5 * c1 * self1 + 0.5 * c2 * self2 + c1 * c2 * cross)
+    return conserved_energy(state, spec)
 
 
 def conserved_energy(state: OrbitalState, spec: CouplingSpec) -> float:
     """The functional each mode's flow actually conserves.
 
-    hartree: `hartree_energy`.  gross_pitaevskii: the c-weighted cubic
-    functional.  rabi: kinetic + 4 pi a int (|u|^2+|v|^2)^2 + 2 B Re<u,v>
-    (conserved for constant B; for time-dependent B the current value of
-    B(t) is used).  spin1: kinetic + 4 pi a int |F|^2 with F the spin
-    density vector.
+    sum_j w_j <psi_j, -D psi_j> + (1/2) sum_j w_j <rho_j, W_j(rho)>, with
+    W the potential the flow applies and the weights w = (c1, c2) for
+    hartree (`hartree_energy`) and gross_pitaevskii, 1 for rabi and spin1.
+    rabi adds 2 B Re<u,v> (conserved for constant B; for time-dependent B
+    the current value of B(t) is used).  spin1's potential part is
+    4 pi a int |F|^2 with F the spin density vector.
     """
     hd = spec.grid.volume_element
-    if spec.mode == "hartree":
-        return hartree_energy(state, spec)
-    if spec.mode == "gross_pitaevskii":
-        u, v = (c.values for c in state.components)
-        c1, c2 = spec.c1, spec.c2
-        kin = c1 * kinetic_energy(state.components[0], spec.kinetic) \
-            + c2 * kinetic_energy(state.components[1], spec.kinetic)
-        return (kin
-                + 4.0 * np.pi * spec.a1 * c1 * _quartic(u, u, hd)
-                + 4.0 * np.pi * spec.a2 * c2 * _quartic(v, v, hd)
-                + 8.0 * np.pi * spec.a12 * c1 * c2 * _quartic(u, v, hd))
+    weights = (spec.c1, spec.c2) if spec.mode in ("hartree", "gross_pitaevskii") \
+        else (1.0,) * spec.n_components
+    kin = sum(w * kinetic_energy(c, spec.kinetic) for w, c in zip(weights, state.components))
+    psi = np.array([c.values for c in state.components])
+    if spec.mode == "spin1":
+        fz, fp = _spin_density(psi)
+        f_sq = fz**2 + np.abs(np.sqrt(2.0) * fp) ** 2  # F_z^2 + F_x^2 + F_y^2
+        return kin + 4.0 * np.pi * spec.a * float(hd * np.sum(f_sq))
+    rho = np.abs(psi) ** 2
+    potential = sum(w * float(np.sum(r)) for w, r in zip(weights, rho * _potential(spec)(rho)))
+    energy = kin + 0.5 * hd * potential
     if spec.mode == "rabi":
-        u, v = state.components
-        n_tot = np.abs(u.values) ** 2 + np.abs(v.values) ** 2
-        kin = kinetic_energy(u, spec.kinetic) + kinetic_energy(v, spec.kinetic)
-        B = spec.rabi_field(state.time)
-        return (kin + 4.0 * np.pi * spec.a * float(hd * np.sum(n_tot**2))
-                + 2.0 * B * inner(u, v).real)
-    u, v, w = (c.values for c in state.components)  # spin1
-    fz = np.abs(u) ** 2 - np.abs(w) ** 2
-    fplus = np.sqrt(2.0) * (np.conj(u) * v + np.conj(v) * w)
-    f_sq = fz**2 + np.abs(fplus) ** 2
-    kin = sum(kinetic_energy(c, spec.kinetic) for c in state.components)
-    return kin + 4.0 * np.pi * spec.a * float(hd * np.sum(f_sq))
+        energy += 2.0 * spec.rabi_field(state.time) * inner(*state.components).real
+    return energy

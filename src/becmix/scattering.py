@@ -301,10 +301,11 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, *,
     the secant point of the bracket, halving the stored residual of an end
     kept twice in a row, and bisects instead when that point is not
     strictly inside or the bracket lies within 64 ulps of its upper end,
-    down to adjacent floats.  The end with the smaller |residual| is
-    returned if that is below RESIDUAL_TOL times the problem's length
-    scale.  Raises CalibrationError, with the walked residuals, if no
-    bracket exists.
+    down to adjacent floats; a residual of exactly 0.0 ends it and is
+    returned.  Otherwise the end with the smaller |residual| is returned
+    if that is below RESIDUAL_TOL times the problem's length scale.
+    Raises CalibrationError, with the walked residuals, if no bracket
+    exists.
     """
     if not (0.0 < beta <= 1.0):
         raise ScatteringError(f"beta must lie in (0, 1], got {beta}")
@@ -361,6 +362,8 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, *,
         if not lo < mid < hi or hi - lo <= 64 * math.ulp(hi):
             mid = 0.5 * (lo + hi)
         f_mid = residual(mid)
+        if f_mid == 0.0:  # an exact root; narrowing on would only bisect from the far end
+            return ShellPotential.for_species(a, N, beta, mid)
         if np.signbit(f_mid) == np.signbit(f_lo):
             lo, f_lo, g_lo, g_hi = mid, f_mid, f_mid, g_hi / 2 if kept == "hi" else g_hi
             kept = "hi"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from becmix.grids import Field, make_grid, normalize, periodic_convolve
+from becmix.grids import Field, inner, make_grid, normalize, periodic_convolve
 from becmix.effective import (
     CouplingSpec,
     EffectiveError,
@@ -173,6 +173,56 @@ def test_hartree_energy_values():
     st2 = OrbitalState((u2, v2), 0.0)
     expect2 = 0.5 * kinetic_energy(v2) + 0.25  # int |u|^4 = 1 on the unit box
     assert hartree_energy(st2, spec2) == pytest.approx(expect2, rel=1e-12)
+
+
+def test_conserved_energy_values_of_every_mode():
+    # each mode's energy against its integral written out, on a non-uniform
+    # state with every coupling nonzero
+    g = make_grid(1, 32, 2 * np.pi)
+    x = g.axis_coordinates
+    u = normalize(Field(g, (1 + 0.3 * np.cos(x)) * np.exp(1j * x)))
+    v = normalize(Field(g, 1 + 0.2 * np.cos(2 * x) + 0.1j * np.sin(x)))
+    w = normalize(Field(g, 1 + 0.25 * np.sin(3 * x)))
+    rho_u, rho_v = (Field(g, np.abs(f.values) ** 2) for f in (u, v))
+    kin_u, kin_v, kin_w = (kinetic_energy(f) for f in (u, v, w))
+
+    def integral(f1, f2):
+        return inner(f1, f2).real
+
+    V1, V2 = Field(g, 0.8 * np.cos(x)), Field(g, 0.6 * np.cos(2 * x))
+    V12 = Field(g, 0.5 * np.cos(x) + 0.2)
+    c1, c2 = 0.3, 0.7
+    hartree = CouplingSpec.hartree(V1, V2, V12, c1=c1)
+    expect = (c1 * kin_u + c2 * kin_v
+              + 0.5 * c1 * integral(rho_u, periodic_convolve(V1, rho_u))
+              + 0.5 * c2 * integral(rho_v, periodic_convolve(V2, rho_v))
+              + c1 * c2 * integral(rho_u, periodic_convolve(V12, rho_v)))
+    assert conserved_energy(OrbitalState((u, v)), hartree) == pytest.approx(expect, rel=1e-12)
+
+    a1, a2, a12, c1, c2 = 0.02, 0.015, 0.01, 0.4, 0.6
+    gp = CouplingSpec.gross_pitaevskii(g, a1, a2, a12, c1=c1)
+    expect = (c1 * kin_u + c2 * kin_v + 4 * np.pi * a1 * c1 * integral(rho_u, rho_u)
+              + 4 * np.pi * a2 * c2 * integral(rho_v, rho_v)
+              + 8 * np.pi * a12 * c1 * c2 * integral(rho_u, rho_v))
+    assert conserved_energy(OrbitalState((u, v)), gp) == pytest.approx(expect, rel=1e-12)
+
+    rabi = CouplingSpec.rabi(g, 0.03, lambda t: 0.7 + 0.3 * t)
+    n_tot = Field(g, rho_u.values + rho_v.values)
+    expect = (kin_u + kin_v + 4 * np.pi * 0.03 * integral(n_tot, n_tot)
+              + 2 * (0.7 + 0.3 * 0.4) * inner(u, v).real)
+    at_t = OrbitalState((u, v), time=0.4)
+    assert conserved_energy(at_t, rabi) == pytest.approx(expect, rel=1e-12)
+
+    # spin1: F_a = psi^+ F_a psi with the spin-1 matrices
+    s = 1 / np.sqrt(2)
+    matrices = [s * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]),
+                s * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]),
+                np.diag([1.0, 0.0, -1.0])]
+    psi = np.array([u.values, v.values, w.values])
+    F = [Field(g, np.einsum("ix,ij,jx->x", psi.conj(), m, psi).real) for m in matrices]
+    expect = kin_u + kin_v + kin_w + 4 * np.pi * 0.05 * sum(integral(f, f) for f in F)
+    spin1 = CouplingSpec.spin1(g, 0.05)
+    assert conserved_energy(OrbitalState((u, v, w)), spin1) == pytest.approx(expect, rel=1e-12)
 
 
 def test_wrong_mode_errors():

@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -9,3 +11,31 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"becmix.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"becmix.{module}.__all__ names undefined {missing}"
+
+
+def _tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+# the attributes `install` in perfbench/tracer.py patches by name, beside SPANS
+_TRACER_DIRECT = [("becmix.effective", "periodic_convolve"), ("becmix.harness", "build_basis"),
+                  ("becmix.harness", "Hamiltonian"), ("becmix.cli", "csv")]
+
+
+def test_every_tracer_hook_resolves():
+    # a traced run patches these names; one that a refactor removes breaks it
+    tracer = _tracer()
+    hooks = [(module, attr) for module, attr, _ in tracer.SPANS]
+    hooks += tracer.SOLVER_ENTRIES + _TRACER_DIRECT
+    missing = []
+    for module, attr in hooks:
+        target = importlib.import_module(module)
+        for name in attr.split("."):
+            target = getattr(target, name, None)
+        if target is None:
+            missing.append(f"{module}.{attr}")
+    assert not missing, f"perfbench/tracer.py hooks undefined {missing}"

@@ -584,10 +584,20 @@ def test_cli_scattering_bound_state_is_an_error(tmp_path, capsys):
     assert "error: radial solution crosses zero" in capsys.readouterr().err
 
 
-def test_cli_rejects_bad_config(tmp_path):
+@pytest.mark.parametrize("case", ["bad-value", "directory", "not-utf8"])
+def test_cli_rejects_bad_config(tmp_path, capsys, case):
     cfg_path = tmp_path / "bad.ini"
-    cfg_path.write_text("[grid]\npoints = nope\n")
+    if case == "bad-value":
+        cfg_path.write_text("[grid]\npoints = nope\n")
+    elif case == "directory":
+        cfg_path.mkdir()
+    else:
+        cfg_path.write_bytes("[grid]\npoints = 16 # \u00e9\n".encode("latin-1"))
     assert cli.main(["sweep", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if case != "bad-value":
+        assert str(cfg_path) in err
 
 
 def test_cli_check_passes():

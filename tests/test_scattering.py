@@ -255,10 +255,12 @@ def _counted_calibration(monkeypatch, V, N, beta):
     return shell, a, len(calls)
 
 
-@pytest.mark.parametrize("N", [8, 16, 32])
-def test_calibration_takes_few_residual_solves(monkeypatch, N):
-    # the walk, 4 probes and regula falsi steps; bisecting all the way took 56
-    _, _, calls = _counted_calibration(monkeypatch, BARRIER, N, 1.0)
+@pytest.mark.parametrize("N, beta", [(8, 1.0), (16, 1.0), (32, 1.0), (8, 0.75)],
+                         ids=["8", "16", "32", "8-0.75"])
+def test_calibration_takes_few_residual_solves(monkeypatch, N, beta):
+    # the walk, 4 probes and regula falsi steps; bisecting all the way took 56.
+    # At (8, 0.75) a regula falsi step lands on an exact root.
+    _, _, calls = _counted_calibration(monkeypatch, BARRIER, N, beta)
     assert calls <= 20
 
 
