@@ -22,7 +22,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, parse_config
 from .effective import CouplingSpec, OrbitalState, evolve
 from .grids import Field
-from .harness import emit_report, run_convergence_sweep
+from .harness import HarnessError, emit_report, run_convergence_sweep
 from .scattering import (
     calibrate_shell,
     g_norms,
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ScatteringError, OSError) as exc:
+    except (ConfigError, HarnessError, ScatteringError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,17 +26,6 @@ DEFAULT_XI = 0.2
 DEFAULT_SEED = 0
 MAX_STEPS = 10**8  # ceiling on the step count round(t / dt), as DEFAULT_DIM_CAP is on dim
 
-_KNOWN_KEYS = {
-    "grid": {"dim", "points", "length"},
-    "system": {"mode", "v1", "v2", "v12", "u0", "v0", "w0", "c1",
-               "a1", "a2", "a12", "a", "b", "kinetic", "seed",
-               "potential", "n_values", "beta_values"},
-    "ladder": {"entries", "cap", "ratio_fixed"},
-    "time": {"t", "dt", "sample_every"},
-    "indicators": {"xi", "probe_time"},
-    "output": {"dir", "snapshots"},
-}
-
 # the forms of each [system] expression slot, and each form's keys with
 # their defaults; a None default is set by the grid
 _POTENTIALS = {"zero": {}, "cosine": {"amp": 1.0, "k": 1.0},
@@ -47,8 +36,6 @@ _SLOT_FORMS = {"v1": _POTENTIALS, "v2": _POTENTIALS, "v12": _POTENTIALS,
                "u0": _ORBITALS, "v0": _ORBITALS, "w0": _ORBITALS,
                "potential": {"box": {"amp": 2.0, "radius": 1.0},
                              "gaussian": _POTENTIALS["gaussian"]}}
-_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
 _MODES = ("mean_field", "hartree", "gross_pitaevskii", "rabi", "spin1", "scattering")
 
 
@@ -200,12 +187,12 @@ class ExperimentConfig:
         return Field(self.build_grid(), values)
 
     def potential_field(self, which: str) -> Field:
-        if which not in ("v1", "v2", "v12"):
+        if _SLOT_FORMS.get(which) is not _POTENTIALS:
             raise ConfigError(f"no potential slot {which!r}")
         return self._sampled(which, _potential_values(self.build_grid(), *self._expr(which)))
 
     def orbital_field(self, which: str) -> Field:
-        if which not in ("u0", "v0", "w0"):
+        if _SLOT_FORMS.get(which) is not _ORBITALS:
             raise ConfigError(f"no orbital slot {which!r}")
         name, kw = self._expr(which)
         vals = self._sampled(which, _orbital_values(self.build_grid(), name, kw))
@@ -227,11 +214,75 @@ class ExperimentConfig:
             edges, kw["amp"] * np.exp(-(edges[:-1] + edges[1:]) ** 2 / (8.0 * kw["sigma"]**2)))
 
 
+def _flag(raw: str) -> bool:
+    return {"1": True, "true": True, "yes": True,
+            "0": False, "false": False, "no": False}[raw.lower()]
+
+
+def _ints(raw: str) -> list[int]:
+    return [int(tok) for tok in raw.replace(";", " ").split()]
+
+
+def _floats(raw: str) -> list[float]:
+    return [_finite(tok) for tok in raw.replace(";", " ").split()]
+
+
+def _pairs(raw: str) -> list[tuple[int, int]]:
+    """'n1,n2; n1,n2; ...' as (n1, n2) tuples; empty chunks are skipped."""
+    out = []
+    for chunk in filter(None, (c.strip() for c in raw.split(";"))):
+        n1, n2 = (int(tok) for tok in chunk.split(","))
+        out.append((n1, n2))
+    return out
+
+
+def _positive(key: str):
+    return lambda v: v > 0 or f"{key} must be positive, got {v}"
+
+
+# what a parse failure says after the raw value, per parser
+_EXPECTED = {_finite: " as a finite number", _floats: " as finite numbers",
+             _flag: " (use 1/0, true/false or yes/no)"}
+
+# the document grammar, in read order: (section, key, ExperimentConfig field,
+# parser, check); a check returns True or the error text; the [system]
+# expression slots are checked by _parse_expr
+_GRAMMAR = (
+    ("grid", "dim", "dim", int, lambda v: v in (1, 2, 3) or f"dim must be 1..3, got {v}"),
+    ("grid", "points", "points", int, lambda v: v >= 4 or f"need at least 4 points, got {v}"),
+    ("grid", "length", "length", _finite, _positive("length")),
+    ("system", "mode", "mode", str, lambda v: v in _MODES or f"unknown mode {v!r}"),
+    *(("system", slot, slot, str, None) for slot in ("v1", "v2", "v12", "u0", "v0", "w0")),
+    ("system", "c1", "c1", _finite, lambda v: 0.0 < v < 1.0 or f"c1 must lie in (0,1), got {v}"),
+    *(("system", key, key, _finite, None) for key in ("a1", "a2", "a12", "a")),
+    ("system", "b", "b_field", _finite, None),
+    ("system", "kinetic", "kinetic", str,
+     lambda v: v in ("spectral", "stencil") or f"unknown kinetic {v!r}"),
+    ("system", "seed", "seed", int, lambda v: v >= 0 or "seed must be nonnegative"),
+    ("system", "potential", "scatter_potential", str, None),
+    ("system", "n_values", "n_values", _ints,
+     lambda v: all(n >= 2 for n in v) or "all N must be >= 2"),
+    ("system", "beta_values", "beta_values", _floats,
+     lambda v: all(0 < b <= 1 for b in v) or "beta must lie in (0,1]"),
+    ("ladder", "entries", "ladder", _pairs, None),
+    ("ladder", "cap", "cap", int, lambda v: v > 0 or "cap must be positive"),
+    ("ladder", "ratio_fixed", "ratio_fixed", _flag, None),
+    ("time", "t", "T", _finite, _positive("t")),
+    ("time", "dt", "dt", _finite, _positive("dt")),
+    ("time", "sample_every", "sample_every", int, lambda v: v >= 1 or "sample_every must be >= 1"),
+    ("indicators", "xi", "xi", _finite, _positive("xi")),
+    ("indicators", "probe_time", "probe_time", _finite, None),
+    ("output", "dir", "out_dir", str, None),
+    ("output", "snapshots", "snapshots", int, lambda v: v >= 0 or "snapshots must be >= 0"),
+)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate an experiment document.
 
     All violations are collected and raised together, each tagged with
-    its section/key path.
+    its section/key path: the per-key errors in grammar order, then the
+    errors that tie several keys together.
     """
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     parser.optionxform = str  # keep keys case-sensitive; grammar is lowercase
@@ -241,85 +292,32 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"malformed document: {exc}") from exc
 
     errors: list[str] = []
+    known = {(section, key) for section, key, *_ in _GRAMMAR}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if not any(section == s for s, _ in known):
             errors.append(f"unknown section [{section}]")
             continue
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
-                errors.append(f"unknown key [{section}] {key}")
+        errors.extend(f"unknown key [{section}] {key}" for key in parser[section]
+                      if (section, key) not in known)
 
-    cfg = ExperimentConfig()
+    cfg = ExperimentConfig(probe_time=None)    # probe_time defaults to t, read below
+    for section, key, name, parse, check in _GRAMMAR:
+        if not parser.has_option(section, key):
+            continue
+        raw = parser.get(section, key)
+        try:
+            val = parse(raw)
+        except (ValueError, TypeError, KeyError):
+            errors.append(f"[{section}] {key}: cannot parse {raw!r}{_EXPECTED.get(parse, '')}")
+            continue
+        setattr(cfg, name, val)
+        if check is not None and (msg := check(val)) is not True:
+            errors.append(f"[{section}] {key}: {msg}")
+        if key in _SLOT_FORMS:
+            _parse_expr(val, key, errors)
+    if cfg.probe_time is None:
+        cfg.probe_time = cfg.T
 
-    def read(section, key, cast, default, check=None, describe=""):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                val = cast(raw)
-            except (ValueError, TypeError, KeyError):
-                describe = describe or {_finite: " as a finite number"}.get(cast, "")
-                errors.append(f"[{section}] {key}: cannot parse {raw!r}{describe}")
-                return default
-        else:
-            val = default
-        if check is not None and val is not None:
-            msg = check(val)
-            if msg:
-                errors.append(f"[{section}] {key}: {msg}")
-        return val
-
-    cfg.dim = read("grid", "dim", int, 1, lambda v: None if v in (1, 2, 3) else f"dim must be 1..3, got {v}")
-    cfg.points = read("grid", "points", int, cfg.points,
-                      lambda v: None if v >= 4 else f"need at least 4 points, got {v}")
-    cfg.length = read("grid", "length", _finite, cfg.length,
-                      lambda v: None if v > 0 else f"length must be positive, got {v}")
-
-    cfg.mode = read("system", "mode", str, cfg.mode,
-                    lambda v: None if v in _MODES else f"unknown mode {v!r}")
-    for key in ("v1", "v2", "v12", "u0", "v0", "w0"):
-        setattr(cfg, key, read("system", key, str, getattr(cfg, key)))
-        _parse_expr(getattr(cfg, key), key, errors)
-    cfg.c1 = read("system", "c1", _finite, cfg.c1,
-                  lambda v: None if 0.0 < v < 1.0 else f"c1 must lie in (0,1), got {v}")
-    cfg.a1 = read("system", "a1", _finite, cfg.a1)
-    cfg.a2 = read("system", "a2", _finite, cfg.a2)
-    cfg.a12 = read("system", "a12", _finite, cfg.a12)
-    cfg.a = read("system", "a", _finite, cfg.a)
-    cfg.b_field = read("system", "b", _finite, cfg.b_field)
-    cfg.kinetic = read("system", "kinetic", str, cfg.kinetic,
-                       lambda v: None if v in ("spectral", "stencil") else f"unknown kinetic {v!r}")
-    cfg.seed = read("system", "seed", int, cfg.seed,
-                    lambda v: None if v >= 0 else "seed must be nonnegative")
-    cfg.scatter_potential = read("system", "potential", str, cfg.scatter_potential)
-    _parse_expr(cfg.scatter_potential, "potential", errors)
-
-    def int_list(raw: str) -> list[int]:
-        return [int(tok) for tok in raw.replace(";", " ").split()]
-
-    def float_list(raw: str) -> list[float]:
-        return [_finite(tok) for tok in raw.replace(";", " ").split()]
-
-    cfg.n_values = read("system", "n_values", int_list, cfg.n_values,
-                        lambda v: None if all(n >= 2 for n in v) else "all N must be >= 2")
-    cfg.beta_values = read("system", "beta_values", float_list, cfg.beta_values,
-                           lambda v: None if all(0 < b <= 1 for b in v) else "beta must lie in (0,1]",
-                           describe=" as finite numbers")
-
-    def ladder_list(raw: str) -> list[tuple[int, int]]:
-        out = []
-        for chunk in raw.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            n1, n2 = (int(tok) for tok in chunk.split(","))
-            out.append((n1, n2))
-        return out
-
-    cfg.ladder = read("ladder", "entries", ladder_list, cfg.ladder)
-    cfg.cap = read("ladder", "cap", int, cfg.cap,
-                   lambda v: None if v > 0 else "cap must be positive")
-    cfg.ratio_fixed = read("ladder", "ratio_fixed", lambda r: _FLAGS[r.lower()], cfg.ratio_fixed,
-                           describe=" (use 1/0, true/false or yes/no)")
     for i, (n1, n2) in enumerate(cfg.ladder):
         if (n1, n2) in cfg.ladder[:i]:
             if cfg.ladder[:i].count((n1, n2)) == 1:     # one error per repeated entry
@@ -337,13 +335,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if len(ratios) > 1:
             errors.append("[ladder] entries: population ratio varies but ratio_fixed is on")
 
-    cfg.T = read("time", "t", _finite, cfg.T,
-                 lambda v: None if v > 0 else f"t must be positive, got {v}")
-    cfg.dt = read("time", "dt", _finite, cfg.dt,
-                  lambda v: None if v > 0 else f"dt must be positive, got {v}")
-    cfg.sample_every = read("time", "sample_every", int, cfg.sample_every,
-                            lambda v: None if v >= 1 else "sample_every must be >= 1")
-
     # t / dt overflows for a subnormal dt; every lattice test needs it finite
     lattice = cfg.dt > 0 and math.isfinite(cfg.T / cfg.dt)
     too_many_steps = cfg.dt > 0 and (not lattice or round(cfg.T / cfg.dt) > MAX_STEPS)
@@ -359,19 +350,12 @@ def parse_config(text: str) -> ExperimentConfig:
     elif cfg.T > 0 and off_lattice(cfg.T):
         errors.append(f"[time] t: {cfg.T!r} is not a multiple of dt {cfg.dt!r}")
 
-    cfg.xi = read("indicators", "xi", _finite, cfg.xi,
-                  lambda v: None if v > 0 else f"xi must be positive, got {v}")
-    cfg.probe_time = read("indicators", "probe_time", _finite, cfg.T)
     if not 0.0 <= cfg.probe_time <= cfg.T:
         errors.append(f"[indicators] probe_time: {cfg.probe_time!r} outside [0, t] "
                       f"with t = {cfg.T!r}")
     elif parser.has_option("indicators", "probe_time") and off_lattice(cfg.probe_time):
         errors.append(f"[indicators] probe_time: {cfg.probe_time!r} is not a multiple of dt "
                       f"{cfg.dt!r}")
-
-    cfg.out_dir = read("output", "dir", str, cfg.out_dir)
-    cfg.snapshots = read("output", "snapshots", int, cfg.snapshots,
-                         lambda v: None if v >= 0 else "snapshots must be >= 0")
 
     # zero potentials are legal; zero initial orbitals are not
     for key in ("u0", "v0"):  # the third spinor component w0 may start empty

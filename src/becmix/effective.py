@@ -60,11 +60,12 @@ class CouplingSpec:
     """Mode tag plus the couplings of one effective system.
 
     Use the classmethod constructors; every construction, also through
-    `dataclasses.replace`, validates c1, the couplings and the hartree
-    potentials, whose transforms `potential_transforms` computes on first
-    use.  `kinetic` selects the transform-space symbol of -Laplacian:
-    "spectral" (default, |k|^2) or "stencil" (3-point lattice symbol,
-    for consistency runs against the many-body harness).
+    `dataclasses.replace`, validates c1, the couplings, the rabi field's
+    presence and the hartree potentials, whose transforms
+    `potential_transforms` computes on first use.  `kinetic` selects the
+    transform-space symbol of -Laplacian: "spectral" (default, |k|^2) or
+    "stencil" (3-point lattice symbol, for consistency runs against the
+    many-body harness).
     """
 
     mode: str
@@ -94,12 +95,16 @@ class CouplingSpec:
                 raise EffectiveError(f"{name} must be finite")
         for name in ("V1", "V2", "V12") if self.mode == "hartree" else ():
             V = getattr(self, name)
+            if V is None:
+                raise EffectiveError(f"hartree mode needs the potential {name}")
             if V.grid != self.grid:
                 raise EffectiveError("potentials must share one grid")
             if not V.is_real(1e-10):
                 raise EffectiveError(f"potential {name} must be real")
             if not V.is_even(1e-10):
                 raise EffectiveError(f"potential {name} is not even under x -> -x on the grid")
+        if self.mode == "rabi" and self.rabi_field is None:
+            raise EffectiveError("rabi mode needs the field rabi_field")
 
     @property
     def c2(self) -> float:

@@ -140,7 +140,7 @@ def run_convergence_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepRepor
     so outputs do not depend on scheduling.
     """
     if not cfg.ladder:
-        raise HarnessError("the ladder is empty")
+        raise HarnessError("[ladder] entries: the ladder is empty")
     t0 = time.perf_counter()
 
     def each(fn, items):

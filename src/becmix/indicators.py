@@ -104,33 +104,6 @@ def _along(op, arr: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out.reshape(-1, *moved.shape[1:]), 0, axis)
 
 
-class _ModeOps:
-    """Apply a(u), a+(u), n_u and Q = N - n_u for one species."""
-
-    def __init__(self, basis: TwoSpeciesBasis, species: str, u: Field):
-        self.axis = 0 if species == "A" else 1
-        self.N = basis.species(species).N
-        self.u_site = _orbital_sites(basis, u)
-        if abs(np.linalg.norm(self.u_site) - 1.0) > 1e-8:
-            raise IndicatorError("orbital must be normalized")
-        self.a, self.a_dag = _annihilator(basis.species(species), self.u_site)
-
-    def annihilate(self, psi: np.ndarray) -> np.ndarray:
-        """a(u) psi, mapping into the (N-1)-particle sector of the species."""
-        return _along(self.a, psi, self.axis)
-
-    def create(self, phi: np.ndarray) -> np.ndarray:
-        """a+(u) phi, mapping back into the N-particle sector."""
-        return _along(self.a_dag, phi, self.axis)
-
-    def n_u(self, psi: np.ndarray) -> np.ndarray:
-        return self.create(self.annihilate(psi))
-
-    def q_total(self, psi: np.ndarray) -> np.ndarray:
-        """Q psi with Q = sum_i q_i = N - n_u."""
-        return self.N * psi - self.n_u(psi)
-
-
 # ---------------------------------------------------------------------------
 # reduced density matrices
 
@@ -140,9 +113,6 @@ class ReducedDensity:
 
     kind: tuple[int, int]
     matrix: np.ndarray
-    N1: int
-    N2: int
-    time: float = 0.0
 
     def validate(self, tol: float = 1e-12) -> None:
         m = self.matrix
@@ -214,7 +184,7 @@ def reduce_density(state: ManyBodyState, kind: tuple[int, int]) -> ReducedDensit
         gamma = _pair_density(b, state.psi)
     else:
         raise IndicatorError(f"kind must be (1,0), (0,1) or (1,1), got {kind}")
-    return ReducedDensity(kind, gamma, b.N1, b.N2, state.time)
+    return ReducedDensity(kind, gamma)
 
 
 def alpha_11(state: ManyBodyState, u: Field, v: Field) -> float:
@@ -335,11 +305,13 @@ def weight_m(N: int, xi: float) -> WeightFunction:
 
 @dataclass
 class CountingProjectorSet:
-    """The family P_k of projections onto "exactly k excited" sectors.
+    """The family P_k of projections onto "exactly k excited" sectors of one species.
 
-    Realized through the spectral calculus of Q = sum_i q_i rather than
-    the symmetrized projector strings; the two definitions agree (unit
-    tested against the literal strings at small N).  Q has the integer
+    The set holds that species' mode operators: a(u) and a+(u) as `a` and
+    `a_dag`, n_u = a+(u) a(u) and Q = sum_i q_i = N - n_u.  P_k is
+    realized through the spectral calculus of Q rather than the
+    symmetrized projector strings; the two definitions agree (unit tested
+    against the literal strings at small N).  Q has the integer
     spectrum {0..N}, so Lanczos on Q from psi spans every P_k psi with
     N + 1 vectors in exact arithmetic, and P_k psi is the sum of the Ritz
     components whose Ritz values round to k.  A sector of tiny weight makes
@@ -355,11 +327,20 @@ class CountingProjectorSet:
     orbital: Field
 
     def __post_init__(self):
-        self._mode = _ModeOps(self.basis, self.species, self.orbital)
+        self.axis = 0 if self.species == "A" else 1
+        self.N = self.basis.species(self.species).N
+        self.u_site = _orbital_sites(self.basis, self.orbital)
+        if abs(np.linalg.norm(self.u_site) - 1.0) > 1e-8:
+            raise IndicatorError("orbital must be normalized")
+        self.a, self.a_dag = _annihilator(self.basis.species(self.species), self.u_site)
 
-    @property
-    def N(self) -> int:
-        return self._mode.N
+    def n_u(self, psi: np.ndarray) -> np.ndarray:
+        """a+(u) a(u) psi; a(u) maps into the (N-1)-particle sector of the species."""
+        return _along(self.a_dag, _along(self.a, psi, self.axis), self.axis)
+
+    def q_total(self, psi: np.ndarray) -> np.ndarray:
+        """Q psi with Q = sum_i q_i = N - n_u."""
+        return self.N * psi - self.n_u(psi)
 
     def _ritz(self, psi: np.ndarray):
         """(k, c, U, V): P_k psi sums c_j U[:, j] . V over the Ritz values rounding to k."""
@@ -371,7 +352,7 @@ class CountingProjectorSet:
             last = np.bincount(sectors(lam), weights=U[-1] * U[0], minlength=self.N + 1)
             return beta * np.abs(last).max() < KRYLOV_TOL
 
-        beta0, V, lam, U, _ = _lanczos(lambda x: self._mode.q_total(x.reshape(psi.shape)).ravel(),
+        beta0, V, lam, U, _ = _lanczos(lambda x: self.q_total(x.reshape(psi.shape)).ravel(),
                                        psi, 2 * self.N + 2, accept)
         return sectors(lam), beta0 * U[0], U, V
 
@@ -431,11 +412,12 @@ def _static_diagonals(basis: TwoSpeciesBasis, spec: HamiltonianSpec):
 
 
 def _channels(basis: TwoSpeciesBasis, spec: HamiltonianSpec, static, psi: np.ndarray,
-              mode_a: _ModeOps, mode_b: _ModeOps, u: Field, v: Field) -> DerivativeChannels:
+              count_a: CountingProjectorSet, count_b: CountingProjectorSet,
+              u: Field, v: Field) -> DerivativeChannels:
     """The three commutator channels, given the static diagonals and a(u), b(v)."""
     if u.grid != spec.grid or v.grid != spec.grid:
         raise IndicatorError("state, orbitals and interaction spec must share one grid")
-    pbar_psi = mode_a.n_u(mode_b.n_u(psi)) / (basis.N1 * basis.N2)
+    pbar_psi = count_a.n_u(count_b.n_u(psi)) / (basis.N1 * basis.N2)
     w1, w2, cross = static
     occ_a, occ_b = basis.A.occs.astype(float), basis.B.occs.astype(float)
     rho_u, rho_v = np.abs(u.values.ravel()) ** 2, np.abs(v.values.ravel()) ** 2
@@ -467,7 +449,8 @@ def derivative_decomposition(state: ManyBodyState, u: Field, v: Field,
     """
     b = state.basis
     static = _static_diagonals(b, spec)
-    return _channels(b, spec, static, state.psi, _ModeOps(b, "A", u), _ModeOps(b, "B", v), u, v)
+    return _channels(b, spec, static, state.psi, counting_projectors(b, u, "A"),
+                     counting_projectors(b, v, "B"), u, v)
 
 
 class SampleEvaluator:
@@ -490,16 +473,15 @@ class SampleEvaluator:
 
     def __call__(self, state: ManyBodyState, u: Field, v: Field) -> tuple[float, ...]:
         b, psi = self.basis, state.psi
-        counting = counting_projectors(b, u, "A")
-        mode_a, mode_b = counting._mode, _ModeOps(b, "B", v)
-        ch = _channels(b, self.spec, self.static, psi, mode_a, mode_b, u, v)
-        sectors = counting.sector_weights(state)
+        count_a, count_b = counting_projectors(b, u, "A"), counting_projectors(b, v, "B")
+        ch = _channels(b, self.spec, self.static, psi, count_a, count_b, u, v)
+        sectors = count_a.sector_weights(state)
         pair = _pair_density(b, psi)
         pair4 = pair.reshape((b.M,) * 4)                    # partial traces: gamma^(1,0), (0,1)
-        ref = np.kron(mode_a.u_site, mode_b.u_site)
+        ref = np.kron(count_a.u_site, count_b.u_site)
         return (_deficit(pair, ref), _trace_gap(pair, ref),
-                _deficit(np.einsum("xyXy->xX", pair4), mode_a.u_site),
-                _deficit(np.einsum("xyxY->yY", pair4), mode_b.u_site),
+                _deficit(np.einsum("xyXy->xX", pair4), count_a.u_site),
+                _deficit(np.einsum("xyxY->yY", pair4), count_b.u_site),
                 ch.c_v1.imag, ch.c_v2.imag, ch.c_v12.imag,
                 *(float(np.dot(g, sectors)) for g in self.weights))
 
@@ -609,8 +591,7 @@ def corrected_alpha(state: ManyBodyState, u: Field, v: Field,
         return float(base)
 
     M, n_own = b.M, own.N
-    own_site = counting._mode.u_site
-    p = np.outer(own_site, np.conj(own_site))
+    p = np.outer(counting.u_site, np.conj(counting.u_site))
 
     def labelled(x: np.ndarray) -> np.ndarray:
         """a_{x'} a_x x in (x, x', a'', other) order."""

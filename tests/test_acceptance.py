@@ -191,8 +191,7 @@ def test_c07_counting_algebra():
     xi = 0.2
     wm, wn_, ws_ = weight_m(3, xi), weight_n(3), weight_s(3)
     worst = 0.0
-    from becmix.indicators import _ModeOps
-    mode = _ModeOps(basis, "A", u)
+    mode = counting_projectors(basis, u, "A")
     for _ in range(10):
         st = random_state(basis, rng)
         parts = cp.split(st)

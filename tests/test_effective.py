@@ -505,6 +505,20 @@ def test_unknown_mode_rejected_at_construction():
         CouplingSpec(mode="foo", grid=make_grid(1, 16, 2 * np.pi))
 
 
+def test_missing_mode_fields_rejected_at_construction():
+    g = make_grid(1, 16, 2 * np.pi)
+    with pytest.raises(EffectiveError, match="hartree mode needs the potential V1"):
+        CouplingSpec(mode="hartree", grid=g)
+    V = Field(g, np.cos(g.coordinate_arrays()[0]))
+    with pytest.raises(EffectiveError, match="potential V12"):
+        CouplingSpec(mode="hartree", grid=g, V1=V, V2=V)
+    with pytest.raises(EffectiveError, match="rabi mode needs the field rabi_field"):
+        CouplingSpec(mode="rabi", grid=g)
+    spec = CouplingSpec.rabi(g, 0.1, 0.5)
+    with pytest.raises(EffectiveError, match="rabi_field"):
+        dataclasses.replace(spec, rabi_field=None)
+
+
 def test_unknown_kinetic_rejected_at_construction():
     g = make_grid(1, 16, 2 * np.pi)
     with pytest.raises(EffectiveError, match="spectal"):

@@ -47,6 +47,91 @@ def test_minimal_document_gets_defaults(tmp_path):
     assert cfg.ladder == [(1, 1), (2, 2)]
 
 
+EVERY_KEY = """
+[grid]
+dim = 2
+points = 6
+length = 3.5
+
+[system]
+mode = hartree
+v1 = cosine amp=0.5 k=2
+v2 = gaussian amp=0.3 sigma=0.4
+v12 = box amp=0.2 radius=0.7
+u0 = mode k=2
+v0 = cospack eps=0.1 k=3
+w0 = uniform
+c1 = 0.25
+a1 = 0.1
+a2 = 0.2
+a12 = 0.3
+a = 0.4
+b = 0.6
+kinetic = stencil
+seed = 7
+potential = gaussian amp=1.5 sigma=0.3
+n_values = 4; 6
+beta_values = 0.5 0.75
+
+[ladder]
+entries = 1,1; 2,1
+cap = 5000
+ratio_fixed = no
+
+[time]
+t = 0.2
+dt = 0.002
+sample_every = 5
+
+[indicators]
+xi = 0.3
+probe_time = 0.1
+
+[output]
+dir = elsewhere
+snapshots = 3
+"""
+
+
+def test_every_key_sets_its_field():
+    cfg = parse_config(EVERY_KEY)
+    assert (cfg.dim, cfg.points, cfg.length) == (2, 6, 3.5)
+    assert cfg.mode == "hartree"
+    assert (cfg.v1, cfg.v2, cfg.v12) == ("cosine amp=0.5 k=2", "gaussian amp=0.3 sigma=0.4",
+                                         "box amp=0.2 radius=0.7")
+    assert (cfg.u0, cfg.v0, cfg.w0) == ("mode k=2", "cospack eps=0.1 k=3", "uniform")
+    assert (cfg.c1, cfg.a1, cfg.a2, cfg.a12, cfg.a, cfg.b_field) == (0.25, 0.1, 0.2, 0.3,
+                                                                     0.4, 0.6)
+    assert (cfg.kinetic, cfg.seed) == ("stencil", 7)
+    assert cfg.scatter_potential == "gaussian amp=1.5 sigma=0.3"
+    assert (cfg.n_values, cfg.beta_values) == ([4, 6], [0.5, 0.75])
+    assert (cfg.ladder, cfg.cap, cfg.ratio_fixed) == ([(1, 1), (2, 1)], 5000, False)
+    assert (cfg.T, cfg.dt, cfg.sample_every) == (0.2, 0.002, 5)
+    assert (cfg.xi, cfg.probe_time) == (0.3, 0.1)
+    assert (cfg.out_dir, cfg.snapshots) == ("elsewhere", 3)
+    assert cfg.echo["ladder"] == {"entries": "1,1; 2,1", "cap": "5000", "ratio_fixed": "no"}
+
+
+def test_one_bad_value_per_section_reports_each_line():
+    doc = ("[grid]\nlength = inf\n"
+           "[system]\nbeta_values = 0.5 nan\n"
+           "[ladder]\nratio_fixed = maybe\n"
+           "[time]\nsample_every = 0\n"
+           "[indicators]\nxi = -1\n"
+           "[output]\nsnapshots = many\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value).split("\n  ") == [
+        "invalid configuration:",
+        "[grid] length: cannot parse 'inf' as a finite number",
+        "[system] beta_values: cannot parse '0.5 nan' as finite numbers",
+        "[ladder] ratio_fixed: cannot parse 'maybe' (use 1/0, true/false or yes/no)",
+        "[time] sample_every: sample_every must be >= 1",
+        "[indicators] xi: xi must be positive, got -1.0",
+        "[output] snapshots: cannot parse 'many'",
+    ]
+
+
 def test_unknown_key_and_section_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config("[grid]\npoints = 8\nlenght = 3\n")
@@ -584,20 +669,26 @@ def test_cli_scattering_bound_state_is_an_error(tmp_path, capsys):
     assert "error: radial solution crosses zero" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["bad-value", "directory", "not-utf8"])
+@pytest.mark.parametrize("case", ["bad-value", "directory", "not-utf8", "no-ladder"])
 def test_cli_rejects_bad_config(tmp_path, capsys, case):
     cfg_path = tmp_path / "bad.ini"
     if case == "bad-value":
         cfg_path.write_text("[grid]\npoints = nope\n")
     elif case == "directory":
         cfg_path.mkdir()
+    elif case == "no-ladder":
+        cfg_path.write_text(f"[grid]\npoints = 6\n[time]\nt = 0.05\n"
+                            f"[output]\ndir = {tmp_path / 'out'}\n")
     else:
         cfg_path.write_bytes("[grid]\npoints = 16 # \u00e9\n".encode("latin-1"))
     assert cli.main(["sweep", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    if case != "bad-value":
+    if case in ("directory", "not-utf8"):
         assert str(cfg_path) in err
+    if case == "no-ladder":
+        assert "[ladder] entries: the ladder is empty" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_check_passes():

@@ -245,8 +245,7 @@ def test_counting_resolution_orthogonality_and_q():
         target = parts[2] if j == 2 else np.zeros_like(parts[2])
         assert np.max(np.abs(p - target)) < 1e-12
     # sum_k k P_k reproduces Q
-    from becmix.indicators import _ModeOps
-    mode = _ModeOps(basis, "A", u)
+    mode = counting_projectors(basis, u, "A")
     q_direct = mode.q_total(st.psi)
     q_spectral = sum(k * p for k, p in enumerate(parts))
     assert np.max(np.abs(q_direct - q_spectral)) < 1e-12
@@ -269,8 +268,7 @@ def test_counting_split_stable_up_to_the_cap_edge(n1, seed):
     assert overlaps.max() < 1e-12
     assert abs(cp.sector_weights(st).sum() - st.norm ** 2) < 1e-12
     # the stopping rule holds each estimated ||Q P_k psi - k P_k psi|| below 1e-12
-    from becmix.indicators import _ModeOps
-    mode = _ModeOps(basis, "A", u)
+    mode = counting_projectors(basis, u, "A")
     assert max(np.linalg.norm(mode.q_total(p) - k * p) for k, p in enumerate(parts)) < 1e-11
 
 
@@ -278,7 +276,6 @@ def test_counting_split_of_near_condensed_states_up_to_the_cap_edge():
     # the sweep's regime: a product state plus a small perturbation, so the
     # high-k sectors carry tiny weight; the plain Lanczos recurrence must
     # still resolve, separate and diagonalize them to the hypothesis bounds
-    from becmix.indicators import _ModeOps
     g = Grid(1, 4, 2.0)
     for n1 in range(1, 25):
         rng = np.random.default_rng(n1)
@@ -286,7 +283,7 @@ def test_counting_split_of_near_condensed_states_up_to_the_cap_edge():
                 for _ in range(2))
         basis = build_basis(4, n1, 1)
         prod, noise = product_state(u, v, basis).psi, random_state(basis, rng).psi
-        cp, mode = counting_projectors(basis, u, "A"), _ModeOps(basis, "A", u)
+        cp, mode = counting_projectors(basis, u, "A"), counting_projectors(basis, u, "A")
         for eps in (1e-3, 1e-6, 1e-9):
             psi = prod + eps * noise
             parts = cp.split(ManyBodyState(basis, psi))
@@ -366,8 +363,7 @@ def test_weight_expectations():
         assert weight_expectation(ps, w, "A", u) == pytest.approx(w(0), abs=1e-12)
 
     rng = np.random.default_rng(7)
-    from becmix.indicators import _ModeOps
-    mode = _ModeOps(basis, "A", u)
+    mode = counting_projectors(basis, u, "A")
     for _ in range(10):
         st = random_state(basis, rng)
         es = weight_expectation(st, weight_s(2), "A", u)
@@ -706,8 +702,7 @@ def test_sample_evaluator_matches_public_functions(N1, N2):
             for _ in range(2))
     weights = (weight_s(N1), weight_n(N1), weight_m(N1, 0.2))
     evaluate = SampleEvaluator(basis, spec, weights)
-    from becmix.indicators import _ModeOps
-    mode_a, mode_b = _ModeOps(basis, "A", u), _ModeOps(basis, "B", v)
+    mode_a, mode_b = counting_projectors(basis, u, "A"), counting_projectors(basis, v, "B")
     for _ in range(3):
         st = random_state(basis, rng)
         ch = derivative_decomposition(st, u, v, spec)
