@@ -115,6 +115,8 @@ def _cmd_effective(args) -> int:
 
 def _cmd_scattering(args) -> int:
     cfg = _load_config(args.config, args)
+    if cfg.mode != "scattering":
+        raise ConfigError(f"mode {cfg.mode!r} is not a scattering problem")
     V = cfg.radial_potential()
     base = scattering_length(V, 2.5 * V.support_radius)
     out = Path(cfg.out_dir)

@@ -116,8 +116,7 @@ def _run_entry(cfg: ExperimentConfig, n1: int, n2: int, traj: _Trajectory) -> Sw
         eff = traj.orbitals[0]
         psi = product_state(*eff.components, basis)
         entry.energy_gap = abs(manybody_energy(H, psi) - hartree_energy(eff, traj.spec))
-        evaluate = SampleEvaluator(basis, mb_spec,
-                                   (weight_s(n1), weight_n(n1), weight_m(n1, cfg.xi)))
+        evaluate = SampleEvaluator(H, (weight_s(n1), weight_n(n1), weight_m(n1, cfg.xi)))
         entry.rows.append((0.0, *evaluate(psi, *eff.components)))
         if entry.rows[0][1] > 1e-10:
             raise HarnessError(f"product initial data has alpha(0) = {entry.rows[0][1]:.3e}")
@@ -137,10 +136,15 @@ def run_convergence_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepRepor
     The effective orbitals are integrated once per distinct c1 = n1/(n1+n2)
     and shared by the entries with that ratio.  Trajectories, then entries,
     run concurrently when threads > 1 but are reported in ladder order,
-    so outputs do not depend on scheduling.
+    so outputs do not depend on scheduling.  A document the sweep would
+    misread (dim other than 1, mode other than mean_field) raises first.
     """
     if not cfg.ladder:
         raise HarnessError("[ladder] entries: the ladder is empty")
+    if cfg.dim != 1:
+        raise HarnessError(f"[grid] dim: the many-body harness is one-dimensional, got {cfg.dim}")
+    if cfg.mode != "mean_field":
+        raise HarnessError(f"[system] mode: a sweep runs mode mean_field, got {cfg.mode!r}")
     t0 = time.perf_counter()
 
     def each(fn, items):

@@ -32,10 +32,11 @@ import numpy as np
 from .grids import Field
 from .manybody import (
     KRYLOV_TOL,
+    Hamiltonian,
     HamiltonianSpec,
     ManyBodyState,
     TwoSpeciesBasis,
-    _SpeciesBasis,
+    _along,
     _circulant,
     _interaction_diagonals,
     _lanczos,
@@ -87,23 +88,6 @@ def _orbital_sites(basis: TwoSpeciesBasis, u: Field) -> np.ndarray:
     return u_site
 
 
-def _annihilator(species: _SpeciesBasis, u_site: np.ndarray):
-    """a(u) = sum_x conj(u_x) a_x as CSR, and its adjoint as CSC on the same arrays."""
-    import scipy.sparse as sp
-    indptr, col, site, sqrt_n = species.lowering[1]
-    data = np.conj(u_site)[site] * sqrt_n
-    shape = (indptr.size - 1, species.dim)
-    return (sp.csr_matrix((data, col, indptr), shape=shape),
-            sp.csc_matrix((data.conj(), col, indptr), shape=shape[::-1]))
-
-
-def _along(op, arr: np.ndarray, axis: int) -> np.ndarray:
-    """The matrix op (dense or sparse) applied to one axis of arr."""
-    moved = np.moveaxis(arr, axis, 0)
-    out = op @ moved.reshape(moved.shape[0], -1)
-    return np.moveaxis(out.reshape(-1, *moved.shape[1:]), 0, axis)
-
-
 # ---------------------------------------------------------------------------
 # reduced density matrices
 
@@ -127,18 +111,6 @@ class ReducedDensity:
             raise IndicatorError(f"reduced density has eigenvalue {w.min():.2e}")
 
 
-def _gram(W: np.ndarray, norm: int) -> np.ndarray:
-    """W W^H / norm; row x of W is the lowered state of index x, flattened."""
-    return (W @ W.conj().T) / norm
-
-
-def _pair_lowered(basis: TwoSpeciesBasis, psi: np.ndarray) -> np.ndarray:
-    """W[x, a', y, b'] = (b_y a_x psi)[a', b'], one stacked product per species."""
-    lowered_b = basis.B.lowering[0] @ psi.T                    # (M dimB', dimA)
-    W = basis.A.lowering[0] @ lowered_b.T
-    return W.reshape(basis.M, basis.A.lowered.dim, basis.M, -1)
-
-
 def _pair_density(basis: TwoSpeciesBasis, psi: np.ndarray) -> np.ndarray:
     """gamma^(1,1) from W[x, y] = b_y a_x psi.
 
@@ -146,7 +118,7 @@ def _pair_density(basis: TwoSpeciesBasis, psi: np.ndarray) -> np.ndarray:
     each term copies only the (x, y, b') slice of one a'.
     """
     M = basis.M
-    W = _pair_lowered(basis, psi)
+    W = basis.A.lower(basis.B.lower(psi, 1), 0)
     gamma = np.zeros((M * M, M * M), dtype=complex)
     for a in range(W.shape[1]):
         Wa = W[:, a].reshape(M * M, -1)
@@ -176,10 +148,10 @@ def reduce_density(state: ManyBodyState, kind: tuple[int, int]) -> ReducedDensit
     (1,0) marginal.
     """
     b = state.basis
-    if kind == (1, 0):
-        gamma = _gram((b.A.lowering[0] @ state.psi).reshape(b.M, -1), b.N1)
-    elif kind == (0, 1):
-        gamma = _gram((b.B.lowering[0] @ state.psi.T).reshape(b.M, -1), b.N2)
+    if kind in ((1, 0), (0, 1)):
+        species, psi = (b.A, state.psi) if kind == (1, 0) else (b.B, state.psi.T)
+        W = species.lower(psi, 0).reshape(b.M, -1)    # row x: a_x psi, flattened
+        gamma = (W @ W.conj().T) / species.N
     elif kind == (1, 1):
         gamma = _pair_density(b, state.psi)
     else:
@@ -332,7 +304,7 @@ class CountingProjectorSet:
         self.u_site = _orbital_sites(self.basis, self.orbital)
         if abs(np.linalg.norm(self.u_site) - 1.0) > 1e-8:
             raise IndicatorError("orbital must be normalized")
-        self.a, self.a_dag = _annihilator(self.basis.species(self.species), self.u_site)
+        self.a, self.a_dag = self.basis.species(self.species).annihilator(self.u_site)
 
     def n_u(self, psi: np.ndarray) -> np.ndarray:
         """a+(u) a(u) psi; a(u) maps into the (N-1)-particle sector of the species."""
@@ -404,21 +376,14 @@ def _dressing(kernel_bare: np.ndarray, density: np.ndarray, h: float) -> np.ndar
     return h * (_circulant(kernel_bare) @ density)
 
 
-def _static_diagonals(basis: TwoSpeciesBasis, spec: HamiltonianSpec):
-    """The interactions of the three channels, fixed along a run."""
-    if spec.grid.points_per_axis != basis.M:
-        raise IndicatorError("state, orbitals and interaction spec must share one grid")
-    return _interaction_diagonals(basis, spec)
-
-
-def _channels(basis: TwoSpeciesBasis, spec: HamiltonianSpec, static, psi: np.ndarray,
+def _channels(basis: TwoSpeciesBasis, spec: HamiltonianSpec, interactions, psi: np.ndarray,
               count_a: CountingProjectorSet, count_b: CountingProjectorSet,
               u: Field, v: Field) -> DerivativeChannels:
-    """The three commutator channels, given the static diagonals and a(u), b(v)."""
+    """The three commutator channels, given the interaction diagonals and a(u), b(v)."""
     if u.grid != spec.grid or v.grid != spec.grid:
         raise IndicatorError("state, orbitals and interaction spec must share one grid")
     pbar_psi = count_a.n_u(count_b.n_u(psi)) / (basis.N1 * basis.N2)
-    w1, w2, cross = static
+    w1, w2, cross = interactions
     occ_a, occ_b = basis.A.occs.astype(float), basis.B.occs.astype(float)
     rho_u, rho_v = np.abs(u.values.ravel()) ** 2, np.abs(v.values.ravel()) ** 2
 
@@ -448,33 +413,32 @@ def derivative_decomposition(state: ManyBodyState, u: Field, v: Field,
     time as the state, evolved with the lattice kinetic term.
     """
     b = state.basis
-    static = _static_diagonals(b, spec)
-    return _channels(b, spec, static, state.psi, counting_projectors(b, u, "A"),
-                     counting_projectors(b, v, "B"), u, v)
+    if spec.grid.points_per_axis != b.M:
+        raise IndicatorError("state, orbitals and interaction spec must share one grid")
+    return _channels(b, spec, _interaction_diagonals(b, spec), state.psi,
+                     counting_projectors(b, u, "A"), counting_projectors(b, v, "B"), u, v)
 
 
 class SampleEvaluator:
-    """The sweep's columns at one time, with the run's fixed operators built once.
+    """The sweep's columns at one time, reading the interaction diagonals of the
+    run's Hamiltonian.
 
     (state, u, v) -> (alpha_11, trace_dist, alpha_10, alpha_01, C_V1_im,
     C_V2_im, C_V12_im, <g> for each weight g of the first species).  One
     pair density gives the first four; one a(u) and one b(v) the rest.
     """
 
-    def __init__(self, basis: TwoSpeciesBasis, spec: HamiltonianSpec,
-                 weights: Sequence[WeightFunction]):
+    def __init__(self, H: Hamiltonian, weights: Sequence[WeightFunction]):
         for g in weights:
-            if g.N != basis.N1:
-                raise IndicatorError(f"weight defined for N={g.N}, species has N={basis.N1}")
-        self.basis = basis
-        self.spec = spec
-        self.static = _static_diagonals(basis, spec)
+            if g.N != H.basis.N1:
+                raise IndicatorError(f"weight defined for N={g.N}, species has N={H.basis.N1}")
+        self.H = H
         self.weights = [g.values for g in weights]
 
     def __call__(self, state: ManyBodyState, u: Field, v: Field) -> tuple[float, ...]:
-        b, psi = self.basis, state.psi
+        H, b, psi = self.H, self.H.basis, state.psi
         count_a, count_b = counting_projectors(b, u, "A"), counting_projectors(b, v, "B")
-        ch = _channels(b, self.spec, self.static, psi, count_a, count_b, u, v)
+        ch = _channels(b, H.spec, H.interactions, psi, count_a, count_b, u, v)
         sectors = count_a.sector_weights(state)
         pair = _pair_density(b, psi)
         pair4 = pair.reshape((b.M,) * 4)                    # partial traces: gamma^(1,0), (0,1)
@@ -515,8 +479,8 @@ def insertion_terms(state: ManyBodyState, u: Field, v: Field,
     n1, n2 = b.N1, b.N2
     usite, vsite = _orbital_sites(b, u), _orbital_sites(b, v)
     p_u, p_v = np.outer(usite, np.conj(usite)), np.outer(vsite, np.conj(vsite))
-    n_u, n_v = ((a_dag @ a).toarray() for a, a_dag in (_annihilator(b.A.lowered, usite),
-                                                        _annihilator(b.B.lowered, vsite)))
+    n_u, n_v = ((a_dag @ a).toarray() for a, a_dag in (b.A.lowered.annihilator(usite),
+                                                        b.B.lowered.annihilator(vsite)))
     kernel = V12.values.real.ravel()
     dress_a = _dressing(kernel, np.abs(v.values.ravel()) ** 2, h)   # (V12 * |v|^2)(x_1)
     dress_b = _dressing(kernel, np.abs(u.values.ravel()) ** 2, h)   # (V12 * |u|^2)(y_1)
@@ -527,7 +491,7 @@ def insertion_terms(state: ManyBodyState, u: Field, v: Field,
         return (_along(p_v, x, 2) + _along(n_v, x, 3)) / (n1 * n2)
 
     ops = {"p": (p_u, p_v), "q": (np.eye(b.M) - p_u, np.eye(b.M) - p_v)}
-    T = _pair_lowered(b, state.psi) / math.sqrt(n1 * n2)
+    T = b.A.lower(b.B.lower(state.psi, 1), 0) / math.sqrt(n1 * n2)
 
     def side(ac: str) -> np.ndarray:
         return _along(ops[ac[1]][1], _along(ops[ac[0]][0], T, 0), 2)
@@ -590,14 +554,11 @@ def corrected_alpha(state: ManyBodyState, u: Field, v: Field,
     if (no_same and no_cross) or own.N < 2:
         return float(base)
 
-    M, n_own = b.M, own.N
     p = np.outer(counting.u_site, np.conj(counting.u_site))
 
     def labelled(x: np.ndarray) -> np.ndarray:
         """a_{x'} a_x x in (x, x', a'', other) order."""
-        one = _along(own.lowering[0], x if species == "A" else x.T, 0)
-        one = _along(own.lowered.lowering[0], one.reshape(M, own.lowered.dim, -1), 1)
-        return one.reshape(M, M, own.lowered.lowered.dim, -1)
+        return own.lowered.lower(own.lower(x if species == "A" else x.T, 0), 1)
 
     y1, y2 = (labelled(np.tensordot(weight.values - weight.shifted_values(j), parts, 1))
               for j in (1, 2))
@@ -611,9 +572,5 @@ def corrected_alpha(state: ManyBodyState, u: Field, v: Field,
         corr += np.vdot(psi, G * r_psi).real
     if not no_cross:
         G = _circulant(np.asarray(g_pair_cross, float))[:, None, None, :, None]
-
-        def lower_other(x: np.ndarray) -> np.ndarray:
-            return _along(other.lowering[0], x, 3).reshape(*x.shape[:3], M, -1)
-
-        corr += np.vdot(lower_other(psi), G * lower_other(r_psi)).real / (n_own - 1)
+        corr += np.vdot(other.lower(psi, 3), G * other.lower(r_psi, 3)).real / (own.N - 1)
     return float(base - corr)

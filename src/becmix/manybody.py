@@ -80,7 +80,7 @@ def occupation_states(M: int, N: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class _SpeciesBasis:
-    """Occupation enumeration for one species, with site-lowering maps."""
+    """Occupation enumeration for one species, with its lowering maps a_x and a(u)."""
 
     M: int
     N: int
@@ -103,13 +103,10 @@ class _SpeciesBasis:
         return _SpeciesBasis.build(self.M, self.N - 1)
 
     @cached_property
-    def lowering(self) -> tuple[sp.csr_matrix, tuple[np.ndarray, ...]]:
-        """The site maps a_x into `lowered`, built once.
+    def lowering(self) -> sp.csr_matrix:
+        """The site maps a_x into `lowered`, stacked once: shape (M dim', dim), row x * dim' + j.
 
-        Returns their stack, shape (M dim', dim) with row x * dim' + j, and
-        the CSR arrays (indptr, col, site, sqrt_n) of a(u) = sum_x conj(u_x)
-        a_x, whose values are conj(u[site]) * sqrt_n for any orbital u: the
-        a_x have disjoint patterns, so each stack entry is one entry of a(u).
+        Each row has at most one entry: the state j + e_x that a_x lowers to j.
         """
         import scipy.sparse as sp
         dst = self.lowered
@@ -117,12 +114,40 @@ class _SpeciesBasis:
         low = self.occs[col]
         low[np.arange(col.size), site] -= 1
         row = np.array([dst.index[tuple(occ)] for occ in low.tolist()], dtype=np.int64)
-        sqrt_n = np.sqrt(self.occs[col, site])
-        stack = sp.csr_matrix((sqrt_n, (site * dst.dim + row, col)),
-                              shape=(self.M * dst.dim, self.dim))
-        order = np.lexsort((col, row))
-        indptr = np.searchsorted(row[order], np.arange(dst.dim + 1))
-        return stack, (indptr, col[order], site[order], sqrt_n[order])
+        return sp.csr_matrix((np.sqrt(self.occs[col, site]), (site * dst.dim + row, col)),
+                             shape=(self.M * dst.dim, self.dim))
+
+    @cached_property
+    def _annihilator_pattern(self) -> tuple[np.ndarray, ...]:
+        """The CSR arrays (indptr, col, site, sqrt_n) of a(u) = sum_x conj(u_x) a_x, whose
+        values are conj(u[site]) * sqrt_n for any orbital u: the a_x have disjoint
+        patterns, so each stack entry is one entry of a(u)."""
+        stack = self.lowering.tocoo()
+        site, row = np.divmod(stack.row, self.lowered.dim)
+        order = np.lexsort((stack.col, row))
+        indptr = np.searchsorted(row[order], np.arange(self.lowered.dim + 1))
+        return indptr, stack.col[order], site[order], stack.data[order]
+
+    def lower(self, arr: np.ndarray, axis: int) -> np.ndarray:
+        """a_x arr for every site x, on one axis of arr, which becomes (x, lowered index)."""
+        out = _along(self.lowering, arr, axis)
+        return out.reshape(*arr.shape[:axis], self.M, self.lowered.dim, *arr.shape[axis + 1:])
+
+    def annihilator(self, u_site: np.ndarray) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+        """a(u) for the orbital's unit site vector as CSR, and a+(u) as CSC on the same arrays."""
+        import scipy.sparse as sp
+        indptr, col, site, sqrt_n = self._annihilator_pattern
+        data = np.conj(u_site)[site] * sqrt_n
+        shape = (self.lowered.dim, self.dim)
+        return (sp.csr_matrix((data, col, indptr), shape=shape),
+                sp.csc_matrix((data.conj(), col, indptr), shape=shape[::-1]))
+
+
+def _along(op, arr: np.ndarray, axis: int) -> np.ndarray:
+    """The matrix op (dense or sparse) applied to one axis of arr."""
+    moved = np.moveaxis(arr, axis, 0)
+    out = op @ moved.reshape(moved.shape[0], -1)
+    return np.moveaxis(out.reshape(-1, *moved.shape[1:]), 0, axis)
 
 
 def _basis_dim(M: int, N1: int, N2: int) -> int:
@@ -263,7 +288,7 @@ def _hop_matrix(species: _SpeciesBasis, h: float) -> sp.csr_matrix:
     M = 2 the two equal neighbours sum on their own.  The diagonal 2 N / h^2
     is accounted for separately as a constant.
     """
-    S = species.lowering[0]
+    S = species.lowering
     R = S[np.roll(np.arange(S.shape[0]), -species.lowered.dim)]
     return (-(S.T @ R + R.T @ S) / h**2).tocsr()
 
@@ -291,7 +316,8 @@ class Hamiltonian:
     index at a time and the interactions are diagonal, so `apply` works
     on the (dimA, dimB) layout without forming the Kronecker sum.  It
     accepts either the flat or the 2-D layout; `matrix` assembles the
-    sparse H over the flat joint index on demand, for dense checks.
+    sparse H over the flat joint index on demand, for dense checks, and
+    `interactions` keeps the three interaction diagonals.
     """
 
     def __init__(self, spec: HamiltonianSpec, basis: TwoSpeciesBasis):
@@ -304,7 +330,8 @@ class Hamiltonian:
         h = spec.grid.spacing
         self.hop_A = _hop_matrix(basis.A, h)
         self.hop_B = _hop_matrix(basis.B, h)
-        w1, w2, cross = _interaction_diagonals(basis, spec)
+        self.interactions = _interaction_diagonals(basis, spec)
+        w1, w2, cross = self.interactions
         self.diag = 2.0 * (basis.N1 + basis.N2) / h**2 + w1[:, None] + w2[None, :] + cross
 
     @property
@@ -450,6 +477,9 @@ def product_state(u: Field, v: Field, basis: TwoSpeciesBasis) -> ManyBodyState:
     sqrt(h)); the result is normalized to kill round-off.
     """
     for name, f in (("u", u), ("v", v)):
+        if f.values.size != basis.M:
+            raise ManyBodyError(f"orbital {name} has {f.values.size} sites, "
+                                f"the basis has {basis.M}")
         n = l2_norm(f)
         if n == 0:
             raise ManyBodyError(f"orbital {name} has zero norm")

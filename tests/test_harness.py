@@ -375,6 +375,23 @@ def test_effective_trajectory_integrated_once_per_ratio(tmp_path, monkeypatch, e
         assert entry.energy_gap == ref.energy_gap
 
 
+def test_interaction_diagonals_built_once_per_entry(tmp_path, monkeypatch):
+    # the evaluator reads the entry's Hamiltonian instead of building its own diagonals
+    import becmix.indicators as indicators_mod
+    real = manybody_mod._interaction_diagonals
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(manybody_mod, "_interaction_diagonals", counting)
+    monkeypatch.setattr(indicators_mod, "_interaction_diagonals", counting)
+    report = run_convergence_sweep(parse_config(MINIMAL.format(out=tmp_path)))
+    assert all(entry.error is None for entry in report.entries)
+    assert calls == [(6, 6), (21, 21)]
+
+
 def test_failed_trajectory_fails_every_entry_of_its_ratio(tmp_path, monkeypatch):
     doc = MINIMAL.format(out=tmp_path).replace(
         "entries = 1,1; 2,2", "entries = 1,2; 2,2; 2,4\nratio_fixed = false")
@@ -669,9 +686,16 @@ def test_cli_scattering_bound_state_is_an_error(tmp_path, capsys):
     assert "error: radial solution crosses zero" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["bad-value", "directory", "not-utf8", "no-ladder"])
+@pytest.mark.parametrize("case", ["bad-value", "directory", "not-utf8", "no-ladder", "dim-2",
+                                  "wrong-mode", "scattering-mode"])
 def test_cli_rejects_bad_config(tmp_path, capsys, case):
     cfg_path = tmp_path / "bad.ini"
+    minimal = MINIMAL.format(out=tmp_path / "out")
+    command, message = "sweep", {
+        "no-ladder": "[ladder] entries: the ladder is empty",
+        "dim-2": "[grid] dim: the many-body harness is one-dimensional, got 2",
+        "wrong-mode": "[system] mode: a sweep runs mode mean_field, got 'spin1'",
+        "scattering-mode": "mode 'mean_field' is not a scattering problem"}.get(case)
     if case == "bad-value":
         cfg_path.write_text("[grid]\npoints = nope\n")
     elif case == "directory":
@@ -679,15 +703,22 @@ def test_cli_rejects_bad_config(tmp_path, capsys, case):
     elif case == "no-ladder":
         cfg_path.write_text(f"[grid]\npoints = 6\n[time]\nt = 0.05\n"
                             f"[output]\ndir = {tmp_path / 'out'}\n")
+    elif case == "dim-2":
+        cfg_path.write_text(minimal.replace("[grid]\n", "[grid]\ndim = 2\n"))
+    elif case == "wrong-mode":
+        cfg_path.write_text(minimal.replace("mode = mean_field", "mode = spin1"))
+    elif case == "scattering-mode":
+        command = "scattering"
+        cfg_path.write_text(minimal)
     else:
         cfg_path.write_bytes("[grid]\npoints = 16 # \u00e9\n".encode("latin-1"))
-    assert cli.main(["sweep", str(cfg_path)]) == 2
+    assert cli.main([command, str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     if case in ("directory", "not-utf8"):
         assert str(cfg_path) in err
-    if case == "no-ladder":
-        assert "[ladder] entries: the ladder is empty" in err
+    if message is not None:
+        assert message in err
         assert not (tmp_path / "out").exists()
 
 

@@ -288,6 +288,8 @@ def test_counting_split_of_near_condensed_states_up_to_the_cap_edge():
             psi = prod + eps * noise
             parts = cp.split(ManyBodyState(basis, psi))
             assert np.linalg.norm(sum(parts) - psi) < 1e-12
+            norms = np.array([np.linalg.norm(p) ** 2 for p in parts])
+            assert np.max(np.abs(cp.sector_weights(ManyBodyState(basis, psi)) - norms)) < 1e-12
             overlaps = np.abs(np.einsum("jab,kab->jk", parts.conj(), parts))
             np.fill_diagonal(overlaps, 0.0)
             assert overlaps.max() < 1e-12
@@ -701,7 +703,7 @@ def test_sample_evaluator_matches_public_functions(N1, N2):
     u, v = (normalize(Field(g, rng.standard_normal(6) + 1j * rng.standard_normal(6)))
             for _ in range(2))
     weights = (weight_s(N1), weight_n(N1), weight_m(N1, 0.2))
-    evaluate = SampleEvaluator(basis, spec, weights)
+    evaluate = SampleEvaluator(Hamiltonian(spec, basis), weights)
     mode_a, mode_b = counting_projectors(basis, u, "A"), counting_projectors(basis, v, "B")
     for _ in range(3):
         st = random_state(basis, rng)

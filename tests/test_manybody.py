@@ -263,6 +263,16 @@ def test_product_state_rejects_bad_orbitals():
         product_state(Field(g, np.ones(4)), Field(g, np.ones(4)), b)  # unnormalized
 
 
+def test_product_state_rejects_an_orbital_of_another_site_count():
+    u8, v8 = _orbitals(Grid(1, 8, 2.0))
+    u6, v6 = _orbitals(Grid(1, 6, 2.0))
+    b = build_basis(6, 2, 1)
+    with pytest.raises(ManyBodyError, match="orbital u has 8 sites, the basis has 6"):
+        product_state(u8, v6, b)
+    with pytest.raises(ManyBodyError, match="orbital v has 8 sites, the basis has 6"):
+        product_state(u6, v8, b)
+
+
 def test_firstquant_vector_is_symmetric_per_species():
     g = Grid(1, 3, 1.5)
     b = build_basis(3, 2, 2)
