@@ -1,8 +1,9 @@
 """INI-style experiment configuration.
 
 Sections: [grid] [system] [ladder] [time] [indicators] [output].
-Unknown sections or keys are hard errors (no silent typos); every
-violated constraint is reported with its key path.  Potentials and
+Unknown sections or keys are hard errors (no silent typos), and so is a
+key the document's mode does not read; every violated constraint is
+reported with its key path.  Potentials and
 orbitals are small "name key=value ..." expressions sampled onto the
 grid at build time.
 """
@@ -16,14 +17,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grids import Field, Grid, GridError, make_grid, normalize
-from .manybody import DEFAULT_DIM_CAP, _basis_dim
 from .scattering import RadialPotential, square_barrier
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
+__all__ = ["ConfigError", "HarnessError", "ExperimentConfig", "parse_config"]
 
 DEFAULT_DT = 1e-3
 DEFAULT_XI = 0.2
 DEFAULT_SEED = 0
+DEFAULT_DIM_CAP = 200_000  # ceiling on a many-body basis dimension
 MAX_STEPS = 10**8  # ceiling on the step count round(t / dt), as DEFAULT_DIM_CAP is on dim
 
 # the forms of each [system] expression slot, and each form's keys with
@@ -41,6 +42,16 @@ _MODES = ("mean_field", "hartree", "gross_pitaevskii", "rabi", "spin1", "scatter
 
 class ConfigError(ValueError):
     pass
+
+
+class HarnessError(RuntimeError):
+    """A sweep the harness refuses.  Defined here, beside ConfigError, so the
+    CLI catches it without importing the lattice gas."""
+
+
+def basis_dim(M: int, N1: int, N2: int) -> int:
+    """Dimension of the joint basis of N1 and N2 bosons on M sites."""
+    return math.comb(M + N1 - 1, N1) * math.comb(M + N2 - 1, N2)
 
 
 def _finite(raw: str) -> float:
@@ -244,36 +255,47 @@ def _positive(key: str):
 _EXPECTED = {_finite: " as a finite number", _floats: " as finite numbers",
              _flag: " (use 1/0, true/false or yes/no)"}
 
+# the modes that read a key: the effective systems, and those with a time axis
+_EFFECTIVE = ("hartree", "gross_pitaevskii", "rabi", "spin1")
+_TIMED = ("mean_field", *_EFFECTIVE)
+
 # the document grammar, in read order: (section, key, ExperimentConfig field,
-# parser, check); a check returns True or the error text; the [system]
+# parser, check, modes); a check returns True or the error text; modes are
+# the [system] modes that read the key, None for every mode; the [system]
 # expression slots are checked by _parse_expr
 _GRAMMAR = (
-    ("grid", "dim", "dim", int, lambda v: v in (1, 2, 3) or f"dim must be 1..3, got {v}"),
-    ("grid", "points", "points", int, lambda v: v >= 4 or f"need at least 4 points, got {v}"),
-    ("grid", "length", "length", _finite, _positive("length")),
-    ("system", "mode", "mode", str, lambda v: v in _MODES or f"unknown mode {v!r}"),
-    *(("system", slot, slot, str, None) for slot in ("v1", "v2", "v12", "u0", "v0", "w0")),
-    ("system", "c1", "c1", _finite, lambda v: 0.0 < v < 1.0 or f"c1 must lie in (0,1), got {v}"),
-    *(("system", key, key, _finite, None) for key in ("a1", "a2", "a12", "a")),
-    ("system", "b", "b_field", _finite, None),
+    ("grid", "dim", "dim", int, lambda v: v in (1, 2, 3) or f"dim must be 1..3, got {v}", None),
+    ("grid", "points", "points", int, lambda v: v >= 4 or f"need at least 4 points, got {v}",
+     None),
+    ("grid", "length", "length", _finite, _positive("length"), None),
+    ("system", "mode", "mode", str, lambda v: v in _MODES or f"unknown mode {v!r}", None),
+    *(("system", slot, slot, str, None, ("mean_field", "hartree")) for slot in ("v1", "v2", "v12")),
+    *(("system", slot, slot, str, None, _TIMED) for slot in ("u0", "v0")),
+    ("system", "w0", "w0", str, None, ("spin1",)),
+    ("system", "c1", "c1", _finite, lambda v: 0.0 < v < 1.0 or f"c1 must lie in (0,1), got {v}",
+     ("hartree", "gross_pitaevskii")),
+    *(("system", key, key, _finite, None, ("gross_pitaevskii",)) for key in ("a1", "a2", "a12")),
+    ("system", "a", "a", _finite, None, ("rabi", "spin1")),
+    ("system", "b", "b_field", _finite, None, ("rabi",)),
     ("system", "kinetic", "kinetic", str,
-     lambda v: v in ("spectral", "stencil") or f"unknown kinetic {v!r}"),
-    ("system", "seed", "seed", int, lambda v: v >= 0 or "seed must be nonnegative"),
-    ("system", "potential", "scatter_potential", str, None),
+     lambda v: v in ("spectral", "stencil") or f"unknown kinetic {v!r}", _EFFECTIVE),
+    ("system", "seed", "seed", int, lambda v: v >= 0 or "seed must be nonnegative", None),
+    ("system", "potential", "scatter_potential", str, None, ("scattering",)),
     ("system", "n_values", "n_values", _ints,
-     lambda v: all(n >= 2 for n in v) or "all N must be >= 2"),
+     lambda v: all(n >= 2 for n in v) or "all N must be >= 2", ("scattering",)),
     ("system", "beta_values", "beta_values", _floats,
-     lambda v: all(0 < b <= 1 for b in v) or "beta must lie in (0,1]"),
-    ("ladder", "entries", "ladder", _pairs, None),
-    ("ladder", "cap", "cap", int, lambda v: v > 0 or "cap must be positive"),
-    ("ladder", "ratio_fixed", "ratio_fixed", _flag, None),
-    ("time", "t", "T", _finite, _positive("t")),
-    ("time", "dt", "dt", _finite, _positive("dt")),
-    ("time", "sample_every", "sample_every", int, lambda v: v >= 1 or "sample_every must be >= 1"),
-    ("indicators", "xi", "xi", _finite, _positive("xi")),
-    ("indicators", "probe_time", "probe_time", _finite, None),
-    ("output", "dir", "out_dir", str, None),
-    ("output", "snapshots", "snapshots", int, lambda v: v >= 0 or "snapshots must be >= 0"),
+     lambda v: all(0 < b <= 1 for b in v) or "beta must lie in (0,1]", ("scattering",)),
+    ("ladder", "entries", "ladder", _pairs, None, ("mean_field",)),
+    ("ladder", "cap", "cap", int, lambda v: v > 0 or "cap must be positive", ("mean_field",)),
+    ("ladder", "ratio_fixed", "ratio_fixed", _flag, None, ("mean_field",)),
+    ("time", "t", "T", _finite, _positive("t"), _TIMED),
+    ("time", "dt", "dt", _finite, _positive("dt"), _TIMED),
+    ("time", "sample_every", "sample_every", int,
+     lambda v: v >= 1 or "sample_every must be >= 1", _TIMED),
+    ("indicators", "xi", "xi", _finite, _positive("xi"), ("mean_field",)),
+    ("indicators", "probe_time", "probe_time", _finite, None, ("mean_field",)),
+    ("output", "dir", "out_dir", str, None, None),
+    ("output", "snapshots", "snapshots", int, lambda v: v >= 0 or "snapshots must be >= 0", None),
 )
 
 
@@ -301,7 +323,7 @@ def parse_config(text: str) -> ExperimentConfig:
                       if (section, key) not in known)
 
     cfg = ExperimentConfig(probe_time=None)    # probe_time defaults to t, read below
-    for section, key, name, parse, check in _GRAMMAR:
+    for section, key, name, parse, check, _ in _GRAMMAR:
         if not parser.has_option(section, key):
             continue
         raw = parser.get(section, key)
@@ -318,6 +340,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if cfg.probe_time is None:
         cfg.probe_time = cfg.T
 
+    if cfg.mode in _MODES:    # a key its mode does not read would be ignored without a word
+        errors.extend(f"[{section}] {key}: mode {cfg.mode} does not read this key"
+                      for section, key, *_, modes in _GRAMMAR
+                      if modes is not None and cfg.mode not in modes
+                      and parser.has_option(section, key))
+
     for i, (n1, n2) in enumerate(cfg.ladder):
         if (n1, n2) in cfg.ladder[:i]:
             if cfg.ladder[:i].count((n1, n2)) == 1:     # one error per repeated entry
@@ -326,7 +354,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if n1 < 1 or n2 < 1:
             errors.append(f"[ladder] entries: particle numbers must be >= 1, got ({n1},{n2})")
             continue
-        if cfg.points >= 4 and (dim := _basis_dim(cfg.points, n1, n2)) > cfg.cap:
+        if cfg.points >= 4 and (dim := basis_dim(cfg.points, n1, n2)) > cfg.cap:
             errors.append(
                 f"[ladder] entries: ({n1},{n2}) has basis dimension {dim} > cap {cfg.cap}"
             )

@@ -25,7 +25,7 @@ from traceback import format_exc
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ExperimentConfig, HarnessError
 from .effective import CouplingSpec, OrbitalState, hartree_energy, integrate
 from .effective import step  # noqa: F401  (perfbench/tracer.py patches it on this module)
 from .indicators import SampleEvaluator, weight_m, weight_n, weight_s
@@ -40,10 +40,6 @@ __all__ = ["SweepEntry", "SweepReport", "HarnessError", "run_convergence_sweep",
 INDICATOR_COLUMNS = ("t", "alpha_11", "trace_dist", "alpha_10", "alpha_01",
                      "C_V1_im", "C_V2_im", "C_V12_im",
                      "weight_s", "weight_n", "weight_m")
-
-
-class HarnessError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -137,14 +133,14 @@ def run_convergence_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepRepor
     and shared by the entries with that ratio.  Trajectories, then entries,
     run concurrently when threads > 1 but are reported in ladder order,
     so outputs do not depend on scheduling.  A document the sweep would
-    misread (dim other than 1, mode other than mean_field) raises first.
+    misread (mode other than mean_field, dim other than 1) raises first.
     """
+    if cfg.mode != "mean_field":   # first: only a mean_field document may set a ladder
+        raise HarnessError(f"[system] mode: a sweep runs mode mean_field, got {cfg.mode!r}")
     if not cfg.ladder:
         raise HarnessError("[ladder] entries: the ladder is empty")
     if cfg.dim != 1:
         raise HarnessError(f"[grid] dim: the many-body harness is one-dimensional, got {cfg.dim}")
-    if cfg.mode != "mean_field":
-        raise HarnessError(f"[system] mode: a sweep runs mode mean_field, got {cfg.mode!r}")
     t0 = time.perf_counter()
 
     def each(fn, items):

@@ -32,6 +32,7 @@ import math
 
 import numpy as np
 
+from .config import DEFAULT_DIM_CAP, basis_dim
 from .grids import Field, Grid, l2_norm
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "manybody_energy",
 ]
 
-DEFAULT_DIM_CAP = 200_000
 KRYLOV_TOL = 1e-12
 MIN_STEP_FRACTION = 4096
 KRYLOV_DIM = 17   # default cap on a time step's Krylov space: krylov_dim + 1 vectors
@@ -150,20 +150,15 @@ def _along(op, arr: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out.reshape(-1, *moved.shape[1:]), 0, axis)
 
 
-def _basis_dim(M: int, N1: int, N2: int) -> int:
-    """Dimension of the joint basis of N1 and N2 bosons on M sites."""
-    if M < 2:
-        raise ManyBodyError(f"need at least 2 sites, got {M}")
-    if N1 < 1 or N2 < 1:
-        raise ManyBodyError("particle numbers must be >= 1")
-    return math.comb(M + N1 - 1, N1) * math.comb(M + N2 - 1, N2)
-
-
 class TwoSpeciesBasis:
     """Joint basis: (A occupation) x (B occupation), A-major flattening."""
 
     def __init__(self, M: int, N1: int, N2: int, dim_cap: int = DEFAULT_DIM_CAP):
-        dim = _basis_dim(M, N1, N2)
+        if M < 2:
+            raise ManyBodyError(f"need at least 2 sites, got {M}")
+        if N1 < 1 or N2 < 1:
+            raise ManyBodyError("particle numbers must be >= 1")
+        dim = basis_dim(M, N1, N2)
         if dim > dim_cap:
             raise ManyBodyError(
                 f"basis dimension {dim} exceeds the cap {dim_cap} "

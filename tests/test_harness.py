@@ -93,23 +93,60 @@ snapshots = 3
 """
 
 
+# the keys each mode reads beside the shared [grid], [output], mode and seed
+READS = {
+    "mean_field": "v1 v2 v12 u0 v0 entries cap ratio_fixed t dt sample_every xi probe_time",
+    "hartree": "v1 v2 v12 u0 v0 c1 kinetic t dt sample_every",
+    "gross_pitaevskii": "u0 v0 c1 a1 a2 a12 kinetic t dt sample_every",
+    "rabi": "u0 v0 a b kinetic t dt sample_every",
+    "spin1": "u0 v0 w0 a kinetic t dt sample_every",
+    "scattering": "potential n_values beta_values",
+}
+SHARED = "dim points length mode seed dir snapshots"
+
+
+def _every_key_split(mode: str) -> tuple[str, list[str]]:
+    """EVERY_KEY in mode without the keys mode does not read, and their paths."""
+    section, kept, unread = "", [], []
+    for line in EVERY_KEY.replace("mode = hartree", f"mode = {mode}").splitlines():
+        if line.startswith("["):
+            section = line
+        elif line and line.split()[0] not in (READS[mode] + " " + SHARED).split():
+            unread.append(f"{section} {line.split()[0]}")
+            continue
+        kept.append(line)
+    return "\n".join(kept), unread
+
+
 def test_every_key_sets_its_field():
-    cfg = parse_config(EVERY_KEY)
+    cfgs = {mode: parse_config(_every_key_split(mode)[0]) for mode in READS}
+    assert all(cfg.mode == mode for mode, cfg in cfgs.items())
+    cfg, gp, rabi = cfgs["hartree"], cfgs["gross_pitaevskii"], cfgs["rabi"]
     assert (cfg.dim, cfg.points, cfg.length) == (2, 6, 3.5)
-    assert cfg.mode == "hartree"
     assert (cfg.v1, cfg.v2, cfg.v12) == ("cosine amp=0.5 k=2", "gaussian amp=0.3 sigma=0.4",
                                          "box amp=0.2 radius=0.7")
-    assert (cfg.u0, cfg.v0, cfg.w0) == ("mode k=2", "cospack eps=0.1 k=3", "uniform")
-    assert (cfg.c1, cfg.a1, cfg.a2, cfg.a12, cfg.a, cfg.b_field) == (0.25, 0.1, 0.2, 0.3,
-                                                                     0.4, 0.6)
+    assert (cfg.u0, cfg.v0, cfgs["spin1"].w0) == ("mode k=2", "cospack eps=0.1 k=3", "uniform")
+    assert (cfg.c1, gp.a1, gp.a2, gp.a12, rabi.a, rabi.b_field) == (0.25, 0.1, 0.2, 0.3,
+                                                                    0.4, 0.6)
     assert (cfg.kinetic, cfg.seed) == ("stencil", 7)
+    cfg = cfgs["scattering"]
     assert cfg.scatter_potential == "gaussian amp=1.5 sigma=0.3"
     assert (cfg.n_values, cfg.beta_values) == ([4, 6], [0.5, 0.75])
+    cfg = cfgs["mean_field"]
     assert (cfg.ladder, cfg.cap, cfg.ratio_fixed) == ([(1, 1), (2, 1)], 5000, False)
     assert (cfg.T, cfg.dt, cfg.sample_every) == (0.2, 0.002, 5)
     assert (cfg.xi, cfg.probe_time) == (0.3, 0.1)
     assert (cfg.out_dir, cfg.snapshots) == ("elsewhere", 3)
     assert cfg.echo["ladder"] == {"entries": "1,1; 2,1", "cap": "5000", "ratio_fixed": "no"}
+
+
+@pytest.mark.parametrize("mode", sorted(READS))
+def test_key_its_mode_does_not_read_rejected(mode):
+    # a sweep used to ignore c1, kinetic, a12 and w0 without a word
+    with pytest.raises(ConfigError) as err:
+        parse_config(EVERY_KEY.replace("mode = hartree", f"mode = {mode}"))
+    assert str(err.value).split("\n  ") == ["invalid configuration:", *(
+        f"{path}: mode {mode} does not read this key" for path in _every_key_split(mode)[1])]
 
 
 def test_one_bad_value_per_section_reports_each_line():
@@ -129,6 +166,7 @@ def test_one_bad_value_per_section_reports_each_line():
         "[time] sample_every: sample_every must be >= 1",
         "[indicators] xi: xi must be positive, got -1.0",
         "[output] snapshots: cannot parse 'many'",
+        "[system] beta_values: mode mean_field does not read this key",
     ]
 
 
@@ -475,7 +513,7 @@ def test_system_forms_and_keys_validated_per_slot():
     for path in ("[system] v1", "[system] u0", "[system] v2", "[system] v0", "[system] w0"):
         assert path in msg
     cfg = parse_config("[system]\nv12 = box amp=2 radius=0.5\nu0 = mode k=2\n"
-                       "v0 = gaussian x0=1 sigma=0.5 k=2\nw0 = uniform\n")
+                       "v0 = gaussian x0=1 sigma=0.5 k=2\n")
     assert (cfg.v12, cfg.u0) == ("box amp=2 radius=0.5", "mode k=2")
 
 
@@ -523,9 +561,9 @@ dir = {out}
     assert data.split(b"\r\n")[0] == b"t,mass_1,mass_2,energy"
 
 
-def test_cli_effective_loads_no_scipy(tmp_path):
-    # only the lattice gas needs scipy
-    doc = """
+CONFIGS = Path(__file__).parents[1] / "configs"
+LATTICE_GAS = ("becmix.harness", "becmix.indicators", "becmix.manybody")
+HARTREE_DOC = """
 [grid]
 points = 16
 length = 6.283185307179586
@@ -543,78 +581,75 @@ t = 0.01
 dt = 1e-3
 sample_every = 5
 """
-    cfg_path = tmp_path / "hartree.ini"
-    cfg_path.write_text(doc)
-    code = (
-        "import sys\n"
-        "from becmix.cli import main\n"
-        f"assert main(['--out', {str(tmp_path / 'eff')!r}, 'effective', {str(cfg_path)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    )
+
+
+def _fresh_python(code: str) -> list[str]:
+    """The stdout lines of code run in a new interpreter on this checkout's becmix."""
     src = str(Path(becmix.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert (tmp_path / "eff" / "trajectory.csv").exists()
-    assert run.stdout.splitlines()[-1] == "[]"
+    return run.stdout.splitlines()
 
 
-def test_cli_sweep_loads_no_scipy_linalg(tmp_path):
+@pytest.mark.parametrize("command, config, forbidden", [
+    # only the lattice gas needs scipy
+    pytest.param("effective", HARTREE_DOC, ("scipy",), id="effective-scipy"),
     # the lattice gas needs scipy.sparse only; the Krylov eigensolver is numpy's
-    cfg_path = tmp_path / "sweep.ini"
-    cfg_path.write_text(MINIMAL.format(out=tmp_path / "sweep"))
-    code = (
-        "import sys\n"
-        "from becmix.cli import main\n"
-        f"assert main(['sweep', {str(cfg_path)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
-    )
-    src = str(Path(becmix.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert (tmp_path / "sweep" / "summary.csv").exists()
-    assert run.stdout.splitlines()[-1] == "[]"
-
-
-def test_cli_scattering_loads_no_scipy(tmp_path):
+    pytest.param("sweep", MINIMAL, ("scipy.linalg",), id="sweep-scipy.linalg"),
     # the shell calibration finds its root itself; no scipy.optimize
-    cfg_path = tmp_path / "scat.ini"
-    cfg_path.write_text("[system]\nmode = scattering\npotential = box amp=2 radius=1\n"
-                        "n_values = 8\n")
-    code = (
-        "import sys\n"
-        "from becmix.cli import main\n"
-        f"assert main(['--out', {str(tmp_path / 'sc')!r}, 'scattering', {str(cfg_path)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    )
-    src = str(Path(becmix.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert (tmp_path / "sc" / "scattering.csv").exists()
-    assert run.stdout.splitlines()[-1] == "[]"
-
-
-def test_cli_scattering_loads_no_numpy_ma(tmp_path):
+    pytest.param("scattering", "[system]\nmode = scattering\npotential = box amp=2 radius=1\n"
+                 "n_values = 8\n", ("scipy",), id="scattering-scipy"),
     # numpy.ma takes 9-15 ms to import; np.union1d would pull it in through np.unique
-    cfg_path = Path(__file__).parents[1] / "configs" / "scattering_box.ini"
+    pytest.param("scattering", CONFIGS / "scattering_box.ini", ("numpy.ma",),
+                 id="scattering-numpy.ma"),
+    # only the sweep runs the lattice gas
+    pytest.param("effective", CONFIGS / "effective_hartree.ini", LATTICE_GAS,
+                 id="effective-lattice-gas"),
+    pytest.param("scattering", CONFIGS / "scattering_box.ini", LATTICE_GAS,
+                 id="scattering-lattice-gas"),
+])
+def test_cli_loads_no_module_it_does_not_run(tmp_path, command, config, forbidden):
+    if isinstance(config, str):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(config.format(out=tmp_path / "out"))
+        config = cfg_path
     code = (
         "import sys\n"
         "from becmix.cli import main\n"
-        f"assert main(['--out', {str(tmp_path / 'sc')!r}, 'scattering', {str(cfg_path)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+        f"assert main(['--out', {str(tmp_path / 'out')!r}, {command!r}, {str(config)!r}]) == 0\n"
+        f"print(sorted(m for m in sys.modules\n"
+        f"             if any(m == p or m.startswith(p + '.') for p in {forbidden!r})))\n"
     )
-    src = str(Path(becmix.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert (tmp_path / "sc" / "scattering.csv").exists()
-    assert run.stdout.splitlines()[-1] == "[]"
+    assert _fresh_python(code)[-1] == "[]"
+    written = {"effective": "trajectory.csv", "sweep": "summary.csv",
+               "scattering": "scattering.csv"}[command]
+    assert (tmp_path / "out" / written).exists()
+
+
+def test_setup_probe_reaches_each_subcommands_first_solver_call(tmp_path):
+    # perfbench/tracer.py times start-up by replacing these names of becmix.cli with a hook
+    # that exits; the sweep reaches its hook before it loads the lattice gas
+    code = (
+        "import sys\n"
+        "from becmix import cli\n"
+        "class Reached(Exception):\n"
+        "    pass\n"
+        "def stub(*args, **kwargs):\n"
+        "    raise Reached('becmix.harness' in sys.modules)\n"
+        "for name in ('run_convergence_sweep', 'evolve', 'scattering_length'):\n"
+        "    setattr(cli, name, stub)\n"
+        "for command, config in (('sweep', 'sweep_ladder'), ('effective', 'effective_hartree'),\n"
+        "                        ('scattering', 'scattering_box')):\n"
+        "    try:\n"
+        f"        cli.main(['--out', {str(tmp_path / 'out')!r}, command,\n"
+        f"                  {str(CONFIGS)!r} + '/' + config + '.ini'])\n"
+        "    except Reached as exc:\n"
+        "        print(command, 'harness loaded' if exc.args[0] else 'reached')\n"
+    )
+    assert _fresh_python(code) == ["sweep reached", "effective reached", "scattering reached"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "two"])
@@ -665,8 +700,8 @@ def test_scattering_potential_validated_at_parse_time():
         with pytest.raises(ConfigError) as err:
             parse_config(f"[system]\nmode = scattering\npotential = {expr}\n")
         assert "[system] potential" in str(err.value)
-    assert parse_config("[system]\npotential = gaussian amp=1 sigma=0.2\n").scatter_potential \
-        == "gaussian amp=1 sigma=0.2"
+    doc = "[system]\nmode = scattering\npotential = gaussian amp=1 sigma=0.2\n"
+    assert parse_config(doc).scatter_potential == "gaussian amp=1 sigma=0.2"
 
 
 def test_ratio_fixed_accepts_only_flags():
@@ -687,7 +722,7 @@ def test_cli_scattering_bound_state_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["bad-value", "directory", "not-utf8", "no-ladder", "dim-2",
-                                  "wrong-mode", "scattering-mode"])
+                                  "wrong-mode", "scattering-mode", "unread-keys"])
 def test_cli_rejects_bad_config(tmp_path, capsys, case):
     cfg_path = tmp_path / "bad.ini"
     minimal = MINIMAL.format(out=tmp_path / "out")
@@ -695,7 +730,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys, case):
         "no-ladder": "[ladder] entries: the ladder is empty",
         "dim-2": "[grid] dim: the many-body harness is one-dimensional, got 2",
         "wrong-mode": "[system] mode: a sweep runs mode mean_field, got 'spin1'",
-        "scattering-mode": "mode 'mean_field' is not a scattering problem"}.get(case)
+        "scattering-mode": "mode 'mean_field' is not a scattering problem",
+        "unread-keys": "\n  ".join(f"[system] {key}: mode mean_field does not read this key"
+                                   for key in ("w0", "c1", "a12", "kinetic"))}.get(case)
     if case == "bad-value":
         cfg_path.write_text("[grid]\npoints = nope\n")
     elif case == "directory":
@@ -705,11 +742,15 @@ def test_cli_rejects_bad_config(tmp_path, capsys, case):
                             f"[output]\ndir = {tmp_path / 'out'}\n")
     elif case == "dim-2":
         cfg_path.write_text(minimal.replace("[grid]\n", "[grid]\ndim = 2\n"))
-    elif case == "wrong-mode":
-        cfg_path.write_text(minimal.replace("mode = mean_field", "mode = spin1"))
+    elif case == "wrong-mode":    # a spin1 document holds no ladder
+        cfg_path.write_text(f"[system]\nmode = spin1\n[time]\nt = 0.05\n"
+                            f"[output]\ndir = {tmp_path / 'out'}\n")
     elif case == "scattering-mode":
         command = "scattering"
         cfg_path.write_text(minimal)
+    elif case == "unread-keys":
+        cfg_path.write_text(minimal.replace("[ladder]", "c1 = 0.3\nkinetic = spectral\na12 = 5\n"
+                                                        "w0 = uniform\n\n[ladder]"))
     else:
         cfg_path.write_bytes("[grid]\npoints = 16 # \u00e9\n".encode("latin-1"))
     assert cli.main([command, str(cfg_path)]) == 2

@@ -40,7 +40,7 @@ def test_square_barrier_closed_form():
 
 def test_box_potential_takes_its_defaults():
     # `box` alone is amp=2 radius=1, whose a(V) is 1 - tanh 1 to the last bit
-    V = parse_config("[system]\npotential = box\n").radial_potential()
+    V = parse_config("[system]\nmode = scattering\npotential = box\n").radial_potential()
     assert scattering_length(V, 2.5).scattering_length == A_EXACT
 
 
@@ -131,7 +131,7 @@ def _gaussian_oracle(amp, sigma):
 def test_gaussian_cells_converge_to_ode_oracle(monkeypatch):
     expr = "gaussian amp=2 sigma=0.5"
     ref = _gaussian_oracle(2.0, 0.5)
-    cfg = parse_config(f"[system]\npotential = {expr}\n")
+    cfg = parse_config(f"[system]\nmode = scattering\npotential = {expr}\n")
     V = cfg.radial_potential()
     a = scattering_length(V, 2.5 * V.support_radius).scattering_length
     assert abs(a - ref) < 5e-6 * abs(ref)
@@ -228,7 +228,8 @@ def _shell_residual(V, a, N, beta, C):
 
 
 def test_calibration_brackets_the_root_to_adjacent_floats():
-    V = parse_config("[system]\npotential = gaussian amp=2 sigma=0.5\n").radial_potential()
+    V = parse_config("[system]\nmode = scattering\npotential = gaussian amp=2 sigma=0.5\n") \
+        .radial_potential()
     a = scattering_length(V, 2.5 * V.support_radius).scattering_length
     C = calibrate_shell(V, 8, 1.0, a=a).C
 
@@ -267,7 +268,7 @@ def test_calibration_takes_few_residual_solves(monkeypatch, N, beta):
 @pytest.mark.parametrize("potential", ["box amp=2 radius=1", "gaussian amp=2 sigma=0.5"])
 @pytest.mark.parametrize("N, beta", [(8, 0.5), (8, 1.0), (32, 0.5), (32, 1.0)])
 def test_regula_falsi_brackets_the_root_to_adjacent_floats(monkeypatch, potential, N, beta):
-    V = parse_config(f"[system]\npotential = {potential}\n").radial_potential()
+    V = parse_config(f"[system]\nmode = scattering\npotential = {potential}\n").radial_potential()
     shell, a, calls = _counted_calibration(monkeypatch, V, N, beta)
     assert calls <= 56
     at_c = _shell_residual(V, a, N, beta, shell.C)
