@@ -295,7 +295,8 @@ _GRAMMAR = (
     ("indicators", "xi", "xi", _finite, _positive("xi"), ("mean_field",)),
     ("indicators", "probe_time", "probe_time", _finite, None, ("mean_field",)),
     ("output", "dir", "out_dir", str, None, None),
-    ("output", "snapshots", "snapshots", int, lambda v: v >= 0 or "snapshots must be >= 0", None),
+    ("output", "snapshots", "snapshots", int, lambda v: v >= 0 or "snapshots must be >= 0",
+     _EFFECTIVE),
 )
 
 

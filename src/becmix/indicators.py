@@ -15,9 +15,7 @@ Everything measured during a convergence run lives here:
   channels (one per potential), an exact identity along the coupled
   many-body + effective flow when both share the lattice kinetic term,
 * the sixteen projector-insertion sandwiches of the cross-potential
-  commutator, whose vanishing combinations are structural identities,
-* the corrected convergence functionals that subtract pair-correlation
-  terms weighted by shifted counting operators.
+  commutator, whose vanishing combinations are structural identities.
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ __all__ = [
     "SampleEvaluator",
     "insertion_terms",
     "INSERTION_KEYS",
-    "corrected_alpha",
 ]
 
 
@@ -507,70 +504,3 @@ def insertion_terms(state: ManyBodyState, u: Field, v: Field,
         for left in pairs:
             terms[f"{left},{right}"] = complex(np.vdot(side(left), commuted))
     return {key: terms[key] for key in INSERTION_KEYS}
-
-
-# ---------------------------------------------------------------------------
-# corrected convergence functionals
-
-def corrected_alpha(state: ManyBodyState, u: Field, v: Field,
-                    g_pair_same: np.ndarray | None, g_pair_cross: np.ndarray | None,
-                    weight: WeightFunction, energies: tuple[float, float],
-                    species: str = "A") -> float:
-    """Weighted depletion plus energy gap, minus pair-correlation corrections.
-
-    base = <psi, w^ psi> + |E_many - E_eff|; the corrections are
-    N1(N1-1) Re <psi, g_same(x1-x2) R psi> and
-    N1 N2 Re <psi, g_cross(x1-y1) R psi> with
-    R = p1 p2 (w^ - w^_2) + (p1 q2 + q1 p2)(w^ - w^_1), where w^_j acts
-    as the weight evaluated at k+j on the k-excitation sector.  Pair
-    kernels are sampled on the periodic displacement grid; pass None to
-    drop a correction (both corrections vanish structurally when the
-    species has fewer than two particles).
-
-    The labelled particles are the site indices of a_{x2} a_{x1} psi (and
-    b_{y1} of that for the cross term).  For a species of N particles their
-    squared norms are N(N-1) and N(N-1) N_other, so the prefactors reduce
-    to 1 and 1/(N-1).
-    """
-    b = state.basis
-    if species not in ("A", "B"):
-        raise IndicatorError("species must be 'A' or 'B'")
-    own, other = (b.A, b.B) if species == "A" else (b.B, b.A)
-    if weight.N != own.N:
-        raise IndicatorError(f"weight defined for N={weight.N}, species has N={own.N}")
-    for name, g in (("same", g_pair_same), ("cross", g_pair_cross)):
-        if g is not None and np.size(g) != b.M:
-            raise IndicatorError(f"{name}-species pair kernel has {np.size(g)} entries, "
-                                 f"the basis has {b.M} sites")
-
-    counting = counting_projectors(b, u if species == "A" else v, species)
-    parts = counting.split(state)
-    e_many, e_eff = energies
-    sectors = np.sum(np.abs(parts.reshape(own.N + 1, -1)) ** 2, axis=1)
-    base = float(np.dot(weight.values, sectors)) + abs(e_many - e_eff)
-
-    no_same = g_pair_same is None or not np.any(g_pair_same)
-    no_cross = g_pair_cross is None or not np.any(g_pair_cross)
-    if (no_same and no_cross) or own.N < 2:
-        return float(base)
-
-    p = np.outer(counting.u_site, np.conj(counting.u_site))
-
-    def labelled(x: np.ndarray) -> np.ndarray:
-        """a_{x'} a_x x in (x, x', a'', other) order."""
-        return own.lowered.lower(own.lower(x if species == "A" else x.T, 0), 1)
-
-    y1, y2 = (labelled(np.tensordot(weight.values - weight.shifted_values(j), parts, 1))
-              for j in (1, 2))
-    r_psi = (_along(p, _along(p, y2, 1), 0) + _along(p, y1 - _along(p, y1, 1), 0)
-             + _along(p, y1 - _along(p, y1, 0), 1))
-    psi = labelled(state.psi)
-
-    corr = 0.0
-    if not no_same:
-        G = _circulant(np.asarray(g_pair_same, float))[:, :, None, None]
-        corr += np.vdot(psi, G * r_psi).real
-    if not no_cross:
-        G = _circulant(np.asarray(g_pair_cross, float))[:, None, None, :, None]
-        corr += np.vdot(other.lower(psi, 3), G * other.lower(r_psi, 3)).real / (own.N - 1)
-    return float(base - corr)

@@ -93,16 +93,16 @@ snapshots = 3
 """
 
 
-# the keys each mode reads beside the shared [grid], [output], mode and seed
+# the keys each mode reads beside the shared [grid], [output] dir, mode and seed
 READS = {
     "mean_field": "v1 v2 v12 u0 v0 entries cap ratio_fixed t dt sample_every xi probe_time",
-    "hartree": "v1 v2 v12 u0 v0 c1 kinetic t dt sample_every",
-    "gross_pitaevskii": "u0 v0 c1 a1 a2 a12 kinetic t dt sample_every",
-    "rabi": "u0 v0 a b kinetic t dt sample_every",
-    "spin1": "u0 v0 w0 a kinetic t dt sample_every",
+    "hartree": "v1 v2 v12 u0 v0 c1 kinetic t dt sample_every snapshots",
+    "gross_pitaevskii": "u0 v0 c1 a1 a2 a12 kinetic t dt sample_every snapshots",
+    "rabi": "u0 v0 a b kinetic t dt sample_every snapshots",
+    "spin1": "u0 v0 w0 a kinetic t dt sample_every snapshots",
     "scattering": "potential n_values beta_values",
 }
-SHARED = "dim points length mode seed dir snapshots"
+SHARED = "dim points length mode seed dir"
 
 
 def _every_key_split(mode: str) -> tuple[str, list[str]]:
@@ -128,7 +128,7 @@ def test_every_key_sets_its_field():
     assert (cfg.u0, cfg.v0, cfgs["spin1"].w0) == ("mode k=2", "cospack eps=0.1 k=3", "uniform")
     assert (cfg.c1, gp.a1, gp.a2, gp.a12, rabi.a, rabi.b_field) == (0.25, 0.1, 0.2, 0.3,
                                                                     0.4, 0.6)
-    assert (cfg.kinetic, cfg.seed) == ("stencil", 7)
+    assert (cfg.kinetic, cfg.seed, cfg.snapshots) == ("stencil", 7, 3)
     cfg = cfgs["scattering"]
     assert cfg.scatter_potential == "gaussian amp=1.5 sigma=0.3"
     assert (cfg.n_values, cfg.beta_values) == ([4, 6], [0.5, 0.75])
@@ -136,7 +136,7 @@ def test_every_key_sets_its_field():
     assert (cfg.ladder, cfg.cap, cfg.ratio_fixed) == ([(1, 1), (2, 1)], 5000, False)
     assert (cfg.T, cfg.dt, cfg.sample_every) == (0.2, 0.002, 5)
     assert (cfg.xi, cfg.probe_time) == (0.3, 0.1)
-    assert (cfg.out_dir, cfg.snapshots) == ("elsewhere", 3)
+    assert cfg.out_dir == "elsewhere"
     assert cfg.echo["ladder"] == {"entries": "1,1; 2,1", "cap": "5000", "ratio_fixed": "no"}
 
 
@@ -167,6 +167,7 @@ def test_one_bad_value_per_section_reports_each_line():
         "[indicators] xi: xi must be positive, got -1.0",
         "[output] snapshots: cannot parse 'many'",
         "[system] beta_values: mode mean_field does not read this key",
+        "[output] snapshots: mode mean_field does not read this key",
     ]
 
 
@@ -722,7 +723,7 @@ def test_cli_scattering_bound_state_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["bad-value", "directory", "not-utf8", "no-ladder", "dim-2",
-                                  "wrong-mode", "scattering-mode", "unread-keys"])
+                                  "wrong-mode", "scattering-mode", "unread-keys", "snapshots"])
 def test_cli_rejects_bad_config(tmp_path, capsys, case):
     cfg_path = tmp_path / "bad.ini"
     minimal = MINIMAL.format(out=tmp_path / "out")
@@ -732,7 +733,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys, case):
         "wrong-mode": "[system] mode: a sweep runs mode mean_field, got 'spin1'",
         "scattering-mode": "mode 'mean_field' is not a scattering problem",
         "unread-keys": "\n  ".join(f"[system] {key}: mode mean_field does not read this key"
-                                   for key in ("w0", "c1", "a12", "kinetic"))}.get(case)
+                                   for key in ("w0", "c1", "a12", "kinetic")),
+        "snapshots": "[output] snapshots: mode mean_field does not read this key"}.get(case)
     if case == "bad-value":
         cfg_path.write_text("[grid]\npoints = nope\n")
     elif case == "directory":
@@ -751,6 +753,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys, case):
     elif case == "unread-keys":
         cfg_path.write_text(minimal.replace("[ladder]", "c1 = 0.3\nkinetic = spectral\na12 = 5\n"
                                                         "w0 = uniform\n\n[ladder]"))
+    elif case == "snapshots":     # a sweep used to accept it and write no snapshot
+        cfg_path.write_text(minimal.replace("entries = 1,1; 2,2", "entries = 1,1")
+                            + "snapshots = 3\n")
     else:
         cfg_path.write_bytes("[grid]\npoints = 16 # \u00e9\n".encode("latin-1"))
     assert cli.main([command, str(cfg_path)]) == 2

@@ -21,7 +21,6 @@ from becmix.indicators import (
     SampleEvaluator,
     alpha_11,
     condensate_depletion,
-    corrected_alpha,
     counting_projectors,
     derivative_decomposition,
     insertion_terms,
@@ -556,89 +555,6 @@ def test_insertion_zero_potential():
     assert max(abs(val) for val in t.values()) < 1e-14
 
 
-# ---------------------------------------------------------------------------
-# corrected functionals
-
-def test_corrected_alpha_product_reduces_to_weight_floor():
-    g, u, v = _grid_and_orbitals(M=4)
-    basis = build_basis(4, 3, 2)
-    ps = product_state(u, v, basis)
-    wm = weight_m(3, 0.2)
-    val = corrected_alpha(ps, u, v, None, None, wm, (2.0, 2.0))
-    assert val == pytest.approx(wm(0), abs=1e-12)
-    # the energy gap enters through its absolute value
-    val2 = corrected_alpha(ps, u, v, None, None, wm, (2.0, 1.5))
-    assert val2 == pytest.approx(wm(0) + 0.5, abs=1e-12)
-
-
-def test_corrected_alpha_dense_oracle():
-    # dense spectral reimplementation on the full tensor grid at (2,1), M=3
-    g, u, v = _grid_and_orbitals(M=3)
-    basis = build_basis(3, 2, 1)
-    rng = np.random.default_rng(15)
-    st = random_state(basis, rng)
-    M = 3
-    d = np.where(g.axis_coordinates >= 1.0, g.axis_coordinates - 2.0, g.axis_coordinates)
-    g_same = 0.3 * np.exp(-np.abs(d))
-    g_cross = 0.2 * np.cos(2 * np.pi * d / 2.0) ** 2
-    wm = weight_m(2, 0.3)
-    energies = (1.3, 1.1)
-    ours = corrected_alpha(st, u, v, g_same, g_cross, wm, energies)
-
-    us = site_vector(u)
-    P1 = np.outer(us, np.conj(us))
-    Q1 = np.eye(M) - P1
-
-    def embed(mats):
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
-
-    I = np.eye(M)
-    p1, p2 = embed([P1, I, I]), embed([I, P1, I])
-    q1, q2 = embed([Q1, I, I]), embed([I, Q1, I])
-    Q_op = q1 + q2
-    lam, U = np.linalg.eigh(Q_op)
-    projs = []
-    for k in range(3):
-        sel = np.abs(lam - k) < 1e-8
-        projs.append(U[:, sel] @ U[:, sel].conj().T)
-    m_hat = sum(wm(k) * projs[k] for k in range(3))
-    m_1 = sum(wm(k + 1) * projs[k] for k in range(3))
-    m_2 = sum(wm(k + 2) * projs[k] for k in range(3))
-    R = p1 @ p2 @ (m_hat - m_2) + (p1 @ q2 + q1 @ p2) @ (m_hat - m_1)
-
-    idx = np.arange(M**3)
-    coords = np.stack([(idx // M**2) % M, (idx // M) % M, idx % M])
-    G1 = np.diag(g_same[(coords[0] - coords[1]) % M])
-    G12 = np.diag(g_cross[(coords[0] - coords[2]) % M])
-
-    fq = firstquant_vector(st).reshape(-1)
-    base = np.vdot(fq, m_hat @ fq).real + abs(energies[0] - energies[1])
-    corr = (2 * 1 * np.vdot(fq, G1 @ R @ fq).real
-            + 2 * 1 * np.vdot(fq, G12 @ R @ fq).real)
-    assert ours == pytest.approx(base - corr, abs=1e-12)
-
-
-def test_corrected_alpha_single_particle_has_no_corrections():
-    g, u, v = _grid_and_orbitals(M=4)
-    basis = build_basis(4, 1, 2)
-    ps = product_state(u, v, basis)
-    wm = weight_m(1, 0.2)
-    g_any = np.ones(4)
-    val = corrected_alpha(ps, u, v, g_any, g_any, wm, (1.0, 1.0))
-    assert val == pytest.approx(wm(0), abs=1e-12)
-
-
-def test_corrected_alpha_rejects_kernel_of_wrong_length():
-    g, u, v = _grid_and_orbitals(M=4)
-    st = random_state(build_basis(4, 2, 2), np.random.default_rng(19))
-    for same, cross in ((np.ones(5), None), (None, np.ones(3))):
-        with pytest.raises(IndicatorError, match="pair kernel has [35] entries, the basis has 4"):
-            corrected_alpha(st, u, v, same, cross, weight_m(2, 0.2), (1.0, 1.0))
-
-
 def test_labelled_functionals_on_the_ladder_33_entry():
     # the bundled ladder's (3,3) entry at M = 10 has 10^6 labelled amplitudes
     cfg = parse_config((Path(__file__).parents[1] / "configs" / "sweep_ladder.ini").read_text())
@@ -649,11 +565,6 @@ def test_labelled_functionals_on_the_ladder_33_entry():
     assert abs(t["qq,qq"]) < 1e-12
     assert abs(t["pq,pq"] + t["qp,qp"]) < 1e-12
     assert abs(t["pp,qp"] + np.conj(t["pp,qp"])) < 1e-10
-    wm = weight_m(3, cfg.xi)
-    g_same, g_cross = (cfg.potential_field(w).values.real for w in ("v1", "v12"))
-    assert np.isfinite(corrected_alpha(st, u, v, g_same, g_cross, wm, (1.3, 1.1)))
-    expected = weight_expectation(st, wm, "A", u) + 0.2
-    assert corrected_alpha(st, u, v, None, None, wm, (1.3, 1.1)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_condensate_depletion_on_pure_orbital():

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from becmix.config import parse_config
 from becmix.grids import Field, Grid, make_grid, normalize
 from firstquant import firstquant_vector
 from becmix.manybody import (
@@ -461,6 +463,33 @@ def test_propagate_through_backward_matches_propagate():
         ref = propagate(H, st, t)
         assert np.max(np.abs(state.psi - ref.psi)) < 1e-12
         assert state.time == ref.time == 0.3 + t
+
+
+def test_propagation_of_the_ladder_33_entry_keeps_translation_overlaps_and_parity():
+    # H commutes with the joint translation T (x -> x + 1 for both species) and
+    # the reflection R (x -> -x mod M), so every <psi, T^j psi> is conserved and
+    # the R-even product state of the cospack orbitals stays R-even
+    cfg = parse_config((Path(__file__).parents[1] / "configs" / "sweep_ladder.ini").read_text())
+    b = build_basis(cfg.points, 3, 3)
+    H = Hamiltonian(HamiltonianSpec.mean_field(
+        cfg.build_grid(), *(cfg.potential_field(k) for k in ("v1", "v2", "v12")), 3, 3), b)
+    st = product_state(cfg.orbital_field("u0"), cfg.orbital_field("v0"), b)
+    T = np.ix_(*([s.index[tuple(o[-1:] + o[:-1])] for o in s.occs.tolist()] for s in (b.A, b.B)))
+    R = np.ix_(*([s.index[tuple(o[:1] + o[:0:-1])] for o in s.occs.tolist()] for s in (b.A, b.B)))
+
+    def overlaps(psi: np.ndarray) -> np.ndarray:
+        shifted = [psi[T]]
+        while len(shifted) < b.M - 1:
+            shifted.append(shifted[-1][T])
+        return np.array([np.vdot(psi, x) for x in shifted])
+
+    c0 = overlaps(st.psi)
+    assert np.min(np.abs(c0)) > 0.5          # no T^j psi is near orthogonal to psi
+    n = round(cfg.T / cfg.dt)
+    offsets = [k * cfg.dt for k in range(cfg.sample_every, n + 1, cfg.sample_every)]
+    for state in [st, *propagate_through(H, st, offsets)]:
+        assert np.max(np.abs(overlaps(state.psi) - c0)) < 1e-12
+        assert np.linalg.norm(state.psi[R] - state.psi) < 1e-12
 
 
 def test_propagate_substep_budget_exhausted():
