@@ -31,16 +31,15 @@ def main():
     args = ap.parse_args()
 
     V = square_barrier(args.amp, args.radius)
-    a = scattering_length(V, 2.5 * args.radius).scattering_length
+    a = scattering_length(V).scattering_length
     print(f"a(V) = {a:.9f}")
     print(f"{'N':>4} {'C':>12} {'residual':>11} {'L1':>11} {'L2':>11} {'Linf':>8}")
     l1s = []
     for N in args.n:
         shell = calibrate_shell(V, N, args.beta, a=a)
         mod = modified_potential(scale_potential(V, N, args.beta), shell)
-        res = scattering_length(mod, 2.5 * mod.support_radius,
-                                allow_crossing_window=(shell.inner_radius,
-                                                       shell.outer_radius))
+        res = scattering_length(mod, allow_crossing_window=(shell.inner_radius,
+                                                            shell.outer_radius))
         l1, l2, linf = g_norms(res)
         l1s.append(l1)
         print(f"{N:>4} {shell.C:>12.9f} {res.scattering_length:>11.2e} "

@@ -80,9 +80,9 @@ def run_invariant_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
 
     # scattering: the closed-form barrier and the 1/N scaling law
     V = square_barrier(2.0, 1.0)
-    a = scattering_length(V, 2.5).scattering_length
+    a = scattering_length(V).scattering_length
     record("scattering.barrier_oracle", abs(a - (1.0 - math.tanh(1.0))), 1e-8)
-    a4 = scattering_length(scale_potential(V, 4), 2.5 / 4).scattering_length
+    a4 = scattering_length(scale_potential(V, 4)).scattering_length
     record("scattering.scaling_law", abs(a4 - a / 4.0) / (a / 4.0), 1e-8)
 
     # many-body: unitarity and the condensed product state

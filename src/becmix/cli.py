@@ -131,7 +131,7 @@ def _cmd_scattering(args) -> int:
     if cfg.mode != "scattering":
         raise ConfigError(f"mode {cfg.mode!r} is not a scattering problem")
     V = cfg.radial_potential()
-    base = scattering_length(V, 2.5 * V.support_radius)
+    base = scattering_length(V)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "scattering.csv"
@@ -143,8 +143,7 @@ def _cmd_scattering(args) -> int:
                 shell = calibrate_shell(V, N, beta, a=base.scattering_length)
                 mod = modified_potential(scale_potential(V, N, beta), shell)
                 res = scattering_length(
-                    mod, 2.5 * mod.support_radius,
-                    allow_crossing_window=(shell.inner_radius, shell.outer_radius))
+                    mod, allow_crossing_window=(shell.inner_radius, shell.outer_radius))
                 l1, l2, linf = g_norms(res)
                 writer.writerow([N, format(beta, ".17g"), format(shell.C, ".17g"),
                                  format(res.scattering_length, ".17g"),

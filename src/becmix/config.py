@@ -17,7 +17,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grids import Field, Grid, GridError, make_grid, normalize
-from .scattering import RadialPotential, square_barrier
 
 __all__ = ["ConfigError", "HarnessError", "ExperimentConfig", "parse_config"]
 
@@ -214,9 +213,10 @@ class ExperimentConfig:
         except GridError as exc:
             raise ConfigError(f"[system] {which}: {getattr(self, which)!r}: {exc}") from None
 
-    def radial_potential(self) -> RadialPotential:
-        """[system] potential as cells: the box is one, the gaussian is
-        GAUSSIAN_CELLS midpoint cells out to 6 sigma."""
+    def radial_potential(self):
+        """[system] potential as a scattering.RadialPotential: the box is one
+        cell, the gaussian is GAUSSIAN_CELLS midpoint cells out to 6 sigma."""
+        from .scattering import RadialPotential, square_barrier
         name, kw = self._expr("potential")
         if name == "box":
             return square_barrier(kw["amp"], kw["radius"])

@@ -31,6 +31,7 @@ from itertools import pairwise
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from .config import DEFAULT_DIM_CAP, basis_dim
 from .grids import Field, Grid, l2_norm
@@ -52,7 +53,7 @@ __all__ = [
 
 KRYLOV_TOL = 1e-12
 MIN_STEP_FRACTION = 4096
-KRYLOV_DIM = 17   # default cap on a time step's Krylov space: krylov_dim + 1 vectors
+KRYLOV_DIM = 17   # cap on a time step's Krylov space: KRYLOV_DIM + 1 vectors
 
 
 class ManyBodyError(ValueError):
@@ -108,7 +109,6 @@ class _SpeciesBasis:
 
         Each row has at most one entry: the state j + e_x that a_x lowers to j.
         """
-        import scipy.sparse as sp
         dst = self.lowered
         col, site = np.nonzero(self.occs)           # one entry per (state, occupied site)
         low = self.occs[col]
@@ -135,7 +135,6 @@ class _SpeciesBasis:
 
     def annihilator(self, u_site: np.ndarray) -> tuple[sp.csr_matrix, sp.csc_matrix]:
         """a(u) for the orbital's unit site vector as CSR, and a+(u) as CSC on the same arrays."""
-        import scipy.sparse as sp
         indptr, col, site, sqrt_n = self._annihilator_pattern
         data = np.conj(u_site)[site] * sqrt_n
         shape = (self.lowered.dim, self.dim)
@@ -331,7 +330,6 @@ class Hamiltonian:
 
     @property
     def matrix(self) -> sp.csr_matrix:
-        import scipy.sparse as sp
         return (sp.kron(self.hop_A, sp.identity(self.basis.B.dim, format="csr"))
                 + sp.kron(sp.identity(self.basis.A.dim, format="csr"), self.hop_B)
                 + sp.diags(self.diag.ravel())).tocsr()
@@ -350,9 +348,8 @@ class Hamiltonian:
         val = np.vdot(state.psi, self.apply(state.psi))
         return float(val.real)
 
-    def propagate(self, state: ManyBodyState, dt: float, *,
-                  krylov_dim: int = KRYLOV_DIM) -> ManyBodyState:
-        return propagate(self, state, dt, krylov_dim=krylov_dim)
+    def propagate(self, state: ManyBodyState, dt: float) -> ManyBodyState:
+        return propagate(self, state, dt)
 
 
 def _lanczos(apply_op, psi: np.ndarray, m_max: int, accept):
@@ -396,22 +393,21 @@ def _lanczos(apply_op, psi: np.ndarray, m_max: int, accept):
         betas.append(beta)
 
 
-def propagate(H: Hamiltonian, state: ManyBodyState, dt: float, *,
-              krylov_dim: int = KRYLOV_DIM) -> ManyBodyState:
+def propagate(H: Hamiltonian, state: ManyBodyState, dt: float) -> ManyBodyState:
     """exp(-i dt H) state: propagate_through with the one offset dt."""
     if dt == 0.0 or not math.isfinite(dt):
         raise ManyBodyError(f"dt must be finite and nonzero, got {dt}")
-    return next(propagate_through(H, state, [dt], krylov_dim=krylov_dim))
+    return next(propagate_through(H, state, [dt]))
 
 
-def propagate_through(H: Hamiltonian, state: ManyBodyState, offsets: Iterable[float], *,
-                      krylov_dim: int = KRYLOV_DIM) -> Iterator[ManyBodyState]:
+def propagate_through(H: Hamiltonian, state: ManyBodyState,
+                      offsets: Iterable[float]) -> Iterator[ManyBodyState]:
     """exp(-i t H) state at each offset t, in order, by Lanczos.
 
     Offsets share one sign (negative: backward evolution) and grow in
     magnitude; each yielded state has time state.time + t exactly.  A
     Krylov space is built from the last state reached and grows, up to
-    krylov_dim + 1 vectors, until the residual estimate
+    KRYLOV_DIM + 1 vectors, until the residual estimate
     beta |sum_j U[m, j] exp(-i tau lam_j) U[0, j]| meets KRYLOV_TOL at the
     last offset.  The space serves every offset ahead that meets it.  When
     not even the next one does, it takes the largest halving of the way
@@ -428,11 +424,11 @@ def propagate_through(H: Hamiltonian, state: ManyBodyState, offsets: Iterable[fl
             or any(abs(b) <= abs(a) for a, b in pairwise(offsets)):
         raise ManyBodyError("offsets must be finite, nonzero, of one sign and growing in "
                             f"magnitude, got {offsets}")
-    return _propagate_through(H, state, offsets, krylov_dim)
+    return _propagate_through(H, state, offsets)
 
 
-def _propagate_through(H: Hamiltonian, state: ManyBodyState, offsets: list[float],
-                       krylov_dim: int) -> Iterator[ManyBodyState]:
+def _propagate_through(H: Hamiltonian, state: ManyBodyState,
+                       offsets: list[float]) -> Iterator[ManyBodyState]:
     def error(tau, lam, U, beta):
         return beta * abs(np.sum(U[-1] * np.exp(-1j * tau * lam) * U[0]))
 
@@ -440,7 +436,7 @@ def _propagate_through(H: Hamiltonian, state: ManyBodyState, offsets: list[float
     psi, ahead, done = state.psi.ravel(), offsets, 0
     while ahead:
         beta0, V, lam, U, beta = _lanczos(
-            H.apply, psi, krylov_dim + 1, lambda *space: error(ahead[-1], *space) < KRYLOV_TOL)
+            H.apply, psi, KRYLOV_DIM + 1, lambda *space: error(ahead[-1], *space) < KRYLOV_TOL)
         reached = next((j for j, tau in enumerate(ahead)
                         if not error(tau, lam, U, beta) < KRYLOV_TOL), len(ahead))
         taus = ahead[:reached]
@@ -451,7 +447,7 @@ def _propagate_through(H: Hamiltonian, state: ManyBodyState, offsets: list[float
                 tau /= 2
                 if abs(tau) < interval / MIN_STEP_FRACTION:
                     raise ManyBodyError(f"Krylov propagation needs steps below |interval|/"
-                                        f"{MIN_STEP_FRACTION} with krylov_dim={krylov_dim}")
+                                        f"{MIN_STEP_FRACTION} with KRYLOV_DIM={KRYLOV_DIM}")
             taus = [tau]
         phases = beta0 * np.exp(-1j * np.array(taus)[:, None] * lam) * U[0]
         # with one offset, both products are matrix-vector products, the same

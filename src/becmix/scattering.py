@@ -16,7 +16,6 @@ is what makes its norms shrink with N.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,11 +147,16 @@ def modified_potential(V_scaled: RadialPotential, shell: ShellPotential) -> Radi
     return RadialPotential(edges, V_scaled(mid) - shell(mid))
 
 
+# the profile grid: PROFILE_SAMPLES points on [0, 2.5 R], or on [0, 1] without cells
+PROFILE_SAMPLES = 4001
+
+
 @dataclass(frozen=True)
 class ScatteringResult:
     """The scattering length, and the radial solution exp(log) (u, du) at the
-    cell edges of V, from which the grid r (n_samples points of [0, r_max]),
-    the profile f and its deficit g = 1 - f are sampled on first read."""
+    cell edges of V, from which the grid r (PROFILE_SAMPLES points of
+    [0, 2.5 R]), the profile f and its deficit g = 1 - f are sampled on
+    first read."""
 
     scattering_length: float
     support_radius: float
@@ -160,12 +164,10 @@ class ScatteringResult:
     u: list[float]
     du: list[float]
     log: list[float]
-    r_max: float
-    n_samples: int
 
     @cached_property
     def r(self) -> np.ndarray:
-        return np.linspace(0.0, self.r_max, self.n_samples)
+        return np.linspace(0.0, 2.5 * self.support_radius or 1.0, PROFILE_SAMPLES)
 
     @cached_property
     def f(self) -> np.ndarray:
@@ -216,8 +218,7 @@ def _zeros(q: float, h: float, u0: float, du0: float) -> tuple[float, ...]:
     return (s,) if 0.0 < s <= h else ()
 
 
-def scattering_length(V: RadialPotential, r_max: float, *,
-                      n_samples: int = 4001,
+def scattering_length(V: RadialPotential, *,
                       allow_crossing_window: tuple[float, float] | None = None
                       ) -> ScatteringResult:
     """Scattering length and correlation profile of a radial potential.
@@ -225,20 +226,14 @@ def scattering_length(V: RadialPotential, r_max: float, *,
     (u, u') is carried from u(0) = 0, u'(0) = 1 to the support radius R by
     the exact propagator of each cell of V; beyond R, u = kappa (r - a)
     with a = R - u(R)/u'(R), returned at once.  The profile f = u/(kappa r)
-    on n_samples points of [0, r_max] is sampled on first read of the
-    result's r, f or g.  Every zero of u at r > 0, the exterior one at
+    on PROFILE_SAMPLES points of [0, 2.5 R] is sampled on first read of
+    the result's r, f or g.  Every zero of u at r > 0, the exterior one at
     r = a > R included, is located exactly and raises BoundStateError
     unless it lies in the allowed window (shell-modified problems may
     push u through zero between the shell radii without invalidating the
     exterior line).
     """
-    if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
-        raise ScatteringError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     R = V.support_radius
-    if R == 0.0:
-        r_max = max(r_max, 1.0)  # no cells: u = r, so a = 0 and f = 1
-    elif not (r_max > 2.0 * R):
-        raise ScatteringError(f"r_max must exceed twice the support radius {R}")
     edges = V.edges
     lo, width = edges[:-1], np.diff(edges)
     q = 0.5 * V.values
@@ -261,7 +256,7 @@ def scattering_length(V: RadialPotential, r_max: float, *,
                  else f" outside the allowed window [{w_lo:.6g}, {w_hi:.6g}]")
         raise BoundStateError(f"radial solution crosses zero at r = {outside[0]:.6g}{where}; "
                               "the potential supports a bound state")
-    return ScatteringResult(float(a), R, V, u, du, log, r_max, n_samples)
+    return ScatteringResult(float(a), R, V, u, du, log)
 
 
 def g_norms(result: ScatteringResult) -> tuple[float, float, float]:
@@ -282,14 +277,15 @@ def g_norms(result: ScatteringResult) -> tuple[float, float, float]:
     return float(l1), l2, float(np.max(np.abs(g)))
 
 
-# calibration: the final residual bound relative to the length scale, and
-# the step in C of the upward bracketing walk
+# calibration: the final residual bound relative to the length scale, the
+# step in C of the upward bracketing walk and the largest C it walks to
 RESIDUAL_TOL = 1e-8
 SCAN_STEP = 0.25
+C_MAX = 8.0
 
 
 def calibrate_shell(V: RadialPotential, N: int, beta: float, *,
-                    a: float | None = None, c_max: float = 8.0) -> ShellPotential:
+                    a: float | None = None) -> ShellPotential:
     """Find the smallest C > 1 whose shell cancels the scaled scattering length.
 
     The residual a(V_scaled - shell(C)) is walked upward from C = 1
@@ -305,15 +301,14 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, *,
     returned.  Otherwise the end with the smaller |residual| is returned
     if that is below RESIDUAL_TOL times the problem's length scale.
     Raises CalibrationError, with the walked residuals, if no bracket
-    exists.
+    exists up to C = C_MAX.
     """
     if not (0.0 < beta <= 1.0):
         raise ScatteringError(f"beta must lie in (0, 1], got {beta}")
     if N < 2:
         raise ScatteringError("calibration needs N >= 2")
     if a is None:
-        a = scattering_length(V, 2.5 * V.support_radius if V.support_radius else 1.0
-                              ).scattering_length
+        a = scattering_length(V).scattering_length
     inner = float(N) ** (-beta)
     if a == 0.0:
         # nothing to cancel; C = 1 by convention (empty shell)
@@ -327,19 +322,18 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, *,
         shell = ShellPotential.for_species(a, N, beta, C)
         mod = modified_potential(V_scaled, shell)
         return scattering_length(
-            mod, 2.5 * mod.support_radius,
-            allow_crossing_window=(shell.inner_radius, shell.outer_radius),
+            mod, allow_crossing_window=(shell.inner_radius, shell.outer_radius)
         ).scattering_length
 
     c_lo = 1.0 + 1e-6
     walked = [(c_lo, residual(c_lo))]
     while np.signbit(walked[-1][1]) == np.signbit(walked[0][1]):
-        if walked[-1][0] >= c_max:
+        if walked[-1][0] >= C_MAX:
             raise CalibrationError(
-                f"no root bracketed for C in ({c_lo:.6g}, {c_max:.6g}]: "
+                f"no root bracketed for C in ({c_lo:.6g}, {C_MAX:.6g}]: "
                 f"residuals run from {walked[0][1]:.6g} to {walked[-1][1]:.6g}"
             )
-        c = min(walked[-1][0] + SCAN_STEP, c_max)
+        c = min(walked[-1][0] + SCAN_STEP, C_MAX)
         try:
             walked.append((c, residual(c)))
         except BoundStateError as exc:

@@ -53,12 +53,12 @@ def _report(num: int, ok: bool, detail: str):
 def test_c01_scattering_oracle_and_scaling():
     t0 = time.perf_counter()
     barrier = square_barrier(2.0, 1.0)
-    a = scattering_length(barrier, 2.5).scattering_length
+    a = scattering_length(barrier).scattering_length
     exact = 1.0 - math.tanh(1.0)
     err_a = abs(a - exact)
     worst_rel = 0.0
     for N in (2, 4, 8):
-        aN = scattering_length(scale_potential(barrier, N, 1.0), 2.5 / N).scattering_length
+        aN = scattering_length(scale_potential(barrier, N, 1.0)).scattering_length
         worst_rel = max(worst_rel, abs(aN - a / N) / (a / N))
     elapsed = time.perf_counter() - t0
     _report(1, err_a < 1e-6 and worst_rel < 1e-8 and elapsed < 1.0,
@@ -71,8 +71,7 @@ def test_c02_shell_calibration():
     shell = calibrate_shell(barrier, 32, 1.0)
     mod = modified_potential(scale_potential(barrier, 32, 1.0), shell)
     residual = scattering_length(
-        mod, 2.5 * mod.support_radius,
-        allow_crossing_window=(shell.inner_radius, shell.outer_radius)).scattering_length
+        mod, allow_crossing_window=(shell.inner_radius, shell.outer_radius)).scattering_length
     elapsed = time.perf_counter() - t0
     _report(2, abs(residual) < 1e-8 * barrier.support_radius and elapsed < 5.0,
             f"C={shell.C:.9f}, |a_mod|={abs(residual):.2e} (<1e-8), {elapsed:.2f}s (<5s)")

@@ -1,16 +1,43 @@
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+import typing
 
 import pytest
 
 
-@pytest.mark.parametrize("module", ["grids", "manybody", "indicators", "effective", "scattering",
-                                    "config", "harness", "checks", "cli"])
+MODULES = ["grids", "manybody", "indicators", "effective", "scattering", "config", "harness",
+           "checks", "cli"]
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"becmix.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"becmix.{module}.__all__ names undefined {missing}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_annotation_resolves(module):
+    # the annotations are strings (postponed evaluation); each name in them must
+    # be bound in its module, or typing.get_type_hints raises NameError
+    mod = importlib.import_module(f"becmix.{module}")
+    unresolved = []
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        members = vars(obj).items() if inspect.isclass(obj) else ()
+        for label, fn in [(name, obj), *((f"{name}.{k}", v) for k, v in members)]:
+            # a property's getter, a cached_property's function, a classmethod's function
+            for attr in ("fget", "func", "__func__"):
+                fn = getattr(fn, attr, None) or fn
+            if not (inspect.isfunction(fn) or inspect.isclass(fn)):
+                continue
+            try:
+                typing.get_type_hints(fn)
+            except NameError as exc:
+                unresolved.append(f"{label}: {exc}")
+    assert not unresolved, f"becmix.{module} annotations unresolved {unresolved}"
 
 
 def _tracer():

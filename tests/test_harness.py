@@ -629,6 +629,12 @@ def test_cli_loads_no_module_it_does_not_run(tmp_path, command, config, forbidde
     assert (tmp_path / "out" / written).exists()
 
 
+def test_config_loads_no_scattering():
+    # only ExperimentConfig.radial_potential builds a radial potential, and imports it there
+    code = "import sys\nimport becmix.config\nprint('becmix.scattering' in sys.modules)\n"
+    assert _fresh_python(code) == ["False"]
+
+
 def test_setup_probe_reaches_each_subcommands_first_solver_call(tmp_path):
     # perfbench/tracer.py times start-up by replacing these names of becmix.cli with a hook
     # that exits; the sweep reaches its hook before it loads the lattice gas

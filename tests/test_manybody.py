@@ -370,7 +370,7 @@ def test_mean_field_rejects_unusable_potential(case, message):
     assert str(err.value) == message
 
 
-def test_propagate_substeps_large_step_against_dense():
+def test_propagate_substeps_large_step_against_dense(monkeypatch):
     g = Grid(1, 3, 1.5)
     V1, V2, V12 = _cos_fields(g, amps=(1.0, 0.8, 0.6))
     b = build_basis(3, 1, 1)
@@ -378,7 +378,8 @@ def test_propagate_substeps_large_step_against_dense():
     st = random_state(b, np.random.default_rng(8))
     # ||dt H|| is far beyond one Krylov pass at this dimension; the
     # propagator must substep rather than return garbage
-    out = propagate(H, st, 5.0, krylov_dim=8)
+    monkeypatch.setattr(manybody_mod, "KRYLOV_DIM", 8)
+    out = propagate(H, st, 5.0)
     exact = scipy.linalg.expm(-5j * H.matrix.toarray()) @ st.psi.ravel()
     assert np.max(np.abs(out.psi.ravel() - exact)) < 1e-9
     assert abs(out.norm - 1.0) < 1e-10
@@ -390,9 +391,10 @@ def test_propagate_substeps_large_step_against_dense():
     (4, 2, 0.5, 2.0, 30),          # ||H|| ~ 1024
     (10, 1, 2 * np.pi, 20.0, 30),
 ], ids=["M6", "M6-krylov12", "M4-large-norm", "M10-long"])
-def test_propagate_without_reorthogonalization_against_expm(M, n, L, T, krylov_dim):
+def test_propagate_without_reorthogonalization_against_expm(monkeypatch, M, n, L, T, krylov_dim):
     # time steps run the plain three-term recurrence; one long call and
     # 200 short ones must both stay at round-off of the exact propagator
+    monkeypatch.setattr(manybody_mod, "KRYLOV_DIM", krylov_dim)
     g = Grid(1, M, L)
     b = build_basis(M, n, n)
     H = Hamiltonian(HamiltonianSpec.mean_field(g, *_cos_fields(g), n, n), b)
@@ -400,8 +402,8 @@ def test_propagate_without_reorthogonalization_against_expm(M, n, L, T, krylov_d
     exact = scipy.linalg.expm(-1j * T * H.matrix.toarray()) @ st.psi.ravel()
     many = st
     for _ in range(200):
-        many = propagate(H, many, T / 200, krylov_dim=krylov_dim)
-    for out in (propagate(H, st, T, krylov_dim=krylov_dim), many):
+        many = propagate(H, many, T / 200)
+    for out in (propagate(H, st, T), many):
         assert np.max(np.abs(out.psi.ravel() - exact)) < 1e-12
         assert abs(out.norm - 1.0) < 1e-12
 
@@ -436,7 +438,8 @@ def test_propagate_through_matches_dense_exponential_at_every_offset(monkeypatch
     real = manybody_mod._lanczos
     monkeypatch.setattr(manybody_mod, "_lanczos",
                         lambda *a, **kw: spaces.append(1) or real(*a, **kw))
-    out = list(propagate_through(H, st, offsets, krylov_dim=krylov_dim))
+    monkeypatch.setattr(manybody_mod, "KRYLOV_DIM", krylov_dim)
+    out = list(propagate_through(H, st, offsets))
     assert spaces_ok(len(spaces))
     dense = H.matrix.toarray()
     for t, state in zip(offsets, out, strict=True):
@@ -492,11 +495,12 @@ def test_propagation_of_the_ladder_33_entry_keeps_translation_overlaps_and_parit
         assert np.linalg.norm(state.psi[R] - state.psi) < 1e-12
 
 
-def test_propagate_substep_budget_exhausted():
+def test_propagate_substep_budget_exhausted(monkeypatch):
     g = Grid(1, 3, 0.05)  # tiny box -> huge kinetic scale
     b = build_basis(3, 2, 2)
     # 24 distinct eigenvalues: no 4-vector space covers a useful step of dt = 50
     H = Hamiltonian(HamiltonianSpec.mean_field(g, *_cos_fields(g), 2, 2), b)
     st = random_state(b, np.random.default_rng(9))
+    monkeypatch.setattr(manybody_mod, "KRYLOV_DIM", 4)
     with pytest.raises(ManyBodyError):
-        propagate(H, st, 50.0, krylov_dim=4)
+        propagate(H, st, 50.0)

@@ -27,32 +27,32 @@ A_EXACT = 1.0 - math.tanh(1.0)
 
 def test_zero_potential():
     V = RadialPotential(np.array([0.0]), np.array([]))
-    res = scattering_length(V, 3.0)
+    res = scattering_length(V)
     assert res.scattering_length == 0.0
     assert np.all(res.g == 0.0)
     assert g_norms(res) == (0.0, 0.0, 0.0)
 
 
 def test_square_barrier_closed_form():
-    res = scattering_length(BARRIER, 2.5)
+    res = scattering_length(BARRIER)
     assert abs(res.scattering_length - A_EXACT) < 1e-9
 
 
 def test_box_potential_takes_its_defaults():
     # `box` alone is amp=2 radius=1, whose a(V) is 1 - tanh 1 to the last bit
     V = parse_config("[system]\nmode = scattering\npotential = box\n").radial_potential()
-    assert scattering_length(V, 2.5).scattering_length == A_EXACT
+    assert scattering_length(V).scattering_length == A_EXACT
 
 
 def test_exterior_profile_matches_asymptote():
-    res = scattering_length(BARRIER, 3.0)
+    res = scattering_length(BARRIER)
     outside = res.r > 1.5
     expect = 1.0 - res.scattering_length / res.r[outside]
     assert np.max(np.abs(res.f[outside] - expect)) < 1e-9
 
 
 def test_profile_monotone_outside_support_for_positive_potential():
-    res = scattering_length(BARRIER, 3.0)
+    res = scattering_length(BARRIER)
     outside = res.r > BARRIER.support_radius
     assert np.all(np.diff(res.f[outside]) >= -1e-12)
     assert 0.0 <= res.scattering_length <= BARRIER.support_radius
@@ -61,19 +61,13 @@ def test_profile_monotone_outside_support_for_positive_potential():
 def test_scaling_law():
     for N in (2, 4, 8):
         VN = scale_potential(BARRIER, N, 1.0)
-        a = scattering_length(VN, 2.5 / N).scattering_length
+        a = scattering_length(VN).scattering_length
         assert abs(a - A_EXACT / N) / (A_EXACT / N) < 1e-8
-
-
-def test_r_max_invariance():
-    a1 = scattering_length(BARRIER, 2.2).scattering_length
-    a2 = scattering_length(BARRIER, 4.0).scattering_length
-    assert abs(a1 - a2) / abs(a1) < 1e-10
 
 
 def test_hard_sphere_limit():
     V = square_barrier(1.0e6, 1.0)
-    res = scattering_length(V, 2.5)
+    res = scattering_length(V)
     assert abs(res.scattering_length - 1.0) < 1e-2
     # the deficit saturates at the origin
     l1, l2, linf = g_norms(res)
@@ -84,17 +78,16 @@ def test_hard_sphere_limit():
 def test_bound_state_detection():
     V = square_barrier(-20.0, 1.0)
     with pytest.raises(BoundStateError):
-        scattering_length(V, 2.5)
+        scattering_length(V)
 
 
 def test_bound_state_beyond_the_support():
     # u stays positive inside the well but falls at its edge; the exterior
-    # line crosses zero at a = 1 - tan(k)/k ~ 13.3, beyond r_max = 2.5
+    # line crosses zero at a = 1 - tan(k)/k ~ 13.3, beyond the profile grid's 2.5
     k = math.pi / 2 + 0.05
     V = square_barrier(-2.0 * k**2, 1.0)
-    for r_max in (2.5, 30.0):
-        with pytest.raises(BoundStateError):
-            scattering_length(V, r_max)
+    with pytest.raises(BoundStateError):
+        scattering_length(V)
 
 
 @pytest.mark.parametrize("edges, values, match", [
@@ -114,8 +107,7 @@ def test_calibration_with_round_off_twin_breakpoints():
     assert 32.0 ** -0.6 != 1.0 / 32.0 ** 0.6
     shell = calibrate_shell(BARRIER, 32, 0.6)
     mod = modified_potential(scale_potential(BARRIER, 32, 0.6), shell)
-    res = scattering_length(mod, 2.5 * mod.support_radius,
-                            allow_crossing_window=(shell.inner_radius, shell.outer_radius))
+    res = scattering_length(mod, allow_crossing_window=(shell.inner_radius, shell.outer_radius))
     assert abs(res.scattering_length) < 1e-8 * mod.support_radius
 
 
@@ -133,28 +125,16 @@ def test_gaussian_cells_converge_to_ode_oracle(monkeypatch):
     ref = _gaussian_oracle(2.0, 0.5)
     cfg = parse_config(f"[system]\nmode = scattering\npotential = {expr}\n")
     V = cfg.radial_potential()
-    a = scattering_length(V, 2.5 * V.support_radius).scattering_length
+    a = scattering_length(V).scattering_length
     assert abs(a - ref) < 5e-6 * abs(ref)
     errors = []
     for cells in (256, 512, 1024):
         monkeypatch.setattr(config, "GAUSSIAN_CELLS", cells)
         V = cfg.radial_potential()
-        errors.append(abs(scattering_length(V, 2.5 * V.support_radius).scattering_length - ref))
+        errors.append(abs(scattering_length(V).scattering_length - ref))
     # midpoint cells are second order: each halving cuts the error ~4x
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.5 < coarse / fine < 4.5
-
-
-def test_r_max_precondition():
-    with pytest.raises(ScatteringError):
-        scattering_length(BARRIER, 1.5)
-
-
-@pytest.mark.parametrize("n_samples", [0, 1, -5, 2.5, 4001.0, "4001"])
-def test_bad_n_samples_rejected_at_call(n_samples):
-    for V in (BARRIER, RadialPotential(np.array([0.0]), np.array([]))):
-        with pytest.raises(ScatteringError, match="n_samples must be an integer >= 2"):
-            scattering_length(V, 2.5, n_samples=n_samples)
 
 
 def test_profile_same_whatever_is_read_first():
@@ -162,9 +142,8 @@ def test_profile_same_whatever_is_read_first():
     mod = modified_potential(scale_potential(BARRIER, 16, 1.0), shell)
 
     def solve():
-        return scattering_length(mod, 2.5 * mod.support_radius, n_samples=np.int64(4001),
-                                 allow_crossing_window=(shell.inner_radius,
-                                                        shell.outer_radius))
+        return scattering_length(mod, allow_crossing_window=(shell.inner_radius,
+                                                             shell.outer_radius))
 
     norms_first, profile_first = solve(), solve()
     f = profile_first.f.copy()
@@ -175,10 +154,11 @@ def test_profile_same_whatever_is_read_first():
     assert norms_first.r.size == 4001 and norms_first.r[-1] == 2.5 * mod.support_radius
 
 
-def test_g_norms_against_closed_form():
+def test_g_norms_against_closed_form(monkeypatch):
     # inside the barrier u = sinh(r), outside the line kappa (r - a);
     # f = u / (kappa r) with kappa = cosh(1)
-    res = scattering_length(BARRIER, 2.5, n_samples=8001)
+    monkeypatch.setattr(scattering_mod, "PROFILE_SAMPLES", 8001)
+    res = scattering_length(BARRIER)
     kappa = math.cosh(1.0)
     r = np.linspace(1e-9, 2.5, 20001)
     f_exact = np.where(r <= 1.0, np.sinh(r) / (kappa * r),
@@ -192,8 +172,9 @@ def test_g_norms_against_closed_form():
     assert linf == pytest.approx(1.0 - 1.0 / kappa, rel=1e-8)
 
 
-def test_g_norms_requires_resolution():
-    res = scattering_length(BARRIER, 2.5, n_samples=301)
+def test_g_norms_requires_resolution(monkeypatch):
+    monkeypatch.setattr(scattering_mod, "PROFILE_SAMPLES", 301)
+    res = scattering_length(BARRIER)
     with pytest.raises(ScatteringError):
         g_norms(res)
 
@@ -202,8 +183,7 @@ def test_calibration_cancels_scattering_length():
     shell = calibrate_shell(BARRIER, 32, 1.0)
     assert shell.C > 1.0
     mod = modified_potential(scale_potential(BARRIER, 32, 1.0), shell)
-    res = scattering_length(mod, 2.5 * mod.support_radius,
-                            allow_crossing_window=(shell.inner_radius, shell.outer_radius))
+    res = scattering_length(mod, allow_crossing_window=(shell.inner_radius, shell.outer_radius))
     assert abs(res.scattering_length) < 1e-8 * BARRIER.support_radius
 
 
@@ -222,15 +202,14 @@ def test_calibration_deterministic():
 def _shell_residual(V, a, N, beta, C):
     shell = ShellPotential.for_species(a, N, beta, C)
     mod = modified_potential(scale_potential(V, N, beta), shell)
-    return scattering_length(mod, 2.5 * mod.support_radius,
-                             allow_crossing_window=(shell.inner_radius,
-                                                    shell.outer_radius)).scattering_length
+    return scattering_length(mod, allow_crossing_window=(shell.inner_radius,
+                                                         shell.outer_radius)).scattering_length
 
 
 def test_calibration_brackets_the_root_to_adjacent_floats():
     V = parse_config("[system]\nmode = scattering\npotential = gaussian amp=2 sigma=0.5\n") \
         .radial_potential()
-    a = scattering_length(V, 2.5 * V.support_radius).scattering_length
+    a = scattering_length(V).scattering_length
     C = calibrate_shell(V, 8, 1.0, a=a).C
 
     def residual(c):
@@ -243,7 +222,7 @@ def test_calibration_brackets_the_root_to_adjacent_floats():
 
 def _counted_calibration(monkeypatch, V, N, beta):
     """calibrate_shell(V, N, beta) and the number of its residual solves."""
-    a = scattering_length(V, 2.5 * V.support_radius).scattering_length
+    a = scattering_length(V).scattering_length
     calls = []
 
     def counted(*args, **kwargs):
@@ -295,17 +274,17 @@ def test_calibration_zero_potential_convention():
     assert shell.C == pytest.approx(1.0)
 
 
-def test_calibration_reports_missing_bracket():
+def test_calibration_reports_missing_bracket(monkeypatch):
+    monkeypatch.setattr(scattering_mod, "C_MAX", 1.05)
     with pytest.raises(CalibrationError) as err:
-        calibrate_shell(BARRIER, 32, 1.0, c_max=1.05)
+        calibrate_shell(BARRIER, 32, 1.0)
     assert "no root bracketed" in str(err.value)
 
 
 def test_calibration_softer_scaling():
     shell = calibrate_shell(BARRIER, 16, 0.6)
     mod = modified_potential(scale_potential(BARRIER, 16, 0.6), shell)
-    res = scattering_length(mod, 2.5 * mod.support_radius,
-                            allow_crossing_window=(shell.inner_radius, shell.outer_radius))
+    res = scattering_length(mod, allow_crossing_window=(shell.inner_radius, shell.outer_radius))
     assert abs(res.scattering_length) < 1e-8 * mod.support_radius * 10
 
 
@@ -322,8 +301,8 @@ def test_deficit_norms_shrink_with_n():
     for N in (8, 16, 32):
         shell = calibrate_shell(BARRIER, N, 1.0)
         mod = modified_potential(scale_potential(BARRIER, N, 1.0), shell)
-        res = scattering_length(mod, 2.5 * mod.support_radius,
-                                allow_crossing_window=(shell.inner_radius, shell.outer_radius))
+        res = scattering_length(mod, allow_crossing_window=(shell.inner_radius,
+                                                            shell.outer_radius))
         norms.append(g_norms(res)[0])
     assert norms[0] > norms[1] > norms[2]
     power = np.polyfit(np.log([8, 16, 32]), np.log(norms), 1)[0]
