@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, HarnessError, parse_config
-from .effective import CouplingSpec, OrbitalState, evolve
 from .grids import Field
 from .scattering import (
     calibrate_shell,
@@ -48,8 +47,9 @@ def _load_config(path: str, args) -> ExperimentConfig:
     return cfg
 
 
-# Only `sweep` (and `check`) load the lattice gas: these two stay names of this
-# module, which perfbench/tracer.py patches, and import the harness when called.
+# Only `sweep` (and `check`) load the lattice gas, and only `effective` (and the
+# sweep's harness) the effective solvers: these three stay names of this module,
+# which perfbench/tracer.py patches, and import their module when called.
 def run_convergence_sweep(cfg: ExperimentConfig, threads: int = 1):
     """harness.run_convergence_sweep, importing the harness."""
     from .harness import run_convergence_sweep
@@ -60,6 +60,12 @@ def emit_report(report, out_dir) -> list[Path]:
     """harness.emit_report, importing the harness."""
     from .harness import emit_report
     return emit_report(report, out_dir)
+
+
+def evolve(state, spec, T: float, dt: float, sample_every: int = 1):
+    """effective.evolve, importing the effective solvers."""
+    from .effective import evolve
+    return evolve(state, spec, T, dt, sample_every)
 
 
 def _cmd_sweep(args) -> int:
@@ -78,7 +84,9 @@ def _cmd_sweep(args) -> int:
     return 1 if any(e.error for e in report.entries) else 0
 
 
-def _build_coupling(cfg: ExperimentConfig) -> tuple[CouplingSpec, OrbitalState]:
+def _build_coupling(cfg: ExperimentConfig):
+    """The (CouplingSpec, OrbitalState) pair of an effective config."""
+    from .effective import CouplingSpec, OrbitalState
     grid = cfg.build_grid()
     u0, v0 = cfg.orbital_field("u0"), cfg.orbital_field("v0")
     if cfg.mode == "hartree":

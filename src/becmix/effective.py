@@ -10,13 +10,20 @@ Four couplings are supported through one Strang-split stepper:
                           plus the linear population transfer B(t),
 * ``spin1``            -- three components with spin-exchange terms.
 
-One step is: half potential flow, full kinetic flow (diagonal in the
-transform basis), half potential flow.  Every potential substep is an
-exact pointwise flow: for hartree/gp a phase multiplication because the
+One step is: half potential flow, full kinetic flow (circulant, see
+below), half potential flow.  Every potential substep is an exact
+pointwise flow: for hartree/gp a phase multiplication because the
 densities are invariant under it; for rabi the 2x2 rotation; for spin1
 the 3x3 rotation exp(-i g tau F.f), because the exchange flow conserves
 the local spin density F.  `integrate` runs the steps of a whole
 trajectory and merges the two half flows between unsampled steps.
+
+The kinetic flow and hartree's convolutions are circulant operators,
+diagonal in the transform basis.  On a 1-D grid of at most
+DENSE_MAX_POINTS points they are applied as dense matrices, because one
+matrix product there costs less than numpy's fft and ifft calls; larger
+and 2-D/3-D grids transform, where the dense products lose (about 3x
+slower at M = 256).
 """
 
 from __future__ import annotations
@@ -50,6 +57,9 @@ __all__ = [
 
 _MODES = ("hartree", "gross_pitaevskii", "rabi", "spin1")
 
+# the largest 1-D grid whose circulant operators are applied as dense matrices
+DENSE_MAX_POINTS = 64
+
 
 class EffectiveError(ValueError):
     """Invalid state/spec combination or a failed integration step."""
@@ -61,8 +71,8 @@ class CouplingSpec:
 
     Use the classmethod constructors; every construction, also through
     `dataclasses.replace`, validates c1, the couplings, the rabi field's
-    presence and the hartree potentials, whose transforms
-    `potential_transforms` computes on first use.  `kinetic` selects the
+    presence and the hartree potentials.  `potential` builds the map
+    W(rho) of the potential flow on first use.  `kinetic` selects the
     transform-space symbol of -Laplacian: "spectral" (default, |k|^2) or
     "stencil" (3-point lattice symbol, for consistency runs against the
     many-body harness).
@@ -111,9 +121,21 @@ class CouplingSpec:
         return 1.0 - self.c1
 
     @cached_property
-    def potential_transforms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Discrete transforms of V1, V2 and V12 (hartree mode)."""
-        return tuple(np.fft.fftn(V.values) for V in (self.V1, self.V2, self.V12))
+    def potential(self) -> Callable[[np.ndarray], np.ndarray]:
+        """W(rho), the multiplier each component's equation applies, for the
+        stack rho of component densities (hartree, gross_pitaevskii, rabi;
+        rabi's W is common to both components and broadcasts against rho)."""
+        if self.mode == "hartree":
+            # W_a = hd sum_b (K_ab * rho_b), K = [[V1, c2 V12], [c1 V12, V2]]
+            V1, V2, V12 = (V.values.real for V in (self.V1, self.V2, self.V12))
+            return _convolution(self.grid, self.grid.volume_element
+                                * np.array([[V1, self.c2 * V12], [self.c1 * V12, V2]]))
+        if self.mode == "gross_pitaevskii":
+            couplings = 8.0 * np.pi * np.array([[self.a1, self.c2 * self.a12],
+                                                [self.c1 * self.a12, self.a2]])
+            return lambda rho: (couplings @ rho.reshape(2, -1)).reshape(rho.shape)
+        g = 8.0 * np.pi * self.a
+        return lambda rho: g * rho.sum(axis=0)
 
     @property
     def n_components(self) -> int:
@@ -180,35 +202,51 @@ def magnetization(state: OrbitalState) -> float:
     return float(hd * np.sum(np.abs(u.values) ** 2 - np.abs(w.values) ** 2))
 
 
+def _dense(grid: Grid) -> bool:
+    """Whether the circulant operators on `grid` are applied as dense matrices."""
+    return grid.dim == 1 and grid.points_per_axis <= DENSE_MAX_POINTS
+
+
+def _circulant(columns: np.ndarray) -> np.ndarray:
+    """The circulant matrices C[i, j] = c[(i - j) mod M] of a stack of first columns c."""
+    M = columns.shape[-1]
+    offsets = np.arange(M)
+    return columns[..., (offsets[:, None] - offsets) % M]
+
+
 def _spatial_fft(dim: int):
-    """(fft, ifft) over the spatial axes 1..dim of a component stack.
+    """(fft, ifft) over the last `dim` axes, the spatial axes of a stack.
 
     On a 1-D grid that is the last axis, where np.fft.fft gives fftn's
     values without its per-call axis handling.
     """
     if dim == 1:
         return np.fft.fft, np.fft.ifft
-    axes = tuple(range(1, dim + 1))
+    axes = tuple(range(-dim, 0))
     return partial(np.fft.fftn, axes=axes), partial(np.fft.ifftn, axes=axes)
 
 
-def _potential(spec: CouplingSpec):
-    """W(rho), the multiplier each component's equation applies, for the
-    stack rho of component densities (hartree, gross_pitaevskii, rabi;
-    rabi's W is common to both components and broadcasts against rho)."""
-    if spec.mode == "hartree":
-        # W = hd ifft(K rho_hat), K = [[V1, c2 V12], [c1 V12, V2]] on the transforms
-        V1, V2, V12 = spec.potential_transforms
-        kernel = spec.grid.volume_element * np.array([[V1, spec.c2 * V12],
-                                                      [spec.c1 * V12, V2]])
-        fft, ifft = _spatial_fft(spec.grid.dim)
-        return lambda rho: ifft((kernel * fft(rho)).sum(axis=1)).real
-    if spec.mode == "gross_pitaevskii":
-        couplings = 8.0 * np.pi * np.array([[spec.a1, spec.c2 * spec.a12],
-                                            [spec.c1 * spec.a12, spec.a2]])
-        return lambda rho: np.tensordot(couplings, rho, axes=1)
-    g = 8.0 * np.pi * spec.a
-    return lambda rho: g * rho.sum(axis=0)
+def _convolution(grid: Grid, kernels: np.ndarray):
+    """The map rho -> sum_b (kernels[a, b] * rho_b)(x) = sum_b sum_y kernels[a, b](x - y) rho_b(y)
+    of real component stacks rho, for the real (n, n, *grid.shape) stack `kernels`."""
+    if _dense(grid):
+        n, M = kernels.shape[0], grid.points_per_axis
+        matrix = _circulant(kernels).transpose(0, 2, 1, 3).reshape(n * M, n * M)
+        return lambda rho: (matrix @ rho.reshape(-1)).reshape(rho.shape)
+    fft, ifft = _spatial_fft(grid.dim)
+    transforms = fft(kernels)
+    return lambda rho: ifft((transforms * fft(rho)).sum(axis=1)).real
+
+
+def _kinetic_flow(spec: CouplingSpec, dt: float):
+    """psi -> exp(i dt Laplacian) psi on a component stack, the multiplier
+    exp(-i dt lambda) of the transforms for the Laplacian symbol lambda."""
+    phase = np.exp(-1j * dt * spec.grid.laplacian_symbol(spec.kinetic))
+    if _dense(spec.grid):
+        flow = _circulant(np.fft.ifft(phase))
+        return lambda psi: psi @ flow.T
+    fft, ifft = _spatial_fft(spec.grid.dim)
+    return lambda psi: ifft(phase * fft(psi))
 
 
 def _spin_density(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +265,7 @@ def _potential_flow(spec: CouplingSpec):
     with the angles added.
     """
     if spec.mode != "spin1":
-        potential, rotates = _potential(spec), spec.mode == "rabi"
+        potential, rotates = spec.potential, spec.mode == "rabi"
 
         def flow(psi, tau, theta):
             psi = np.exp(-1j * tau * potential(np.abs(psi) ** 2)) * psi
@@ -241,17 +279,18 @@ def _potential_flow(spec: CouplingSpec):
         # spin1: i ds/dt = g (F.f) s conserves the spin density F pointwise, and
         # A = F.f/|F| satisfies A^3 = A, so the flow is the rotation
         # exp(-i theta A) = I - i sin(theta) A + (cos(theta) - 1) A^2 with
-        # theta = g tau |F|; sinc keeps F = 0 at the identity.
+        # theta = g tau |F|.  With the half angle h = theta / 2 and s = g tau sin(h) / h,
+        # sin(theta) / |F| = s cos(h) and (cos(theta) - 1) / |F|^2 = -s^2 / 2, which
+        # keeps F = 0 at the identity.
         u, v, w = psi
         gt = g * tau
         fz, fp = _spin_density(psi)
         fm = np.conj(fp)
-        angle = gt * np.sqrt(fz**2 + 2.0 * np.abs(fp) ** 2)
-        sin_coef = -1j * gt * np.sinc(angle / np.pi)
-        cos_coef = -0.5 * gt**2 * np.sinc(angle / (2.0 * np.pi)) ** 2
+        half = (0.5 * gt) * np.sqrt(fz * fz + 2.0 * (fp * fm).real)
+        s = gt * np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0)
         A = np.array([fz * u + fm * v, fp * u + fm * w, fp * v - fz * w])
         AA = np.array([fz * A[0] + fm * A[1], fp * A[0] + fm * A[2], fp * A[1] - fz * A[2]])
-        return psi + sin_coef * A + cos_coef * AA
+        return psi + ((-1j * s) * np.cos(half)) * A + ((-0.5 * s) * s) * AA
     return flow
 
 
@@ -261,7 +300,11 @@ def integrate(state: OrbitalState, spec: CouplingSpec, dt: float,
     Strang steps of length dt from `state` (dt < 0 runs the flow backwards).
 
     One step is half potential flow, full kinetic flow, half potential
-    flow.  The kinetic phase and the potential flow are built once.  Where
+    flow.  The kinetic flow is built once: on a 1-D grid of at most
+    DENSE_MAX_POINTS points as the circulant matrix whose first column is
+    ifft(exp(-i dt lambda)), one matrix product per step; otherwise as the
+    multiplier exp(-i dt lambda) between a transform and its inverse.
+    `CouplingSpec.potential` builds the potential once per spec.  Where
     a step is not sampled, its closing half flow and the opening half flow
     of the next step are one flow of length dt, exact because every flow
     keeps its driving density; the rabi angles of the two halves add.
@@ -276,8 +319,7 @@ def integrate(state: OrbitalState, spec: CouplingSpec, dt: float,
         raise EffectiveError("dt must be nonzero")
     if not steps or steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
         raise EffectiveError(f"steps must be increasing counts >= 1, got {list(steps)!r}")
-    fft, ifft = _spatial_fft(spec.grid.dim)
-    kin_phase = np.exp(-1j * dt * spec.grid.laplacian_symbol(spec.kinetic))
+    kinetic = _kinetic_flow(spec, dt)
     flow = _potential_flow(spec)
     half = 0.5 * dt
     B = spec.rabi_field if spec.mode == "rabi" else (lambda t: 0.0)
@@ -286,7 +328,7 @@ def integrate(state: OrbitalState, spec: CouplingSpec, dt: float,
     t = state.time
     psi = flow(np.array([c.values for c in state.components]), half, half * B(t + 0.5 * half))
     for k in range(1, last + 1):
-        psi = ifft(kin_phase * fft(psi))
+        psi = kinetic(psi)
         closing = half * B((t + half) + 0.5 * half)
         t = t + dt
         if k not in sampled:
@@ -417,7 +459,7 @@ def conserved_energy(state: OrbitalState, spec: CouplingSpec) -> float:
         f_sq = fz**2 + np.abs(np.sqrt(2.0) * fp) ** 2  # F_z^2 + F_x^2 + F_y^2
         return kin + 4.0 * np.pi * spec.a * float(hd * np.sum(f_sq))
     rho = np.abs(psi) ** 2
-    potential = sum(w * float(np.sum(r)) for w, r in zip(weights, rho * _potential(spec)(rho)))
+    potential = sum(w * float(np.sum(r)) for w, r in zip(weights, rho * spec.potential(rho)))
     energy = kin + 0.5 * hd * potential
     if spec.mode == "rabi":
         energy += 2.0 * spec.rabi_field(state.time) * inner(*state.components).real

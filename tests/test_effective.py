@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from becmix.grids import Field, inner, make_grid, normalize, periodic_convolve
+from becmix import effective
 from becmix.effective import (
     CouplingSpec,
     EffectiveError,
@@ -21,14 +22,20 @@ from becmix.effective import (
 )
 
 
-def _hartree_setup(M=64, L=2 * np.pi, amps=(0.8, 0.6, 0.5), c1=0.5, kinetic="spectral"):
-    g = make_grid(1, M, L)
-    x = g.axis_coordinates
-    V1 = Field(g, amps[0] * np.cos(2 * np.pi * x / L))
-    V2 = Field(g, amps[1] * np.cos(4 * np.pi * x / L))
-    V12 = Field(g, amps[2] * np.cos(2 * np.pi * x / L))
-    u0 = normalize(Field(g, 1 + 0.3 * np.cos(2 * np.pi * x / L)))
-    v0 = normalize(Field(g, 1 + 0.25 * np.cos(4 * np.pi * x / L)))
+def _axes_sum(g, f):
+    """sum_i f(x_i) over the coordinate arrays of g; f(x) itself on a 1-D grid."""
+    return sum(f(x) for x in g.coordinate_arrays())
+
+
+def _hartree_setup(M=64, L=2 * np.pi, amps=(0.8, 0.6, 0.5), c1=0.5, kinetic="spectral", dim=1):
+    g = make_grid(dim, M, L)
+    cos1 = _axes_sum(g, lambda x: np.cos(2 * np.pi * x / L))
+    cos2 = _axes_sum(g, lambda x: np.cos(4 * np.pi * x / L))
+    V1 = Field(g, amps[0] * cos1)
+    V2 = Field(g, amps[1] * cos2)
+    V12 = Field(g, amps[2] * cos1)
+    u0 = normalize(Field(g, 1 + 0.3 * cos1))
+    v0 = normalize(Field(g, 1 + 0.25 * cos2))
     spec = CouplingSpec.hartree(V1, V2, V12, c1=c1, kinetic=kinetic)
     return g, spec, OrbitalState((u0, v0), 0.0)
 
@@ -265,22 +272,41 @@ def test_time_reversal():
         assert np.max(np.abs(final - start)) < 1e-8, mode
 
 
-def _reference_hartree_step(state, spec, dt):
-    # the Strang step with every convolution done by periodic_convolve
-    def potential(arrays, tau):
-        u, v = arrays
-        rho_u = Field(spec.grid, np.abs(u) ** 2)
-        rho_v = Field(spec.grid, np.abs(v) ** 2)
+def _reference_potential_flow(spec, arrays, tau, t):
+    """The potential substep of length tau whose midpoint is t, with every
+    convolution done by periodic_convolve and each W written out."""
+    if spec.mode == "spin1":  # a pointwise flow, checked by test_spin1_exchange_flow_is_exact
+        return list(effective._potential_flow(spec)(np.array(arrays), tau, 0.0))
+    u, v = arrays
+    rho_u = Field(spec.grid, np.abs(u) ** 2)
+    rho_v = Field(spec.grid, np.abs(v) ** 2)
+    if spec.mode == "hartree":
         Wu = periodic_convolve(spec.V1, rho_u).values.real \
             + spec.c2 * periodic_convolve(spec.V12, rho_v).values.real
         Wv = periodic_convolve(spec.V2, rho_v).values.real \
             + spec.c1 * periodic_convolve(spec.V12, rho_u).values.real
-        return [np.exp(-1j * tau * Wu) * u, np.exp(-1j * tau * Wv) * v]
+    elif spec.mode == "gross_pitaevskii":
+        Wu = 8 * np.pi * (spec.a1 * rho_u.values.real + spec.c2 * spec.a12 * rho_v.values.real)
+        Wv = 8 * np.pi * (spec.a2 * rho_v.values.real + spec.c1 * spec.a12 * rho_u.values.real)
+    else:
+        Wu = Wv = 8 * np.pi * spec.a * (rho_u.values.real + rho_v.values.real)
+    u, v = np.exp(-1j * tau * Wu) * u, np.exp(-1j * tau * Wv) * v
+    if spec.mode == "rabi":
+        theta = tau * spec.rabi_field(t)
+        u, v = np.cos(theta) * u - 1j * np.sin(theta) * v, np.cos(theta) * v - 1j * np.sin(theta) * u
+    return [u, v]
 
-    arrays = potential([c.values for c in state.components], 0.5 * dt)
+
+def _reference_step(state, spec, dt):
+    """The Strang step with the kinetic flow done by fftn and the potential
+    substeps by `_reference_potential_flow`."""
+    t = state.time
+    arrays = _reference_potential_flow(spec, [c.values for c in state.components], 0.5 * dt,
+                                       t + 0.25 * dt)
     kin_phase = np.exp(-1j * dt * spec.grid.laplacian_symbol(spec.kinetic))
     arrays = [np.fft.ifftn(kin_phase * np.fft.fftn(a)) for a in arrays]
-    return np.concatenate(potential(arrays, 0.5 * dt))
+    arrays = _reference_potential_flow(spec, arrays, 0.5 * dt, t + 0.75 * dt)
+    return OrbitalState(tuple(Field(spec.grid, a) for a in arrays), t + dt)
 
 
 def _values(state):
@@ -291,7 +317,7 @@ def test_hartree_step_matches_convolution_reference():
     # unequal c1 and potentials, so a swapped transform or weight shows
     _, spec, st = _hartree_setup(M=32, c1=0.3, kinetic="stencil")
     for dt in (0.05, -0.02):
-        ref = _reference_hartree_step(st, spec, dt)
+        ref = _values(_reference_step(st, spec, dt))
         assert np.max(np.abs(_values(step(st, spec, dt)) - ref)) <= 1e-14
 
 
@@ -309,7 +335,7 @@ def test_replaced_spec_uses_its_own_potential_transforms():
     other = dataclasses.replace(spec, V12=Field(g, 1.5 * np.cos(2 * x)))
     moved = step(st, other, 0.05)
     assert np.max(np.abs(_values(moved) - _values(first))) > 1e-6
-    assert np.max(np.abs(_values(moved) - _reference_hartree_step(st, other, 0.05))) <= 1e-14
+    assert np.max(np.abs(_values(moved) - _values(_reference_step(st, other, 0.05)))) <= 1e-14
     with pytest.raises(EffectiveError, match="V12 must be real"):
         dataclasses.replace(spec, V12=Field(g, 1j * np.cos(x)))
 
@@ -365,13 +391,12 @@ def test_rabi_common_phase_only():
 
 
 def _spin1_state(g):
-    x = g.axis_coordinates
-    u = normalize(Field(g, np.exp(-((x - np.pi) ** 2))))
-    v = normalize(Field(g, np.exp(-((x - np.pi + 0.5) ** 2)) * np.exp(1j * x)))
-    M = g.points_per_axis
+    u = normalize(Field(g, np.exp(-_axes_sum(g, lambda x: (x - np.pi) ** 2))))
+    v = normalize(Field(g, np.exp(-_axes_sum(g, lambda x: (x - np.pi + 0.5) ** 2))
+                        * np.exp(1j * _axes_sum(g, lambda x: x))))
     return OrbitalState((Field(g, u.values * np.sqrt(0.5)),
                          Field(g, v.values * np.sqrt(0.5)),
-                         Field(g, np.zeros(M))), 0.0)
+                         Field(g, np.zeros(g.shape))), 0.0)
 
 
 def test_spin1_conservation_and_exchange_activity():
@@ -447,11 +472,12 @@ def test_spin1_strang_second_order():
     assert 3.5 < e1 / e2 < 4.5 and 3.5 < e2 / e3 < 4.5
 
 
-def _four_modes():
-    g, hartree, st = _hartree_setup(M=32, c1=0.3)
-    x = g.axis_coordinates
-    pair = OrbitalState((normalize(Field(g, (1 + 0.3 * np.cos(x)) * np.exp(1j * x))),
-                         normalize(Field(g, 1 + 0.2 * np.cos(2 * x)))), 0.1)
+def _four_modes(M=32, dim=1):
+    g, hartree, st = _hartree_setup(M=M, c1=0.3, dim=dim)
+    phase = np.exp(1j * _axes_sum(g, lambda x: x))
+    pair = OrbitalState((normalize(Field(g, (1 + 0.3 * _axes_sum(g, np.cos)) * phase)),
+                         normalize(Field(g, 1 + 0.2 * _axes_sum(g, lambda x: np.cos(2 * x))))),
+                        0.1)
     return [
         (hartree, st),
         (CouplingSpec.gross_pitaevskii(g, 0.3, 0.2, 0.25, c1=0.3), pair),
@@ -483,6 +509,31 @@ def test_fused_trajectory_matches_chained_steps(case):
         assert [s.time for s in got] == [s.time for s in want]
         for a, b in zip(got, want, strict=True):
             assert np.max(np.abs(_values(a) - _values(b))) < 1e-12
+
+
+@pytest.mark.parametrize("M, dim, dense", [(64, 1, True), (128, 1, False), (16, 2, False)],
+                         ids=["dense-M64", "fft-M128", "fft-dim2"])
+@pytest.mark.parametrize("case", range(4), ids=["hartree", "gp", "rabi_B_of_t", "spin1"])
+def test_strang_steps_match_the_transform_reference(M, dim, dense, case):
+    # 1-D grids of at most DENSE_MAX_POINTS points apply the circulant operators as dense
+    # matrices, the others transform; both agree with the fftn/periodic_convolve step
+    spec, st = _four_modes(M, dim)[case]
+    assert effective._dense(spec.grid) is dense
+    dt = 1e-3
+    assert np.max(np.abs(_values(step(st, spec, dt)) - _values(_reference_step(st, spec, dt)))) \
+        <= 1e-14
+    ref = st
+    for _ in range(1000):
+        ref = _reference_step(ref, spec, dt)
+    assert np.max(np.abs(_values(integrate(st, spec, dt, [1000])[0]) - _values(ref))) <= 1e-12
+
+
+def test_gross_pitaevskii_mass_drift_on_the_dense_path():
+    # the dense kinetic flow is unitary to round-off only: pin the drift of 20,000 steps
+    spec, st = _four_modes(M=64)[1]
+    assert effective._dense(spec.grid)
+    end = integrate(st, spec, 1e-3, [20_000])[0]
+    assert max(abs(a - b) for a, b in zip(mass(end), mass(st))) <= 1e-11
 
 
 def test_integrate_rejects_bad_sample_steps():

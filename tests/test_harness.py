@@ -610,6 +610,9 @@ def _fresh_python(code: str) -> list[str]:
                  id="effective-lattice-gas"),
     pytest.param("scattering", CONFIGS / "scattering_box.ini", LATTICE_GAS,
                  id="scattering-lattice-gas"),
+    # only `effective` and the sweep integrate the effective systems
+    pytest.param("scattering", CONFIGS / "scattering_box.ini", ("becmix.effective",),
+                 id="scattering-effective"),
 ])
 def test_cli_loads_no_module_it_does_not_run(tmp_path, command, config, forbidden):
     if isinstance(config, str):
