@@ -662,6 +662,44 @@ def test_setup_probe_reaches_each_subcommands_first_solver_call(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_process_entry_flushes_and_keeps_exit_codes(tmp_path):
+    # `python -m becmix.cli` ends through os._exit, which drops whatever a stream still
+    # buffers; PYTHONUNBUFFERED would hide a missing flush, so the child runs without it
+    src = str(Path(becmix.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    cfg_path = tmp_path / "hartree.ini"
+    cfg_path.write_text(HARTREE_DOC)
+    bad_path = tmp_path / "bad.ini"
+    bad_path.write_text("[system]\nmode = bogus\n")
+
+    def entry(config, **kwargs):
+        cmd = [sys.executable, "-m", "becmix.cli", "--out", str(tmp_path / "out"),
+               "effective", str(config)]
+        return subprocess.run(cmd, env=env, stderr=subprocess.PIPE, text=True, timeout=120,
+                              **kwargs)
+
+    with open(tmp_path / "stdout.txt", "w") as fh:  # a file: block-buffered, as in perfbench
+        run = entry(cfg_path, stdout=fh)
+    assert run.returncode == 0, run.stderr
+    lines = (tmp_path / "stdout.txt").read_text().splitlines()
+    assert [line.split()[0] for line in lines] == ["hartree:", "mass", "energy"]
+    assert (tmp_path / "out" / "trajectory.csv").is_file()
+
+    run = entry(bad_path, stdout=subprocess.DEVNULL)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ")
+
+    # fd 1 closed at start: sys.stdout is None, and the run ends as it would otherwise
+    run = entry(cfg_path, preexec_fn=lambda: os.close(1))
+    assert run.returncode == 0
+    assert "Traceback" not in run.stderr
+
+    # in-process callers get main's code back and keep running
+    assert cli.main(["--out", str(tmp_path / "in_process"), "effective", str(cfg_path)]) == 0
+    assert (tmp_path / "in_process" / "trajectory.csv").is_file()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3", "two"])
 def test_cli_threads_must_be_positive(tmp_path, capsys, threads):
     cfg_path = tmp_path / "sweep.ini"
