@@ -280,15 +280,21 @@ class CountingProjectorSet:
     `a_dag`, n_u = a+(u) a(u) and Q = sum_i q_i = N - n_u.  P_k is
     realized through the spectral calculus of Q rather than the
     symmetrized projector strings; the two definitions agree (unit tested
-    against the literal strings at small N).  Q has the integer
-    spectrum {0..N}, so Lanczos on Q from psi spans every P_k psi with
-    N + 1 vectors in exact arithmetic, and P_k psi is the sum of the Ritz
-    components whose Ritz values round to k.  A sector of tiny weight makes
-    the Lanczos couplings small, which amplifies round-off into new
-    directions; the space then grows past N + 1 vectors (at most 2N + 2)
-    until the residual estimate of every P_k psi is below KRYLOV_TOL.
-    P_k psi = beta0 V^T 1_k(T) e_1 is a function of T applied to e_1, so the
-    plain recurrence suffices, as for time steps.
+    against the literal strings at small N).  The count runs on phi =
+    a(u) psi in the (N-1)-particle sector, where Q' = N - 1 - n_u: as
+    a(u) f(n_u) = f(n_u + 1) a(u), a(u) P_k psi = P'_k phi, so for k < N
+    ||P_k psi||^2 = ||P'_k phi||^2 / (N - k) and P_k psi = a+(u) P'_k phi /
+    (N - k).  The all-excited sector P_N psi = psi - a+(u) chi, with chi =
+    sum_{k<N} P'_k phi / (N - k), is formed as a vector, so its weight is a
+    squared norm and never negative.  Q' has the integer spectrum
+    {0..N-1}, so Lanczos on Q' from phi spans every P'_k phi with N vectors
+    in exact arithmetic, and P'_k phi is the sum of the Ritz components
+    whose Ritz values round to k.  A sector of tiny weight makes the
+    Lanczos couplings small, which amplifies round-off into new
+    directions; the space then grows past N vectors (at most 2N) until the
+    residual estimate of every P'_k phi is below KRYLOV_TOL.  P'_k phi =
+    beta0 V^T 1_k(T) e_1 is a function of T applied to e_1, so the plain
+    recurrence suffices, as for time steps.
     """
 
     basis: TwoSpeciesBasis
@@ -303,39 +309,59 @@ class CountingProjectorSet:
             raise IndicatorError("orbital must be normalized")
         self.a, self.a_dag = self.basis.species(self.species).annihilator(self.u_site)
 
+    def annihilate(self, psi: np.ndarray) -> np.ndarray:
+        """a(u) psi, in the (N-1)-particle sector of the species."""
+        return _along(self.a, psi, self.axis)
+
     def n_u(self, psi: np.ndarray) -> np.ndarray:
-        """a+(u) a(u) psi; a(u) maps into the (N-1)-particle sector of the species."""
-        return _along(self.a_dag, _along(self.a, psi, self.axis), self.axis)
+        """a+(u) a(u) psi."""
+        return _along(self.a_dag, self.annihilate(psi), self.axis)
 
     def q_total(self, psi: np.ndarray) -> np.ndarray:
         """Q psi with Q = sum_i q_i = N - n_u."""
         return self.N * psi - self.n_u(psi)
 
-    def _ritz(self, psi: np.ndarray):
-        """(k, c, U, V): P_k psi sums c_j U[:, j] . V over the Ritz values rounding to k."""
+    def _ritz(self, phi: np.ndarray):
+        """(k, c, U, V) on phi = a(u) psi: P'_k phi sums c_j U[:, j] . V over the
+        Ritz values of Q' rounding to k < N."""
+        a, a_dag = self.basis.species(self.species).lowered.annihilator(self.u_site)
+        top = self.N - 1
+
+        def q_lowered(x: np.ndarray) -> np.ndarray:
+            x = x.reshape(phi.shape)
+            return (top * x - _along(a_dag, _along(a, x, self.axis), self.axis)).ravel()
+
         def sectors(lam):
-            return np.clip(np.rint(lam), 0, self.N).astype(int)
+            return np.clip(np.rint(lam), 0, top).astype(int)
 
         def accept(lam, U, beta):
-            # beta |e_m^T 1_k(T) e_1| estimates ||Q P_k psi - k P_k psi|| / ||psi||
-            last = np.bincount(sectors(lam), weights=U[-1] * U[0], minlength=self.N + 1)
+            # beta |e_m^T 1_k(T) e_1| estimates ||Q' P'_k phi - k P'_k phi|| / ||phi||
+            last = np.bincount(sectors(lam), weights=U[-1] * U[0], minlength=self.N)
             return beta * np.abs(last).max() < KRYLOV_TOL
 
-        beta0, V, lam, U, _ = _lanczos(lambda x: self.q_total(x.reshape(psi.shape)).ravel(),
-                                       psi, 2 * self.N + 2, accept)
+        beta0, V, lam, U, _ = _lanczos(q_lowered, phi, 2 * self.N, accept)
         return sectors(lam), beta0 * U[0], U, V
 
     def split(self, state: ManyBodyState) -> np.ndarray:
         """P_k psi for k = 0..N, stacked on a leading axis."""
-        k, c, U, V = self._ritz(state.psi)
-        coeffs = np.zeros((self.N + 1, len(V)))   # row k: sum of c_j U[:, j] over k_j = k
-        np.add.at(coeffs, k, c[:, None] * U.T)
-        return (coeffs @ V).reshape(self.N + 1, *state.psi.shape)
+        psi = state.psi
+        phi = self.annihilate(psi)
+        k, c, U, V = self._ritz(phi)
+        coeffs = np.zeros((self.N, len(V)))   # row k: P'_k phi / (N - k) in the basis V
+        np.add.at(coeffs, k, (c / (self.N - k))[:, None] * U.T)
+        parts = _along(self.a_dag, (coeffs @ V).reshape(self.N, *phi.shape), self.axis + 1)
+        return np.concatenate([parts, (psi - parts.sum(axis=0))[None]])
 
-    def sector_weights(self, state: ManyBodyState) -> np.ndarray:
-        """||P_k psi||^2 for k = 0..N, read from the Ritz weights without forming P_k psi."""
-        k, c, _, _ = self._ritz(state.psi)
-        return np.bincount(k, weights=c**2, minlength=self.N + 1)
+    def sector_weights(self, state: ManyBodyState, phi: np.ndarray | None = None) -> np.ndarray:
+        """||P_k psi||^2 for k = 0..N, from the Ritz weights below N and ||psi - a+(u) chi||^2
+        at N; phi is a(u) psi if the caller holds it."""
+        psi = state.psi
+        phi = self.annihilate(psi) if phi is None else phi
+        k, c, U, V = self._ritz(phi)
+        c_chi = c / (self.N - k)   # chi sums c_chi[j] U[:, j] . V
+        rest = psi - _along(self.a_dag, ((U @ c_chi) @ V).reshape(phi.shape), self.axis)
+        return np.append(np.bincount(k, weights=c * c_chi, minlength=self.N),
+                         np.vdot(rest, rest).real)
 
 
 def counting_projectors(basis: TwoSpeciesBasis, u: Field, species: str) -> CountingProjectorSet:
@@ -374,12 +400,19 @@ def _dressing(kernel_bare: np.ndarray, density: np.ndarray, h: float) -> np.ndar
 
 
 def _channels(basis: TwoSpeciesBasis, spec: HamiltonianSpec, interactions, psi: np.ndarray,
-              count_a: CountingProjectorSet, count_b: CountingProjectorSet,
+              phi: np.ndarray, count_a: CountingProjectorSet, count_b: CountingProjectorSet,
               u: Field, v: Field) -> DerivativeChannels:
-    """The three commutator channels, given the interaction diagonals and a(u), b(v)."""
+    """The three commutator channels, given the interaction diagonals and phi = a(u) psi.
+
+    P-bar psi = a+(u) n_v phi / (N1 N2), as n_v acts on the other species.
+    For a real diagonal X, <[X, S]> = -<[X, P-bar]> = -2i sum X Im(conj(psi)
+    P-bar psi), read as row sums for V1, column sums for V2 and one dot for V12.
+    """
     if u.grid != spec.grid or v.grid != spec.grid:
         raise IndicatorError("state, orbitals and interaction spec must share one grid")
-    pbar_psi = count_a.n_u(count_b.n_u(psi)) / (basis.N1 * basis.N2)
+    flux = _along(count_a.a_dag, count_b.n_u(phi), count_a.axis)
+    flux *= np.conj(psi)
+    flux = flux.imag / (basis.N1 * basis.N2)
     w1, w2, cross = interactions
     occ_a, occ_b = basis.A.occs.astype(float), basis.B.occs.astype(float)
     rho_u, rho_v = np.abs(u.values.ravel()) ** 2, np.abs(v.values.ravel()) ** 2
@@ -388,16 +421,13 @@ def _channels(basis: TwoSpeciesBasis, spec: HamiltonianSpec, interactions, psi: 
         return occ @ _dressing(spec.bare_kernel(which), rho, spec.grid.spacing)
 
     # diagonal operators (occupation basis): pair interactions minus dressings
-    x1 = (w1 - dressed(occ_a, "1", rho_u))[:, None]
-    x2 = (w2 - dressed(occ_b, "2", rho_v))[None, :]
+    x1 = w1 - dressed(occ_a, "1", rho_u)
+    x2 = w2 - dressed(occ_b, "2", rho_v)
     x12 = (cross - spec.c2 * dressed(occ_a, "12", rho_v)[:, None]
            - spec.c1 * dressed(occ_b, "12", rho_u)[None, :])
-
-    def channel(xdiag: np.ndarray) -> complex:
-        # <[X, S]> with S = 1 - P-bar  =>  -<[X, P-bar]>
-        return complex(-(np.vdot(psi, xdiag * pbar_psi) - np.vdot(pbar_psi, xdiag * psi)))
-
-    return DerivativeChannels(channel(x1), channel(x2), channel(x12))
+    return DerivativeChannels(-2j * float(x1 @ flux.sum(axis=1)),
+                              -2j * float(x2 @ flux.sum(axis=0)),
+                              -2j * float(np.vdot(x12, flux)))
 
 
 def derivative_decomposition(state: ManyBodyState, u: Field, v: Field,
@@ -412,8 +442,10 @@ def derivative_decomposition(state: ManyBodyState, u: Field, v: Field,
     b = state.basis
     if spec.grid.points_per_axis != b.M:
         raise IndicatorError("state, orbitals and interaction spec must share one grid")
+    count_a = counting_projectors(b, u, "A")
     return _channels(b, spec, _interaction_diagonals(b, spec), state.psi,
-                     counting_projectors(b, u, "A"), counting_projectors(b, v, "B"), u, v)
+                     count_a.annihilate(state.psi), count_a, counting_projectors(b, v, "B"),
+                     u, v)
 
 
 class SampleEvaluator:
@@ -422,7 +454,8 @@ class SampleEvaluator:
 
     (state, u, v) -> (alpha_11, trace_dist, alpha_10, alpha_01, C_V1_im,
     C_V2_im, C_V12_im, <g> for each weight g of the first species).  One
-    pair density gives the first four; one a(u) and one b(v) the rest.
+    pair density gives the first four; one a(u) psi serves the channels and the
+    counting.
     """
 
     def __init__(self, H: Hamiltonian, weights: Sequence[WeightFunction]):
@@ -435,8 +468,9 @@ class SampleEvaluator:
     def __call__(self, state: ManyBodyState, u: Field, v: Field) -> tuple[float, ...]:
         H, b, psi = self.H, self.H.basis, state.psi
         count_a, count_b = counting_projectors(b, u, "A"), counting_projectors(b, v, "B")
-        ch = _channels(b, H.spec, H.interactions, psi, count_a, count_b, u, v)
-        sectors = count_a.sector_weights(state)
+        phi = count_a.annihilate(psi)
+        ch = _channels(b, H.spec, H.interactions, psi, phi, count_a, count_b, u, v)
+        sectors = count_a.sector_weights(state, phi)
         pair = _pair_density(b, psi)
         pair4 = pair.reshape((b.M,) * 4)                    # partial traces: gamma^(1,0), (0,1)
         ref = np.kron(count_a.u_site, count_b.u_site)

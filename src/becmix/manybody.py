@@ -53,7 +53,9 @@ __all__ = [
 
 KRYLOV_TOL = 1e-12
 MIN_STEP_FRACTION = 4096
-KRYLOV_DIM = 17   # cap on a time step's Krylov space: KRYLOV_DIM + 1 vectors
+# cap on a time step's Krylov space: KRYLOV_DIM + 1 vectors, enough for one space to
+# serve all ten samples of the bundled ladder's time grid at (3,3), (4,4) and (5,5)
+KRYLOV_DIM = 40
 
 
 class ManyBodyError(ValueError):
@@ -145,7 +147,8 @@ class _SpeciesBasis:
 def _along(op, arr: np.ndarray, axis: int) -> np.ndarray:
     """The matrix op (dense or sparse) applied to one axis of arr."""
     moved = np.moveaxis(arr, axis, 0)
-    out = op @ moved.reshape(moved.shape[0], -1)
+    # math.prod, not -1: arr may be empty, as the (N-2)-particle sector is at N = 1
+    out = op @ moved.reshape(moved.shape[0], math.prod(moved.shape[1:]))
     return np.moveaxis(out.reshape(-1, *moved.shape[1:]), 0, axis)
 
 

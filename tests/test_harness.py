@@ -453,19 +453,21 @@ def test_failed_trajectory_fails_every_entry_of_its_ratio(tmp_path, monkeypatch)
     assert report.entries[1].error is None and len(report.entries[1].rows) == 2
 
 
-@pytest.mark.parametrize("timing,times,spaces_ok", [
+@pytest.mark.parametrize("timing,times,krylov_dim,spaces_ok", [
     ("t = 0.05\nsample_every = 20\n\n[indicators]\nprobe_time = 0.033",
-     [0.0, 0.02, 0.033, 0.04, 0.05], lambda spaces: spaces < 4),
-    ("t = 0.5\nsample_every = 50", [k * 1e-3 for k in range(0, 501, 50)],
+     [0.0, 0.02, 0.033, 0.04, 0.05], None, lambda spaces: spaces < 4),
+    ("t = 0.5\nsample_every = 50", [k * 1e-3 for k in range(0, 501, 50)], None,
      lambda spaces: spaces < 10),
-    ("t = 2.0\ndt = 0.01\nsample_every = 200", [0.0, 2.0], lambda spaces: spaces > 1),
+    ("t = 2.0\ndt = 0.01\nsample_every = 200", [0.0, 2.0], 17, lambda spaces: spaces > 1),
 ], ids=["probe_off_the_sample_grid", "ten_samples", "one_interval_many_steps"])
 def test_sample_interval_propagation_matches_per_dt_steps(tmp_path, monkeypatch, timing, times,
-                                                          spaces_ok):
+                                                          krylov_dim, spaces_ok):
     # the sweep draws every sample of an entry from one propagate_through
     # call, whose Krylov spaces each serve all the samples they reach; the
     # reference takes one Krylov step per effective dt
     cfg = parse_config(MINIMAL.format(out=tmp_path).replace("t = 0.05", timing))
+    if krylov_dim is not None:   # spaces of the module's cap cover the whole interval
+        monkeypatch.setattr(manybody_mod, "KRYLOV_DIM", krylov_dim)
     real_through, real_lanczos = harness_mod.propagate_through, manybody_mod._lanczos
     spaces = []  # Krylov spaces of time steps built per entry
 
@@ -482,7 +484,7 @@ def test_sample_interval_propagation_matches_per_dt_steps(tmp_path, monkeypatch,
     monkeypatch.setattr(manybody_mod, "_lanczos", counting_lanczos)
     fast = run_convergence_sweep(cfg)
     # ten samples share fewer spaces than intervals; one interval of 2.0 is
-    # beyond one Krylov space and takes several
+    # beyond one Krylov space of 18 vectors and takes several
     assert len(spaces) == len(cfg.ladder) and all(spaces_ok(n) for n in spaces)
 
     def per_dt(H, state, offsets):

@@ -288,7 +288,9 @@ def test_counting_split_of_near_condensed_states_up_to_the_cap_edge():
             parts = cp.split(ManyBodyState(basis, psi))
             assert np.linalg.norm(sum(parts) - psi) < 1e-12
             norms = np.array([np.linalg.norm(p) ** 2 for p in parts])
-            assert np.max(np.abs(cp.sector_weights(ManyBodyState(basis, psi)) - norms)) < 1e-12
+            weights = cp.sector_weights(ManyBodyState(basis, psi))
+            assert np.max(np.abs(weights - norms)) < 1e-12
+            assert weights.min() >= 0.0   # no weight is read as a complement of the others
             overlaps = np.abs(np.einsum("jab,kab->jk", parts.conj(), parts))
             np.fill_diagonal(overlaps, 0.0)
             assert overlaps.max() < 1e-12
@@ -439,6 +441,22 @@ def test_derivative_channels_purely_imaginary_and_v12_zero():
     assert abs(ch.c_v12) < 1e-12
     for c in (ch.c_v1, ch.c_v2):
         assert abs(c.real) < 1e-10
+
+    def interaction_minus_dressing(V: Field, species, orbital: Field) -> np.ndarray:
+        # sum_{i<j} V(x_i - x_j) / N - sum_i (V * |orbital|^2)(x_i), per occupation vector
+        M, kern, rho = species.M, V.values.real, np.abs(orbital.values) ** 2
+        dressing = [g.spacing * sum(kern[(x - y) % M] * rho[y] for y in range(M))
+                    for x in range(M)]
+        return np.array([sum(kern[(x - y) % M] * n[x] * (n[y] - (x == y))
+                             for x in range(M) for y in range(M)) / (2 * species.N)
+                         - np.dot(n, dressing) for n in species.occs])
+
+    mode_a, mode_b = counting_projectors(basis, u, "A"), counting_projectors(basis, v, "B")
+    pbar_psi = mode_a.n_u(mode_b.n_u(st.psi)) / (basis.N1 * basis.N2)
+    for c, x in ((ch.c_v1, interaction_minus_dressing(V1, basis.A, u)[:, None]),
+                 (ch.c_v2, interaction_minus_dressing(V2, basis.B, v)[None, :])):
+        literal = -(np.vdot(st.psi, x * pbar_psi) - np.vdot(pbar_psi, x * st.psi))
+        assert abs(c - literal) < 1e-14
 
 
 def test_derivative_identity_second_order():
