@@ -339,8 +339,9 @@ class CountingProjectorSet:
             last = np.bincount(sectors(lam), weights=U[-1] * U[0], minlength=self.N)
             return beta * np.abs(last).max() < KRYLOV_TOL
 
-        beta0, V, lam, U, _ = _lanczos(q_lowered, phi, 2 * self.N, accept)
-        return sectors(lam), beta0 * U[0], U, V
+        V = np.empty((2 * self.N, phi.size), dtype=np.complex128)
+        beta0, lam, U, _ = _lanczos(q_lowered, phi, [V], accept)
+        return sectors(lam), beta0 * U[0], U, V[:len(lam)]
 
     def split(self, state: ManyBodyState) -> np.ndarray:
         """P_k psi for k = 0..N, stacked on a leading axis."""

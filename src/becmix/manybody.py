@@ -16,7 +16,8 @@ with mean-field prefactors g = (1/N1, 1/N2, 1/(N1+N2)).
 
 Time propagation is a Lanczos approximation of exp(-i t H) psi at a
 sequence of sample times: each Krylov space serves every sample its
-residual estimate reaches, and halves its step only when it reaches
+residual estimate reaches, up to KRYLOV_DIM + 1 of them, whose states
+it writes over its own basis, and halves its step only when it reaches
 none.  It runs the plain three-term recurrence, which the counting
 split (indicators) shares: both read a function of the tridiagonal
 projection applied to e_1, which needs no orthogonal basis.
@@ -355,7 +356,7 @@ class Hamiltonian:
         return propagate(self, state, dt)
 
 
-def _lanczos(apply_op, psi: np.ndarray, m_max: int, accept):
+def _lanczos(apply_op, psi: np.ndarray, basis, accept):
     """Lanczos on apply_op from psi by the three-term recurrence.
 
     Each step forms w = A v_m - alpha_m v_m - beta_{m-1} v_{m-1} in place.
@@ -363,36 +364,40 @@ def _lanczos(apply_op, psi: np.ndarray, m_max: int, accept):
     stays accurate without orthogonality of the basis (Greenbaum 1989;
     Druskin, Greenbaum & Knizhnerman 1998), so no step reorthogonalizes.
 
-    Stops at breakdown, after m_max basis vectors, or once accept(lam, U,
-    beta) holds.  Returns (beta0, V, lam, U, beta): beta0 = ||psi||, the
-    basis as the rows of V (psi = beta0 V[0]), the eigenpairs
-    T = U diag(lam) U^T of the tridiagonal projection and the coupling beta
-    out of the space, 0 at breakdown (the space is then invariant).  A zero
-    psi gives beta0 = 0 and one zero basis vector, so all it spans is zero.
+    The basis vectors are written, in order, into the rows of the caller's
+    arrays `basis` (a sequence of 2-D arrays of psi.size columns), so the
+    caller can reuse that memory, as propagate_through does.  Stops at
+    breakdown, once every row is written, or once accept(lam, U, beta)
+    holds.  Returns (beta0, lam, U, beta): beta0 = ||psi||, the eigenpairs
+    T = U diag(lam) U^T of the tridiagonal projection onto the first
+    len(lam) rows (psi = beta0 times the first) and the coupling beta out
+    of the space, 0 at breakdown (the space is then invariant).  A zero psi
+    gives beta0 = 0 and one zero basis vector, so all it spans is zero.
     """
+    rows = [row for part in basis for row in part]
     beta0 = float(np.linalg.norm(psi))
     if not beta0:
-        return 0.0, np.zeros((1, psi.size), dtype=np.complex128), np.zeros(1), np.eye(1), 0.0
-    V = np.empty((m_max, psi.size), dtype=np.complex128)
+        rows[0][:] = 0.0
+        return 0.0, np.zeros(1), np.eye(1), 0.0
     alphas: list[float] = []
     betas: list[float] = []
     w, beta = psi.ravel(), beta0
-    for m in range(1, m_max + 1):
+    for m, v in enumerate(rows, 1):
         # numpy divides complex by real through a complex division; the
         # product with 1 / beta has the same bits, several times faster
-        v = np.multiply(w, 1.0 / beta, out=V[m - 1])
+        np.multiply(w, 1.0 / beta, out=v)
         w = apply_op(v)
         if betas:
-            w -= betas[-1] * V[m - 2]
+            w -= betas[-1] * rows[m - 2]
         alphas.append(float(np.vdot(v, w).real))
         w -= alphas[-1] * v
         beta = math.sqrt(np.vdot(w, w).real)
-        # dense eigh of the at most m_max-square T keeps scipy.linalg unloaded
+        # dense eigh of the at most len(rows)-square T keeps scipy.linalg unloaded
         lam, U = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         if beta < 1e-14 * max(1.0, np.abs(lam).max()):
             beta = 0.0
-        if beta == 0.0 or m == m_max or accept(lam, U, beta):
-            return beta0, V[:m], lam, U, beta
+        if beta == 0.0 or m == len(rows) or accept(lam, U, beta):
+            return beta0, lam, U, beta
         betas.append(beta)
 
 
@@ -412,15 +417,19 @@ def propagate_through(H: Hamiltonian, state: ManyBodyState,
     Krylov space is built from the last state reached and grows, up to
     KRYLOV_DIM + 1 vectors, until the residual estimate
     beta |sum_j U[m, j] exp(-i tau lam_j) U[0, j]| meets KRYLOV_TOL at the
-    last offset.  The space serves every offset ahead that meets it.  When
-    not even the next one does, it takes the largest halving of the way
-    there that does; a step below 1/MIN_STEP_FRACTION of the interval from
-    the previous offset (or the start) raises.  The norm is preserved to
-    the Krylov tolerance per space and never renormalized.
+    last offset it may serve: the h-th one ahead, h = min(offsets ahead,
+    KRYLOV_DIM + 1).  The space serves every one of those h that meets it.
+    When not even the next one does, it takes the largest halving of the
+    way there that does; a step below 1/MIN_STEP_FRACTION of the interval
+    from the previous offset (or the start) raises.  The norm is preserved
+    to the Krylov tolerance per space and never renormalized.
 
-    The states a space reaches are formed in one product with its basis,
-    and the basis is released before they are yielded, so at most one
-    basis is alive at a time.  Bad offsets raise here, not on first use.
+    The states a space reaches are written over the first h rows of its
+    basis, one column block at a time, and the other rows are released
+    before they are yielded; the last one is yielded as a copy, from which
+    the next space starts.  A loop that keeps no state past the next one
+    so holds at most KRYLOV_DIM + 1 rows and a few vectors at a time.
+    Bad offsets raise here, not on first use.
     """
     offsets = [float(t) for t in offsets]
     if not offsets or not all(math.isfinite(t) and t * offsets[0] > 0 for t in offsets) \
@@ -438,10 +447,15 @@ def _propagate_through(H: Hamiltonian, state: ManyBodyState,
     # ahead[j]: the time from psi to offsets[done + j]
     psi, ahead, done = state.psi.ravel(), offsets, 0
     while ahead:
-        beta0, V, lam, U, beta = _lanczos(
-            H.apply, psi, KRYLOV_DIM + 1, lambda *space: error(ahead[-1], *space) < KRYLOV_TOL)
-        reached = next((j for j, tau in enumerate(ahead)
-                        if not error(tau, lam, U, beta) < KRYLOV_TOL), len(ahead))
+        # the basis is a head of h rows, which end up holding the states the
+        # space reaches, and a tail; so a space serves at most h samples
+        h = min(len(ahead), KRYLOV_DIM + 1)
+        head, tail = (np.empty((rows, psi.size), dtype=np.complex128)
+                      for rows in (h, KRYLOV_DIM + 1 - h))
+        beta0, lam, U, beta = _lanczos(H.apply, psi, (head, tail),
+                                       lambda *space: error(ahead[h - 1], *space) < KRYLOV_TOL)
+        reached = next((j for j, tau in enumerate(ahead[:h])
+                        if not error(tau, lam, U, beta) < KRYLOV_TOL), h)
         taus = ahead[:reached]
         if not reached:
             interval = abs(offsets[done] - (offsets[done - 1] if done else 0.0))
@@ -453,13 +467,23 @@ def _propagate_through(H: Hamiltonian, state: ManyBodyState,
                                         f"{MIN_STEP_FRACTION} with KRYLOV_DIM={KRYLOV_DIM}")
             taus = [tau]
         phases = beta0 * np.exp(-1j * np.array(taus)[:, None] * lam) * U[0]
-        # with one offset, both products are matrix-vector products, the same
-        # bits as V.T @ (U @ phases[0]) in a one-interval call
-        states = (U @ phases.T).T @ V
-        del V
-        psi, ahead = states[-1], [t - taus[-1] for t in ahead[reached:]]
-        for t, row in zip(offsets[done:done + reached], states):
+        coef = (U @ phases.T).T
+        used = head[:len(lam)], tail[:max(len(lam) - h, 0)]   # the basis, in order
+        # one product per column block, on a contiguous copy of the block's
+        # basis rows, written over the head's first rows: each block holds
+        # about one vector.  With single-threaded BLAS, blocks of a multiple of
+        # 64 columns round as one product with the whole basis does (a product
+        # per part, summed, would not)
+        width = 64 * -(-psi.size // (64 * max(len(lam), h)))
+        for cols in (slice(c, c + width) for c in range(0, psi.size, width)):
+            head[:len(taus), cols] = coef @ np.concatenate([part[:, cols] for part in used])
+        del used, tail
+        psi, ahead = head[len(taus) - 1].copy(), [t - taus[-1] for t in ahead[reached:]]
+        # the last state is yielded as the copy, so the head lives only while
+        # the caller holds one of the others
+        for t, row in zip(offsets[done:done + reached], [*head[:len(taus) - 1], psi]):
             yield ManyBodyState(state.basis, row.reshape(state.psi.shape), state.time + t)
+        del head
         done += reached
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +427,19 @@ def _through_setup(M=6, n=2, L=3.0):
     return H, st
 
 
+def _counting_spaces(monkeypatch) -> list[int]:
+    """The size of every Krylov space built from now on, in order."""
+    sizes, real = [], manybody_mod._lanczos
+
+    def counting(*args):
+        out = real(*args)
+        sizes.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(manybody_mod, "_lanczos", counting)
+    return sizes
+
+
 @pytest.mark.parametrize("M,L,offsets,krylov_dim,spaces_ok", [
     (6, 2 * np.pi, [0.05 * k for k in range(1, 11)], 17, lambda n: n < 10),
     # a 6-vector space falls short of these intervals, so it halves between samples
@@ -434,10 +448,7 @@ def _through_setup(M=6, n=2, L=3.0):
 def test_propagate_through_matches_dense_exponential_at_every_offset(monkeypatch, M, L, offsets,
                                                                     krylov_dim, spaces_ok):
     H, st = _through_setup(M=M, L=L)
-    spaces = []
-    real = manybody_mod._lanczos
-    monkeypatch.setattr(manybody_mod, "_lanczos",
-                        lambda *a, **kw: spaces.append(1) or real(*a, **kw))
+    spaces = _counting_spaces(monkeypatch)
     monkeypatch.setattr(manybody_mod, "KRYLOV_DIM", krylov_dim)
     out = list(propagate_through(H, st, offsets))
     assert spaces_ok(len(spaces))
@@ -468,15 +479,100 @@ def test_propagate_through_backward_matches_propagate():
         assert state.time == ref.time == 0.3 + t
 
 
+def _ladder_entry(n):
+    """The bundled ladder's (n,n) entry: Hamiltonian, product state and sample offsets."""
+    cfg = parse_config((Path(__file__).parents[1] / "configs" / "sweep_ladder.ini").read_text())
+    b = build_basis(cfg.points, n, n)
+    H = Hamiltonian(HamiltonianSpec.mean_field(
+        cfg.build_grid(), *(cfg.potential_field(k) for k in ("v1", "v2", "v12")), n, n), b)
+    st = product_state(cfg.orbital_field("u0"), cfg.orbital_field("v0"), b)
+    steps = round(cfg.T / cfg.dt)
+    return H, st, [k * cfg.dt for k in range(cfg.sample_every, steps + 1, cfg.sample_every)]
+
+
+def _peak_while_drawing(states) -> int:
+    """tracemalloc's peak while the states are drawn one at a time, as a for loop does."""
+    tracemalloc.start()
+    try:
+        for _ in states:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_propagate_through_forms_the_ladder_33_states_in_the_basis_memory(monkeypatch):
+    # one space serves the ten samples; their states are written over its basis
+    # rows, so the peak is the KRYLOV_DIM + 1 rows and a matvec's temporaries
+    H, st, offsets = _ladder_entry(3)
+    spaces = _counting_spaces(monkeypatch)
+    peak = _peak_while_drawing(propagate_through(H, st, offsets))
+    assert len(spaces) == 1 and len(offsets) == 10
+    assert peak <= (manybody_mod.KRYLOV_DIM + 1 + 6) * st.psi.nbytes
+
+
+def test_propagate_through_serves_at_most_krylov_dim_plus_one_samples_per_space(monkeypatch):
+    # one space would reach all 200 samples; each serves at most KRYLOV_DIM + 1,
+    # which its basis rows hold.  At dim 1296 a vector is 20 KB, and each of the
+    # space's (KRYLOV_DIM + 1)-square complex arrays (27 KB) counts as about one
+    H, st = _through_setup(M=8, L=2 * np.pi)
+    offsets = [0.0025 * k for k in range(1, 201)]
+    spaces = _counting_spaces(monkeypatch)
+    peak = _peak_while_drawing(propagate_through(H, st, offsets))
+    assert peak <= (manybody_mod.KRYLOV_DIM + 1 + 10) * st.psi.nbytes
+    assert len(spaces) >= math.ceil(len(offsets) / (manybody_mod.KRYLOV_DIM + 1))
+    lam, vecs = np.linalg.eigh(H.matrix.toarray())
+    c = vecs.T @ st.psi.ravel()
+    for t, state in zip(offsets, propagate_through(H, st, offsets), strict=True):
+        exact = vecs @ (np.exp(-1j * t * lam) * c)
+        assert np.max(np.abs(state.psi.ravel() - exact)) < 1e-11
+        assert state.time == 0.3 + t
+
+
+def test_propagate_through_serves_more_samples_than_basis_rows(monkeypatch):
+    # without potentials, plane waves make an eigenstate of H: its space breaks
+    # down at one vector, and that one row serves all ten samples
+    g = Grid(1, 6, 3.0)
+    zero = Field(g, np.zeros(6))
+    b = build_basis(6, 2, 2)
+    H = Hamiltonian(HamiltonianSpec.mean_field(g, zero, zero, zero, 2, 2), b)
+    wave = [normalize(Field(g, np.exp(2j * np.pi * k * g.axis_coordinates / 3.0))) for k in (1, 2)]
+    st = product_state(*wave, b)
+    offsets = [0.1 * k for k in range(1, 11)]
+    spaces = _counting_spaces(monkeypatch)
+    out = list(propagate_through(H, st, offsets))
+    assert spaces == [1]
+    energy = H.expectation(st)
+    for t, state in zip(offsets, out, strict=True):
+        assert np.max(np.abs(state.psi - np.exp(-1j * t * energy) * st.psi)) < 1e-12
+
+
+def test_propagate_through_carries_the_zero_state(monkeypatch):
+    H, st = _through_setup(M=3, n=1)
+    zero = ManyBodyState(st.basis, np.zeros(st.basis.shape), time=0.3)
+    offsets = [0.1, 0.2, 0.5, 1.0]
+    spaces = _counting_spaces(monkeypatch)
+    out = list(propagate_through(H, zero, offsets))
+    assert spaces == [1]
+    assert [s.time for s in out] == [0.3 + t for t in offsets]
+    assert all(s.psi.shape == zero.psi.shape and not s.psi.any() for s in out)
+
+
+def test_propagate_through_leaves_the_callers_state_unchanged(monkeypatch):
+    monkeypatch.setattr(manybody_mod, "KRYLOV_DIM", 5)   # several spaces
+    H, st = _through_setup()
+    before = st.psi.copy()
+    out = list(propagate_through(H, st, [0.05 * k for k in range(1, 11)]))
+    assert np.array_equal(st.psi, before) and st.time == 0.3
+    assert not any(np.shares_memory(s.psi, st.psi) for s in out)
+
+
 def test_propagation_of_the_ladder_33_entry_keeps_translation_overlaps_and_parity():
     # H commutes with the joint translation T (x -> x + 1 for both species) and
     # the reflection R (x -> -x mod M), so every <psi, T^j psi> is conserved and
     # the R-even product state of the cospack orbitals stays R-even
-    cfg = parse_config((Path(__file__).parents[1] / "configs" / "sweep_ladder.ini").read_text())
-    b = build_basis(cfg.points, 3, 3)
-    H = Hamiltonian(HamiltonianSpec.mean_field(
-        cfg.build_grid(), *(cfg.potential_field(k) for k in ("v1", "v2", "v12")), 3, 3), b)
-    st = product_state(cfg.orbital_field("u0"), cfg.orbital_field("v0"), b)
+    H, st, offsets = _ladder_entry(3)
+    b = H.basis
     T = np.ix_(*([s.index[tuple(o[-1:] + o[:-1])] for o in s.occs.tolist()] for s in (b.A, b.B)))
     R = np.ix_(*([s.index[tuple(o[:1] + o[:0:-1])] for o in s.occs.tolist()] for s in (b.A, b.B)))
 
@@ -488,8 +584,6 @@ def test_propagation_of_the_ladder_33_entry_keeps_translation_overlaps_and_parit
 
     c0 = overlaps(st.psi)
     assert np.min(np.abs(c0)) > 0.5          # no T^j psi is near orthogonal to psi
-    n = round(cfg.T / cfg.dt)
-    offsets = [k * cfg.dt for k in range(cfg.sample_every, n + 1, cfg.sample_every)]
     for state in [st, *propagate_through(H, st, offsets)]:
         assert np.max(np.abs(overlaps(state.psi) - c0)) < 1e-12
         assert np.linalg.norm(state.psi[R] - state.psi) < 1e-12
