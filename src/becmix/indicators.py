@@ -109,16 +109,17 @@ class ReducedDensity:
 
 
 def _pair_density(basis: TwoSpeciesBasis, psi: np.ndarray) -> np.ndarray:
-    """gamma^(1,1) from W[x, y] = b_y a_x psi.
+    """gamma^(1,1) from W[x, y] = b_y a_x psi, in (x, a', y, b') order.
 
-    W is held once, in (x, a', y, b') order; the Gram sum runs over a', so
-    each term copies only the (x, y, b') slice of one a'.
+    The Gram sum runs over a', and each term gathers only the (x, y, b') slice
+    of one a' from X = b_y psi through A's lowering table, so W is never held.
     """
     M = basis.M
-    W = basis.A.lower(basis.B.lower(psi, 1), 0)
+    X = basis.B.lower(psi, 1)
+    src, amp = basis.A.lowering
     gamma = np.zeros((M * M, M * M), dtype=complex)
-    for a in range(W.shape[1]):
-        Wa = W[:, a].reshape(M * M, -1)
+    for a in range(src.shape[1]):
+        Wa = (amp[:, a, None, None] * X[src[:, a]]).reshape(M * M, -1)
         gamma += Wa @ Wa.conj().T
     return gamma / (basis.N1 * basis.N2)
 
@@ -511,8 +512,8 @@ def insertion_terms(state: ManyBodyState, u: Field, v: Field,
     n1, n2 = b.N1, b.N2
     usite, vsite = _orbital_sites(b, u), _orbital_sites(b, v)
     p_u, p_v = np.outer(usite, np.conj(usite)), np.outer(vsite, np.conj(vsite))
-    n_u, n_v = ((a_dag @ a).toarray() for a, a_dag in (b.A.lowered.annihilator(usite),
-                                                        b.B.lowered.annihilator(vsite)))
+    n_u, n_v = (a_dag @ a for a, a_dag in (b.A.lowered.annihilator(usite),
+                                            b.B.lowered.annihilator(vsite)))
     kernel = V12.values.real.ravel()
     dress_a = _dressing(kernel, np.abs(v.values.ravel()) ** 2, h)   # (V12 * |v|^2)(x_1)
     dress_b = _dressing(kernel, np.abs(u.values.ravel()) ** 2, h)   # (V12 * |u|^2)(y_1)

@@ -3,16 +3,18 @@
 States live in the tensor product of the two symmetric sectors, stored
 as coefficients over pairs of occupation vectors (one per species).
 The Hamiltonian is hopping (3-point periodic stencil of -Laplacian, a
-sparse matrix per species, applied to one species index at a time and
-never assembled into the joint Kronecker sum) plus density-density
-two-body terms sampled on the periodic displacement:
+matrix per species, applied to one species index at a time and never
+assembled into the joint Kronecker sum) plus density-density two-body
+terms sampled on the periodic displacement:
 
     H = sum_species kinetic
         + g1 * sum_{i<j} V1(x_i - x_j)   (within species A)
         + g2 * sum_{r<s} V2(y_r - y_s)   (within species B)
         + g12 * sum_{i,r} V12(x_i - y_r) (across species)
 
-with mean-field prefactors g = (1/N1, 1/N2, 1/(N1+N2)).
+with mean-field prefactors g = (1/N1, 1/N2, 1/(N1+N2)).  Species
+operators are dense arrays on sectors of at most DENSE_MAX_DIM states and
+CSR matrices above, so scipy.sparse loads only where a sector needs it.
 
 Time propagation is a Lanczos approximation of exp(-i t H) psi at a
 sequence of sample times: each Krylov space serves every sample its
@@ -20,7 +22,8 @@ residual estimate reaches, up to KRYLOV_DIM + 1 of them, whose states
 it writes over its own basis, and halves its step only when it reaches
 none.  It runs the plain three-term recurrence, which the counting
 split (indicators) shares: both read a function of the tridiagonal
-projection applied to e_1, which needs no orthogonal basis.
+projection applied to e_1, which needs no orthogonal basis.  H is real,
+so a space that starts from a real state runs in real arithmetic.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise
+from itertools import chain, pairwise
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import DEFAULT_DIM_CAP, basis_dim
 from .grids import Field, Grid, l2_norm
@@ -57,6 +59,9 @@ MIN_STEP_FRACTION = 4096
 # cap on a time step's Krylov space: KRYLOV_DIM + 1 vectors, enough for one space to
 # serve all ten samples of the bundled ladder's time grid at (3,3), (4,4) and (5,5)
 KRYLOV_DIM = 40
+# species sectors up to this many states get dense operators: a real hop product costs
+# about as much dense as CSR at 55 states, 5x more at 220, and over 10x more at 715
+DENSE_MAX_DIM = 256
 
 
 class ManyBodyError(ValueError):
@@ -107,42 +112,38 @@ class _SpeciesBasis:
         return _SpeciesBasis.build(self.M, self.N - 1)
 
     @cached_property
-    def lowering(self) -> sp.csr_matrix:
-        """The site maps a_x into `lowered`, stacked once: shape (M dim', dim), row x * dim' + j.
-
-        Each row has at most one entry: the state j + e_x that a_x lowers to j.
-        """
-        dst = self.lowered
-        col, site = np.nonzero(self.occs)           # one entry per (state, occupied site)
-        low = self.occs[col]
-        low[np.arange(col.size), site] -= 1
-        row = np.array([dst.index[tuple(occ)] for occ in low.tolist()], dtype=np.int64)
-        return sp.csr_matrix((np.sqrt(self.occs[col, site]), (site * dst.dim + row, col)),
-                             shape=(self.M * dst.dim, self.dim))
-
-    @cached_property
-    def _annihilator_pattern(self) -> tuple[np.ndarray, ...]:
-        """The CSR arrays (indptr, col, site, sqrt_n) of a(u) = sum_x conj(u_x) a_x, whose
-        values are conj(u[site]) * sqrt_n for any orbital u: the a_x have disjoint
-        patterns, so each stack entry is one entry of a(u)."""
-        stack = self.lowering.tocoo()
-        site, row = np.divmod(stack.row, self.lowered.dim)
-        order = np.lexsort((stack.col, row))
-        indptr = np.searchsorted(row[order], np.arange(self.lowered.dim + 1))
-        return indptr, stack.col[order], site[order], stack.data[order]
+    def lowering(self) -> tuple[np.ndarray, np.ndarray]:
+        """The site maps a_x into `lowered` as a gather table (src, amp), both of shape
+        (M, dim'): a_x lowers the state src[x, j] = j + e_x to j with the factor amp[x, j]."""
+        low = self.lowered.occs
+        raised = low[None] + np.eye(self.M, dtype=np.int64)[:, None]
+        src = [self.index[tuple(occ)] for occ in raised.reshape(-1, self.M).tolist()]
+        return np.array(src, dtype=np.int64).reshape(self.M, len(low)), np.sqrt(low.T + 1.0)
 
     def lower(self, arr: np.ndarray, axis: int) -> np.ndarray:
         """a_x arr for every site x, on one axis of arr, which becomes (x, lowered index)."""
-        out = _along(self.lowering, arr, axis)
-        return out.reshape(*arr.shape[:axis], self.M, self.lowered.dim, *arr.shape[axis + 1:])
+        src, amp = self.lowering
+        out = np.take(arr, src, axis=axis)
+        out *= amp.reshape(amp.shape + (1,) * (arr.ndim - axis - 1))
+        return out
 
-    def annihilator(self, u_site: np.ndarray) -> tuple[sp.csr_matrix, sp.csc_matrix]:
-        """a(u) for the orbital's unit site vector as CSR, and a+(u) as CSC on the same arrays."""
-        indptr, col, site, sqrt_n = self._annihilator_pattern
-        data = np.conj(u_site)[site] * sqrt_n
-        shape = (self.lowered.dim, self.dim)
-        return (sp.csr_matrix((data, col, indptr), shape=shape),
-                sp.csc_matrix((data.conj(), col, indptr), shape=shape[::-1]))
+    def annihilator(self, u_site: np.ndarray):
+        """a(u) = sum_x conj(u_x) a_x for the orbital's unit site vector, and a+(u)."""
+        src, amp = self.lowering
+        a = _operator(np.broadcast_to(np.arange(src.shape[1]), src.shape), src,
+                      np.conj(u_site)[:, None] * amp, (src.shape[1], self.dim))
+        return a, a.conj().T
+
+
+def _operator(row: np.ndarray, col: np.ndarray, data: np.ndarray, shape: tuple[int, int]):
+    """The matrix with the given entries, none repeated: a dense array if it acts on a
+    species sector of at most DENSE_MAX_DIM states, else CSR."""
+    if max(shape) <= DENSE_MAX_DIM:
+        out = np.zeros(shape, dtype=data.dtype)
+        out[row, col] = data
+        return out
+    import scipy.sparse as sp
+    return sp.csr_matrix((data.ravel(), (row.ravel(), col.ravel())), shape=shape)
 
 
 def _along(op, arr: np.ndarray, axis: int) -> np.ndarray:
@@ -278,17 +279,18 @@ def _circulant(kernel: np.ndarray) -> np.ndarray:
     return kernel[(i[:, None] - i[None, :]) % M]
 
 
-def _hop_matrix(species: _SpeciesBasis, h: float) -> sp.csr_matrix:
+def _hop_matrix(species: _SpeciesBasis, h: float):
     """Off-diagonal part of the stencil kinetic term, second-quantized.
 
-    (1/h^2) sum_x [-a+_{x+1} a_x - a+_x a_{x+1}] = -(S^T R + R^T S) / h^2 for
-    the lowering stack S and R its block rows shifted from x to x + 1; at
-    M = 2 the two equal neighbours sum on their own.  The diagonal 2 N / h^2
-    is accounted for separately as a constant.
+    (1/h^2) sum_x [-a+_{x+1} a_x - a+_x a_{x+1}] = -(T + T^T) / h^2, where T
+    takes j + e_x to j + e_{x+1} with the factor amp[x, j] amp[x + 1, j] of
+    the lowering table; at M = 2 the two equal neighbours sum on their own.
+    The diagonal 2 N / h^2 is accounted for separately as a constant.
     """
-    S = species.lowering
-    R = S[np.roll(np.arange(S.shape[0]), -species.lowered.dim)]
-    return (-(S.T @ R + R.T @ S) / h**2).tocsr()
+    src, amp = species.lowering
+    up = np.roll(np.arange(species.M), -1)
+    T = _operator(src[up], src, amp[up] * amp, (species.dim, species.dim))
+    return -(T + T.T) / h**2
 
 
 def _interaction_diagonals(basis: TwoSpeciesBasis, spec: HamiltonianSpec):
@@ -333,19 +335,22 @@ class Hamiltonian:
         self.diag = 2.0 * (basis.N1 + basis.N2) / h**2 + w1[:, None] + w2[None, :] + cross
 
     @property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self):
+        import scipy.sparse as sp
         return (sp.kron(self.hop_A, sp.identity(self.basis.B.dim, format="csr"))
                 + sp.kron(sp.identity(self.basis.A.dim, format="csr"), self.hop_B)
                 + sp.diags(self.diag.ravel())).tocsr()
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        P = np.ascontiguousarray(psi.reshape(self.basis.shape), dtype=np.complex128)
+        P = np.ascontiguousarray(psi.reshape(self.basis.shape),
+                                 dtype=np.result_type(psi, np.float64))
         out = self.diag * P
-        # the real hopping matrices act on float views, so scipy does not upcast
-        # their data to complex on every call; species B on a C-ordered copy
-        # of P.T, as a product with the transposed view takes about 4x as long
-        out += (self.hop_A @ P.view(np.float64)).view(np.complex128)
-        out += (self.hop_B @ np.ascontiguousarray(P.T).view(np.float64)).view(np.complex128).T
+        # the real hopping matrices act on float views of complex P, so a product is
+        # real and scipy does not upcast CSR data to complex on every call; real P
+        # stays real.  Species B on a C-ordered copy of P.T, as a CSR product with the
+        # transposed view takes about 4x as long
+        out += (self.hop_A @ P.view(np.float64)).view(P.dtype)
+        out += (self.hop_B @ np.ascontiguousarray(P.T).view(np.float64)).view(P.dtype).T
         return out.ravel() if psi.ndim == 1 else out
 
     def expectation(self, state: ManyBodyState) -> float:
@@ -418,18 +423,24 @@ def propagate_through(H: Hamiltonian, state: ManyBodyState,
     KRYLOV_DIM + 1 vectors, until the residual estimate
     beta |sum_j U[m, j] exp(-i tau lam_j) U[0, j]| meets KRYLOV_TOL at the
     last offset it may serve: the h-th one ahead, h = min(offsets ahead,
-    KRYLOV_DIM + 1).  The space serves every one of those h that meets it.
+    KRYLOV_DIM + 1), or (KRYLOV_DIM + 1) // 2 for a space of real vectors
+    (below).  The space serves every one of those h that meets it.
     When not even the next one does, it takes the largest halving of the
     way there that does; a step below 1/MIN_STEP_FRACTION of the interval
     from the previous offset (or the start) raises.  The norm is preserved
     to the Krylov tolerance per space and never renormalized.
 
-    The states a space reaches are written over the first h rows of its
-    basis, one column block at a time, and the other rows are released
-    before they are yielded; the last one is yielded as a copy, from which
-    the next space starts.  A loop that keeps no state past the next one
-    so holds at most KRYLOV_DIM + 1 rows and a few vectors at a time.
-    Bad offsets raise here, not on first use.
+    H is real, so a space that starts from a real state (as from a product
+    of real orbitals) is real: it runs on float64 rows, half the flops and
+    bytes, and each state it reaches takes two rows, its real and its
+    imaginary part.  The states a space reaches are written over the first
+    h (real: 2h) rows of its basis, one column block at a time, and the
+    other rows are released before they are yielded.  A complex space
+    yields its rows, and the last one as a copy, from which the next space
+    starts; a real space makes each state a new complex vector as it is
+    yielded.  A loop that keeps no state past the next one so holds at
+    most KRYLOV_DIM + 1 rows and a few vectors at a time.  Bad offsets
+    raise here, not on first use.
     """
     offsets = [float(t) for t in offsets]
     if not offsets or not all(math.isfinite(t) and t * offsets[0] > 0 for t in offsets) \
@@ -447,12 +458,15 @@ def _propagate_through(H: Hamiltonian, state: ManyBodyState,
     # ahead[j]: the time from psi to offsets[done + j]
     psi, ahead, done = state.psi.ravel(), offsets, 0
     while ahead:
-        # the basis is a head of h rows, which end up holding the states the
-        # space reaches, and a tail; so a space serves at most h samples
-        h = min(len(ahead), KRYLOV_DIM + 1)
-        head, tail = (np.empty((rows, psi.size), dtype=np.complex128)
-                      for rows in (h, KRYLOV_DIM + 1 - h))
-        beta0, lam, U, beta = _lanczos(H.apply, psi, (head, tail),
+        # the basis is a head of `per` rows for each of h states, which end up
+        # holding the states the space reaches, and a tail; so a space serves at
+        # most h samples
+        real = not psi.imag.any()
+        per = 2 if real else 1
+        h = min(len(ahead), (KRYLOV_DIM + 1) // per)
+        head, tail = (np.empty((rows, psi.size), dtype=np.float64 if real else np.complex128)
+                      for rows in (per * h, KRYLOV_DIM + 1 - per * h))
+        beta0, lam, U, beta = _lanczos(H.apply, psi.real if real else psi, (head, tail),
                                        lambda *space: error(ahead[h - 1], *space) < KRYLOV_TOL)
         reached = next((j for j, tau in enumerate(ahead[:h])
                         if not error(tau, lam, U, beta) < KRYLOV_TOL), h)
@@ -468,22 +482,29 @@ def _propagate_through(H: Hamiltonian, state: ManyBodyState,
             taus = [tau]
         phases = beta0 * np.exp(-1j * np.array(taus)[:, None] * lam) * U[0]
         coef = (U @ phases.T).T
-        used = head[:len(lam)], tail[:max(len(lam) - h, 0)]   # the basis, in order
+        if real:   # rows Re and Im of each state
+            coef = np.stack((coef.real, coef.imag), axis=1).reshape(-1, len(lam))
+        used = head[:len(lam)], tail[:max(len(lam) - len(head), 0)]   # the basis, in order
         # one product per column block, on a contiguous copy of the block's
         # basis rows, written over the head's first rows: each block holds
         # about one vector.  With single-threaded BLAS, blocks of a multiple of
         # 64 columns round as one product with the whole basis does (a product
         # per part, summed, would not)
-        width = 64 * -(-psi.size // (64 * max(len(lam), h)))
+        width = 64 * -(-psi.size // (64 * max(len(lam), len(head))))
         for cols in (slice(c, c + width) for c in range(0, psi.size, width)):
-            head[:len(taus), cols] = coef @ np.concatenate([part[:, cols] for part in used])
+            head[:len(coef), cols] = coef @ np.concatenate([part[:, cols] for part in used])
         del used, tail
-        psi, ahead = head[len(taus) - 1].copy(), [t - taus[-1] for t in ahead[reached:]]
-        # the last state is yielded as the copy, so the head lives only while
-        # the caller holds one of the others
-        for t, row in zip(offsets[done:done + reached], [*head[:len(taus) - 1], psi]):
-            yield ManyBodyState(state.basis, row.reshape(state.psi.shape), state.time + t)
-        del head
+        n, ahead = len(taus), [t - taus[-1] for t in ahead[reached:]]
+        if real:   # each state a new complex vector, made from its two rows as it is yielded
+            states = (np.stack(pair, axis=-1).view(np.complex128)[:, 0]
+                      for pair in head[:2 * n].reshape(n, 2, -1))
+        else:   # the last state is a copy, so the head lives only while the caller holds another
+            states = chain(head[:n - 1], [head[n - 1].copy()])
+        for t, psi in zip(offsets[done:done + reached], states):
+            yield ManyBodyState(state.basis, psi.reshape(state.psi.shape), state.time + t)
+        if not reached:   # the halved step
+            psi = next(states)
+        del head, states
         done += reached
 
 

@@ -503,12 +503,13 @@ def _peak_while_drawing(states) -> int:
 
 def test_propagate_through_forms_the_ladder_33_states_in_the_basis_memory(monkeypatch):
     # one space serves the ten samples; their states are written over its basis
-    # rows, so the peak is the KRYLOV_DIM + 1 rows and a matvec's temporaries
+    # rows, so the peak is the KRYLOV_DIM + 1 rows and a matvec's temporaries.  The
+    # product state is real, so are the rows: each is half a complex vector
     H, st, offsets = _ladder_entry(3)
     spaces = _counting_spaces(monkeypatch)
     peak = _peak_while_drawing(propagate_through(H, st, offsets))
     assert len(spaces) == 1 and len(offsets) == 10
-    assert peak <= (manybody_mod.KRYLOV_DIM + 1 + 6) * st.psi.nbytes
+    assert peak <= ((manybody_mod.KRYLOV_DIM + 1) / 2 + 4) * st.psi.nbytes
 
 
 def test_propagate_through_serves_at_most_krylov_dim_plus_one_samples_per_space(monkeypatch):
@@ -587,6 +588,91 @@ def test_propagation_of_the_ladder_33_entry_keeps_translation_overlaps_and_parit
     for state in [st, *propagate_through(H, st, offsets)]:
         assert np.max(np.abs(overlaps(state.psi) - c0)) < 1e-12
         assert np.linalg.norm(state.psi[R] - state.psi) < 1e-12
+
+
+def _recording_apply(H) -> list:
+    """The dtype of every vector H.apply is called on from now on."""
+    dtypes, apply = [], H.apply
+
+    def recording(psi):
+        dtypes.append(psi.dtype)
+        return apply(psi)
+
+    H.apply = recording
+    return dtypes
+
+
+@pytest.mark.parametrize("M,L,offsets,krylov_dim", [
+    (None, None, None, 40),
+    (8, 2 * np.pi, [0.0025 * k for k in range(1, 51)], 40),
+    (4, 2.0, [0.1, 0.25, 0.3, 0.6], 5),
+], ids=["ladder_33", "fifty_samples", "halvings"])
+def test_propagate_through_runs_a_real_start_in_real_arithmetic(monkeypatch, M, L, offsets,
+                                                                krylov_dim):
+    # H is real, so the space from a real state is real, and the states it
+    # reaches equal e^{-i theta} times those reached from e^{i theta} psi on the
+    # complex path.  Fifty samples need several spaces, as a real one serves at most
+    # (KRYLOV_DIM + 1) // 2 of them, and a 6-vector space halves its first step;
+    # the spaces after the first start from complex states
+    monkeypatch.setattr(manybody_mod, "KRYLOV_DIM", krylov_dim)
+    if M is None:   # the product state of real orbitals
+        H, st, offsets = _ladder_entry(3)
+    else:
+        H, st = _through_setup(M=M, L=L)
+        st = ManyBodyState(st.basis, st.psi.real / np.linalg.norm(st.psi.real), st.time)
+    assert st.psi.dtype == np.complex128 and not st.psi.imag.any()
+    spaces = _counting_spaces(monkeypatch)
+    dtypes = _recording_apply(H)
+    real = list(propagate_through(H, st, offsets))
+    assert dtypes[0] == np.float64 and len(real) == len(offsets)
+    if M is None:
+        assert set(dtypes) == {np.dtype(np.float64)} and len(spaces) == 1
+    else:
+        assert np.complex128 in dtypes and len(spaces) > 1
+        lam, vecs = np.linalg.eigh(H.matrix.toarray())
+        c = vecs.T @ st.psi.ravel()
+        for t, state in zip(offsets, real, strict=True):
+            assert np.max(np.abs(state.psi.ravel() - vecs @ (np.exp(-1j * t * lam) * c))) < 1e-11
+    dtypes.clear()
+    phase = np.exp(0.7j)
+    turned = list(propagate_through(H, ManyBodyState(st.basis, phase * st.psi, st.time), offsets))
+    assert set(dtypes) == {np.dtype(np.complex128)}
+    for a, b in zip(real, turned, strict=True):
+        assert a.time == b.time and a.psi.dtype == np.complex128
+        assert np.max(np.abs(a.psi - b.psi / phase)) < 1e-13
+
+
+def test_csr_operators_match_the_dense_ones(monkeypatch):
+    # no Tier-1 sweep reaches a sector above DENSE_MAX_DIM, so run the (2,2) entry
+    # of the bundled ladder on CSR operators, with the threshold patched to 0
+    from becmix.indicators import SampleEvaluator, site_vector, weight_n, weight_s
+
+    H, st, offsets = _ladder_entry(2)
+    cfg = parse_config((Path(__file__).parents[1] / "configs" / "sweep_ladder.ini").read_text())
+    u, v = cfg.orbital_field("u0"), cfg.orbital_field("v0")
+    b, rng = H.basis, np.random.default_rng(5)
+    psi = random_state(b, rng).psi
+    u_site = site_vector(u) * np.exp(1j * np.arange(b.M))   # a complex orbital
+    weights = (weight_s(2), weight_n(2))
+
+    def run():
+        H_now = Hamiltonian(H.spec, b)
+        a, a_dag = b.A.annihilator(u_site)
+        sites = [b.A.annihilator(np.eye(b.M)[x])[0] @ psi for x in range(b.M)]
+        states = list(propagate_through(H_now, st, offsets))
+        return (H_now, [H_now.apply(psi), H_now.apply(psi.real), a @ psi, a_dag @ (a @ psi),
+                        np.array(sites), H_now.matrix.toarray(),
+                        *(s.psi for s in states),
+                        np.array(SampleEvaluator(H_now, weights)(states[-1], u, v))])
+
+    H_dense, dense = run()
+    monkeypatch.setattr(manybody_mod, "DENSE_MAX_DIM", 0)
+    H_csr, csr = run()
+    assert isinstance(H_dense.hop_A, np.ndarray) and not isinstance(H_csr.hop_A, np.ndarray)
+    for x, y in zip(dense, csr, strict=True):
+        assert x.dtype == y.dtype and np.max(np.abs(x - y)) < 1e-13
+    # a(e_x) is a_x, which lower gathers on every path
+    assert np.max(np.abs(b.A.lower(psi, 0) - dense[4])) < 1e-13
 
 
 def test_propagate_substep_budget_exhausted(monkeypatch):
