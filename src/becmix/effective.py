@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import Field, Grid, GridError, inner, l2_norm, save_field
+from .grids import Field, Grid, GridError, circulant, inner, l2_norm, save_field
 from .grids import periodic_convolve  # noqa: F401  (perfbench/tracer.py patches it on this module)
 
 __all__ = [
@@ -207,13 +207,6 @@ def _dense(grid: Grid) -> bool:
     return grid.dim == 1 and grid.points_per_axis <= DENSE_MAX_POINTS
 
 
-def _circulant(columns: np.ndarray) -> np.ndarray:
-    """The circulant matrices C[i, j] = c[(i - j) mod M] of a stack of first columns c."""
-    M = columns.shape[-1]
-    offsets = np.arange(M)
-    return columns[..., (offsets[:, None] - offsets) % M]
-
-
 def _spatial_fft(dim: int):
     """(fft, ifft) over the last `dim` axes, the spatial axes of a stack.
 
@@ -231,7 +224,7 @@ def _convolution(grid: Grid, kernels: np.ndarray):
     of real component stacks rho, for the real (n, n, *grid.shape) stack `kernels`."""
     if _dense(grid):
         n, M = kernels.shape[0], grid.points_per_axis
-        matrix = _circulant(kernels).transpose(0, 2, 1, 3).reshape(n * M, n * M)
+        matrix = circulant(kernels).transpose(0, 2, 1, 3).reshape(n * M, n * M)
         return lambda rho: (matrix @ rho.reshape(-1)).reshape(rho.shape)
     fft, ifft = _spatial_fft(grid.dim)
     transforms = fft(kernels)
@@ -243,7 +236,7 @@ def _kinetic_flow(spec: CouplingSpec, dt: float):
     exp(-i dt lambda) of the transforms for the Laplacian symbol lambda."""
     phase = np.exp(-1j * dt * spec.grid.laplacian_symbol(spec.kinetic))
     if _dense(spec.grid):
-        flow = _circulant(np.fft.ifft(phase))
+        flow = circulant(np.fft.ifft(phase))
         return lambda psi: psi @ flow.T
     fft, ifft = _spatial_fft(spec.grid.dim)
     return lambda psi: ifft(phase * fft(psi))

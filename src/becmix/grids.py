@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+import math
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "make_grid",
     "apply_laplacian",
     "periodic_convolve",
+    "circulant",
     "inner",
     "l2_norm",
     "normalize",
@@ -52,8 +54,8 @@ class Grid:
             raise GridError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.points_per_axis < 2:
             raise GridError(f"need at least 2 points per axis, got {self.points_per_axis}")
-        if not (self.length_per_axis > 0):
-            raise GridError(f"box length must be positive, got {self.length_per_axis}")
+        if not 0 < self.length_per_axis < math.inf:
+            raise GridError(f"box length must be positive and finite, got {self.length_per_axis}")
 
     @property
     def spacing(self) -> float:
@@ -122,7 +124,7 @@ class Grid:
 
 
 def make_grid(dim: int, points_per_axis: int, length_per_axis: float) -> Grid:
-    """Build a periodic grid; rejects M < 4 and non-positive L."""
+    """Build a periodic grid; rejects M < 4 and a non-positive or infinite L."""
     if points_per_axis < 4:
         raise GridError(f"make_grid requires M >= 4, got {points_per_axis}")
     return Grid(dim, points_per_axis, length_per_axis)
@@ -212,6 +214,13 @@ def periodic_convolve(V: Field, rho: Field) -> Field:
     hd = V.grid.volume_element
     out = np.fft.ifftn(np.fft.fftn(V.values) * np.fft.fftn(rho.values)).real * hd
     return V.with_values(out)
+
+
+def circulant(columns: np.ndarray) -> np.ndarray:
+    """The circulant matrices C[i, j] = c[(i - j) mod M] of a stack of first columns c."""
+    M = columns.shape[-1]
+    offsets = np.arange(M)
+    return columns[..., (offsets[:, None] - offsets) % M]
 
 
 def save_field(f: Field, path) -> None:

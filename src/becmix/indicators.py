@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import Field
+from .grids import Field, circulant
 from .manybody import (
     KRYLOV_TOL,
     Hamiltonian,
@@ -35,7 +35,7 @@ from .manybody import (
     ManyBodyState,
     TwoSpeciesBasis,
     _along,
-    _circulant,
+    _displacement_kernel,
     _interaction_diagonals,
     _lanczos,
 )
@@ -77,11 +77,13 @@ def site_vector(f: Field) -> np.ndarray:
     return f.values.ravel() * math.sqrt(f.grid.volume_element)
 
 
-def _orbital_sites(basis: TwoSpeciesBasis, u: Field) -> np.ndarray:
-    """The orbital's unit site vector, checked against the basis' site count."""
+def _orbital_sites(M: int, u: Field) -> np.ndarray:
+    """The orbital's site vector, checked to have the basis' M sites and unit norm."""
     u_site = site_vector(u)
-    if u_site.size != basis.M:
-        raise IndicatorError(f"orbital has {u_site.size} sites, the basis has {basis.M}")
+    if u_site.size != M:
+        raise IndicatorError(f"orbital has {u_site.size} sites, the basis has {M}")
+    if abs(np.linalg.norm(u_site) - 1.0) > 1e-8:
+        raise IndicatorError("orbital must be normalized")
     return u_site
 
 
@@ -160,7 +162,7 @@ def reduce_density(state: ManyBodyState, kind: tuple[int, int]) -> ReducedDensit
 def alpha_11(state: ManyBodyState, u: Field, v: Field) -> float:
     """Overlap deficit 1 - <u x v, gamma^(1,1) u x v>."""
     b = state.basis
-    ref = np.kron(_orbital_sites(b, u), _orbital_sites(b, v))
+    ref = np.kron(_orbital_sites(b.M, u), _orbital_sites(b.M, v))
     return _deficit(_pair_density(b, state.psi), ref)
 
 
@@ -169,7 +171,7 @@ def condensate_depletion(state: ManyBodyState, orbital: Field, species: str) -> 
     kind = {"A": (1, 0), "B": (0, 1)}.get(species)
     if kind is None:
         raise IndicatorError(f"species must be 'A' or 'B', got {species!r}")
-    return _deficit(reduce_density(state, kind).matrix, _orbital_sites(state.basis, orbital))
+    return _deficit(reduce_density(state, kind).matrix, _orbital_sites(state.basis.M, orbital))
 
 
 def trace_distance(gamma: ReducedDensity, u: Field | None = None,
@@ -182,10 +184,8 @@ def trace_distance(gamma: ReducedDensity, u: Field | None = None,
     orbitals = {(1, 1): (u, v), (1, 0): (u,), (0, 1): (v,)}[gamma.kind]
     if any(f is None for f in orbitals):
         raise IndicatorError(f"the {gamma.kind} marginal needs an orbital per kept species")
-    ref = reduce(np.kron, map(site_vector, orbitals))
-    if ref.size != gamma.matrix.shape[0]:
-        raise IndicatorError("orbital dimension does not match the marginal")
-    return _trace_gap(gamma.matrix, ref)
+    M = gamma.matrix.shape[0] if len(orbitals) == 1 else math.isqrt(gamma.matrix.shape[0])
+    return _trace_gap(gamma.matrix, reduce(np.kron, (_orbital_sites(M, f) for f in orbitals)))
 
 
 @dataclass
@@ -305,9 +305,7 @@ class CountingProjectorSet:
     def __post_init__(self):
         self.axis = 0 if self.species == "A" else 1
         self.N = self.basis.species(self.species).N
-        self.u_site = _orbital_sites(self.basis, self.orbital)
-        if abs(np.linalg.norm(self.u_site) - 1.0) > 1e-8:
-            raise IndicatorError("orbital must be normalized")
+        self.u_site = _orbital_sites(self.basis.M, self.orbital)
         self.a, self.a_dag = self.basis.species(self.species).annihilator(self.u_site)
 
     def annihilate(self, psi: np.ndarray) -> np.ndarray:
@@ -396,20 +394,20 @@ class DerivativeChannels:
         return float((1j * (self.c_v1 + self.c_v2 + self.c_v12)).real)
 
 
-def _dressing(kernel_bare: np.ndarray, density: np.ndarray, h: float) -> np.ndarray:
+def _dressing(kernel: np.ndarray, density: np.ndarray, h: float) -> np.ndarray:
     """Mean-field one-body multiplier (V * rho)(x) = h sum_y V(x-y) rho(y)."""
-    return h * (_circulant(kernel_bare) @ density)
+    return h * (circulant(kernel) @ density)
 
 
-def _channels(basis: TwoSpeciesBasis, spec: HamiltonianSpec, interactions, psi: np.ndarray,
-              phi: np.ndarray, count_a: CountingProjectorSet, count_b: CountingProjectorSet,
-              u: Field, v: Field) -> DerivativeChannels:
+def _channels(spec: HamiltonianSpec, interactions, psi: np.ndarray, phi: np.ndarray,
+              count_a: CountingProjectorSet, count_b: CountingProjectorSet) -> DerivativeChannels:
     """The three commutator channels, given the interaction diagonals and phi = a(u) psi.
 
     P-bar psi = a+(u) n_v phi / (N1 N2), as n_v acts on the other species.
     For a real diagonal X, <[X, S]> = -<[X, P-bar]> = -2i sum X Im(conj(psi)
     P-bar psi), read as row sums for V1, column sums for V2 and one dot for V12.
     """
+    basis, u, v = count_a.basis, count_a.orbital, count_b.orbital
     if u.grid != spec.grid or v.grid != spec.grid:
         raise IndicatorError("state, orbitals and interaction spec must share one grid")
     flux = _along(count_a.a_dag, count_b.n_u(phi), count_a.axis)
@@ -419,14 +417,14 @@ def _channels(basis: TwoSpeciesBasis, spec: HamiltonianSpec, interactions, psi: 
     occ_a, occ_b = basis.A.occs.astype(float), basis.B.occs.astype(float)
     rho_u, rho_v = np.abs(u.values.ravel()) ** 2, np.abs(v.values.ravel()) ** 2
 
-    def dressed(occ: np.ndarray, which: str, rho: np.ndarray) -> np.ndarray:
-        return occ @ _dressing(spec.bare_kernel(which), rho, spec.grid.spacing)
+    def dressed(occ: np.ndarray, kernel: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        return occ @ _dressing(kernel, rho, spec.grid.spacing)
 
     # diagonal operators (occupation basis): pair interactions minus dressings
-    x1 = w1 - dressed(occ_a, "1", rho_u)
-    x2 = w2 - dressed(occ_b, "2", rho_v)
-    x12 = (cross - spec.c2 * dressed(occ_a, "12", rho_v)[:, None]
-           - spec.c1 * dressed(occ_b, "12", rho_u)[None, :])
+    x1 = w1 - dressed(occ_a, spec.kernel1, rho_u)
+    x2 = w2 - dressed(occ_b, spec.kernel2, rho_v)
+    x12 = (cross - spec.c2 * dressed(occ_a, spec.kernel12, rho_v)[:, None]
+           - spec.c1 * dressed(occ_b, spec.kernel12, rho_u)[None, :])
     return DerivativeChannels(-2j * float(x1 @ flux.sum(axis=1)),
                               -2j * float(x2 @ flux.sum(axis=0)),
                               -2j * float(np.vdot(x12, flux)))
@@ -445,9 +443,8 @@ def derivative_decomposition(state: ManyBodyState, u: Field, v: Field,
     if spec.grid.points_per_axis != b.M:
         raise IndicatorError("state, orbitals and interaction spec must share one grid")
     count_a = counting_projectors(b, u, "A")
-    return _channels(b, spec, _interaction_diagonals(b, spec), state.psi,
-                     count_a.annihilate(state.psi), count_a, counting_projectors(b, v, "B"),
-                     u, v)
+    return _channels(spec, _interaction_diagonals(b, spec), state.psi,
+                     count_a.annihilate(state.psi), count_a, counting_projectors(b, v, "B"))
 
 
 class SampleEvaluator:
@@ -471,7 +468,7 @@ class SampleEvaluator:
         H, b, psi = self.H, self.H.basis, state.psi
         count_a, count_b = counting_projectors(b, u, "A"), counting_projectors(b, v, "B")
         phi = count_a.annihilate(psi)
-        ch = _channels(b, H.spec, H.interactions, psi, phi, count_a, count_b, u, v)
+        ch = _channels(H.spec, H.interactions, psi, phi, count_a, count_b)
         sectors = count_a.sector_weights(state, phi)
         pair = _pair_density(b, psi)
         pair4 = pair.reshape((b.M,) * 4)                    # partial traces: gamma^(1,0), (0,1)
@@ -510,14 +507,14 @@ def insertion_terms(state: ManyBodyState, u: Field, v: Field,
         raise IndicatorError("state, orbitals and potential must share one grid")
     h = V12.grid.spacing
     n1, n2 = b.N1, b.N2
-    usite, vsite = _orbital_sites(b, u), _orbital_sites(b, v)
+    usite, vsite = _orbital_sites(b.M, u), _orbital_sites(b.M, v)
     p_u, p_v = np.outer(usite, np.conj(usite)), np.outer(vsite, np.conj(vsite))
     n_u, n_v = (a_dag @ a for a, a_dag in (b.A.lowered.annihilator(usite),
                                             b.B.lowered.annihilator(vsite)))
-    kernel = V12.values.real.ravel()
+    kernel = _displacement_kernel(V12.grid, V12)
     dress_a = _dressing(kernel, np.abs(v.values.ravel()) ** 2, h)   # (V12 * |v|^2)(x_1)
     dress_b = _dressing(kernel, np.abs(u.values.ravel()) ** 2, h)   # (V12 * |u|^2)(y_1)
-    K = (_circulant(kernel) - dress_a[:, None] - dress_b[None, :])[:, None, :, None]
+    K = (circulant(kernel) - dress_a[:, None] - dress_b[None, :])[:, None, :, None]
 
     def apply_pbar(x: np.ndarray) -> np.ndarray:
         x = _along(p_u, x, 0) + _along(n_u, x, 1)

@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_DIM_CAP, basis_dim
-from .grids import Field, Grid, l2_norm
+from .grids import Field, Grid, circulant, l2_norm
 
 __all__ = [
     "TwoSpeciesBasis",
@@ -234,10 +234,10 @@ def _displacement_kernel(grid: Grid, V: Field) -> np.ndarray:
 
 @dataclass
 class HamiltonianSpec:
-    """Sampled two-body kernels and particle numbers.
+    """The sampled two-body kernels V1, V2, V12, unscaled, and the particle numbers.
 
-    Kernels carry their interaction prefactors already folded in, so the
-    Hamiltonian is literally hopping + sum of sampled kernels.
+    The Hamiltonian applies the mean-field prefactors (`_interaction_diagonals`);
+    the dressings of the derivative channels read the kernels as they are.
     """
 
     grid: Grid
@@ -257,26 +257,7 @@ class HamiltonianSpec:
 
     @classmethod
     def mean_field(cls, grid: Grid, V1, V2, V12, N1: int, N2: int) -> "HamiltonianSpec":
-        k1 = _displacement_kernel(grid, V1) / N1
-        k2 = _displacement_kernel(grid, V2) / N2
-        k12 = _displacement_kernel(grid, V12) / (N1 + N2)
-        return cls(grid, N1, N2, k1, k2, k12)
-
-    def bare_kernel(self, which: str) -> np.ndarray:
-        """Kernel without the mean-field 1/N prefactor (dressing potentials)."""
-        if which == "1":
-            return self.kernel1 * self.N1
-        if which == "2":
-            return self.kernel2 * self.N2
-        if which == "12":
-            return self.kernel12 * (self.N1 + self.N2)
-        raise ManyBodyError(f"which must be '1', '2' or '12', got {which!r}")
-
-
-def _circulant(kernel: np.ndarray) -> np.ndarray:
-    M = kernel.size
-    i = np.arange(M)
-    return kernel[(i[:, None] - i[None, :]) % M]
+        return cls(grid, N1, N2, *(_displacement_kernel(grid, V) for V in (V1, V2, V12)))
 
 
 def _hop_matrix(species: _SpeciesBasis, h: float):
@@ -294,19 +275,22 @@ def _hop_matrix(species: _SpeciesBasis, h: float):
 
 
 def _interaction_diagonals(basis: TwoSpeciesBasis, spec: HamiltonianSpec):
-    """The interaction terms of H as diagonals: sum_{i<j} V1(x_i - x_j) on A,
-    sum_{r<s} V2 on B, and sum_{s,t} V12(d(s,t)) nA_s nB_t of shape (dimA, dimB).
+    """The interaction terms of H as diagonals, with the mean-field prefactors:
+    sum_{i<j} V1(x_i - x_j) / N1 on A, sum_{r<s} V2 / N2 on B, and
+    sum_{s,t} V12(d(s,t)) nA_s nB_t / (N1 + N2) of shape (dimA, dimB).
 
     Each intra term is (1/2)[n . C n - V(0) N] with C the circulant kernel
     matrix; the subtraction removes self-pairs, so on-site pairs count n(n-1)/2.
     """
     def intra(species: _SpeciesBasis, kernel: np.ndarray) -> np.ndarray:
         occ = species.occs.astype(float)
-        quad = np.einsum("im,mn,in->i", occ, _circulant(kernel), occ)
+        quad = np.einsum("im,mn,in->i", occ, circulant(kernel), occ)
         return 0.5 * (quad - kernel[0] * species.N)
 
-    cross = basis.A.occs.astype(float) @ _circulant(spec.kernel12) @ basis.B.occs.T.astype(float)
-    return intra(basis.A, spec.kernel1), intra(basis.B, spec.kernel2), cross
+    N1, N2 = spec.N1, spec.N2
+    cross = (basis.A.occs.astype(float) @ circulant(spec.kernel12 / (N1 + N2))
+             @ basis.B.occs.T.astype(float))
+    return intra(basis.A, spec.kernel1 / N1), intra(basis.B, spec.kernel2 / N2), cross
 
 
 class Hamiltonian:

@@ -47,6 +47,8 @@ def test_make_grid_rejections():
     with pytest.raises(GridError):
         make_grid(1, 8, 0.0)
     with pytest.raises(GridError):
+        make_grid(1, 8, float("inf"))
+    with pytest.raises(GridError):
         make_grid(4, 8, 1.0)
     # the relaxed constructor still exists for the lattice oracles
     assert Grid(1, 2, 1.0).points_per_axis == 2
@@ -184,7 +186,10 @@ def test_field_norm_and_normalize():
     (lambda good: good.replace(b"L = 3.5", b"L = two"), "bad header"),
     (lambda good: good.replace(b"dim = 2", b"dim = 4"), "bad header: dim must be 1, 2 or 3"),
     (lambda good: good.replace(b"becmix-field", b"becmix-state"), "not a field file"),
-], ids=["truncated", "oversized", "missing_key", "bad_length", "bad_dim", "bad_magic"])
+    (lambda good: good.replace(b"L = 3.5", b"L = inf"),
+     "bad header: box length must be positive and finite, got inf"),
+], ids=["truncated", "oversized", "missing_key", "bad_length", "bad_dim", "bad_magic",
+        "infinite_length"])
 def test_field_file_rejects_malformed_file(tmp_path, edit, needle):
     g = make_grid(2, 8, 3.5)
     path = tmp_path / "field.bin"

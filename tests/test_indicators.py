@@ -11,6 +11,7 @@ from firstquant import firstquant_vector
 from becmix.manybody import (
     Hamiltonian,
     HamiltonianSpec,
+    ManyBodyError,
     ManyBodyState,
     build_basis,
     product_state,
@@ -510,7 +511,7 @@ def test_insertion_identities_random_states():
 
 def test_insertion_sum_matches_direct_commutator():
     from firstquant import axis_diagonal, orbital_project, pair_diagonal
-    from becmix.manybody import _circulant
+    from becmix.grids import circulant
 
     g, u, v = _grid_and_orbitals(M=4)
     x = g.axis_coordinates
@@ -523,8 +524,8 @@ def test_insertion_sum_matches_direct_commutator():
     us, vs = site_vector(u), site_vector(v)
     h = g.spacing
     kern = V12.values.real
-    dress_a = h * (_circulant(kern) @ (np.abs(v.values) ** 2))
-    dress_b = h * (_circulant(kern) @ (np.abs(u.values) ** 2))
+    dress_a = h * (circulant(kern) @ (np.abs(v.values) ** 2))
+    dress_b = h * (circulant(kern) @ (np.abs(u.values) ** 2))
 
     def K(xv):
         out = pair_diagonal(xv, kern, 0, 2)
@@ -663,6 +664,44 @@ def test_orbital_with_wrong_site_count_rejected():
     for call in calls:
         with pytest.raises(IndicatorError, match="orbital has 8 sites, the basis has 6"):
             call()
+
+
+def _cos_v12(g: Grid) -> Field:
+    return Field(g, np.cos(2 * np.pi * g.axis_coordinates / g.length_per_axis))
+
+
+@pytest.mark.parametrize("call", [
+    lambda st, u, v: alpha_11(st, u, v),
+    lambda st, u, v: condensate_depletion(st, u, "A"),
+    lambda st, u, v: trace_distance(reduce_density(st, (1, 1)), u, v),
+    lambda st, u, v: marginal_bounds_check(st, u, v),
+    lambda st, u, v: insertion_terms(st, u, v, _cos_v12(v.grid)),
+], ids=["alpha_11", "condensate_depletion", "trace_distance", "marginal_bounds_check",
+        "insertion_terms"])
+def test_unnormalized_orbital_rejected(call):
+    # 2u has squared norm 4, so an unchecked deficit 1 - <2u, gamma 2u> would read -3
+    _, u, v = _grid_and_orbitals(M=4)
+    st = product_state(u, v, build_basis(4, 2, 2))
+    with pytest.raises(IndicatorError, match="orbital must be normalized"):
+        call(st, u.with_values(2 * u.values), v)
+
+
+@pytest.mark.parametrize("case,message", [
+    ("odd", "potential kernel is not even under site reflection"),
+    ("complex", "potential must be real"),
+])
+def test_insertion_terms_rejects_unusable_v12(case, message):
+    g, u, v = _grid_and_orbitals(M=6, L=3.0)
+    x = g.axis_coordinates
+    bad = Field(g, {"odd": np.sin(2 * np.pi * x / 3.0),
+                    "complex": (1 + 0.5j) * np.cos(2 * np.pi * x / 3.0)}[case])
+    st = product_state(u, v, build_basis(6, 1, 1))
+    with pytest.raises(ManyBodyError) as err:
+        insertion_terms(st, u, v, bad)
+    assert str(err.value) == message
+    with pytest.raises(ManyBodyError) as err:
+        HamiltonianSpec.mean_field(g, _cos_v12(g), _cos_v12(g), bad, 1, 1)
+    assert str(err.value) == message
 
 
 

@@ -107,16 +107,17 @@ def _firstquant_dense_h(grid, spec, N1, N2):
     def kernel_on(pair_kernel, i, j):
         return pair_kernel[(coords[i] - coords[j]) % M]
 
+    # the spec holds the kernels unscaled; the mean-field prefactors come in here
     diag = np.zeros(dim)
     for i in range(N1):
         for j in range(i + 1, N1):
-            diag += kernel_on(spec.kernel1, i, j)
+            diag += kernel_on(spec.kernel1 / N1, i, j)
     for r in range(N1, N1 + N2):
         for s in range(r + 1, N1 + N2):
-            diag += kernel_on(spec.kernel2, r, s)
+            diag += kernel_on(spec.kernel2 / N2, r, s)
     for i in range(N1):
         for r in range(N1, N1 + N2):
-            diag += kernel_on(spec.kernel12, i, r)
+            diag += kernel_on(spec.kernel12 / (N1 + N2), i, r)
     return H + np.diag(diag)
 
 
