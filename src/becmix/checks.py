@@ -89,10 +89,9 @@ def run_invariant_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
     gm = make_grid(1, 6, 2.0 * np.pi)
     xm = gm.axis_coordinates
     basis = build_basis(6, 2, 2)
-    mspec = HamiltonianSpec.mean_field(
-        gm, Field(gm, 0.4 * np.cos(xm)), Field(gm, 0.3 * np.cos(2 * xm)),
-        Field(gm, 0.5 * np.cos(xm)), 2, 2)
-    H = Hamiltonian(mspec, basis)
+    H = Hamiltonian(HamiltonianSpec.mean_field(Field(gm, 0.4 * np.cos(xm)),
+                                               Field(gm, 0.3 * np.cos(2 * xm)),
+                                               Field(gm, 0.5 * np.cos(xm))), basis)
     um = normalize(Field(gm, 1 + 0.3 * np.cos(xm)))
     vm = normalize(Field(gm, 1 + 0.2 * np.cos(2 * xm)))
     psi = product_state(um, vm, basis)

@@ -282,9 +282,11 @@ _GRAMMAR = (
     ("system", "seed", "seed", int, lambda v: v >= 0 or "seed must be nonnegative", None),
     ("system", "potential", "scatter_potential", str, None, ("scattering",)),
     ("system", "n_values", "n_values", _ints,
-     lambda v: all(n >= 2 for n in v) or "all N must be >= 2", ("scattering",)),
+     lambda v: (all(n >= 2 for n in v) or "all N must be >= 2") if v else "no N given",
+     ("scattering",)),
     ("system", "beta_values", "beta_values", _floats,
-     lambda v: all(0 < b <= 1 for b in v) or "beta must lie in (0,1]", ("scattering",)),
+     lambda v: (all(0 < b <= 1 for b in v) or "beta must lie in (0,1]") if v else "no beta given",
+     ("scattering",)),
     ("ladder", "entries", "ladder", _pairs, None, ("mean_field",)),
     ("ladder", "cap", "cap", int, lambda v: v > 0 or "cap must be positive", ("mean_field",)),
     ("ladder", "ratio_fixed", "ratio_fixed", _flag, None, ("mean_field",)),

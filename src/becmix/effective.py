@@ -109,6 +109,8 @@ class CouplingSpec:
                 raise EffectiveError(f"hartree mode needs the potential {name}")
             if V.grid != self.grid:
                 raise EffectiveError("potentials must share one grid")
+            if not np.isfinite(V.values).all():
+                raise EffectiveError(f"potential {name} must be finite")
             if not V.is_real(1e-10):
                 raise EffectiveError(f"potential {name} must be real")
             if not V.is_even(1e-10):

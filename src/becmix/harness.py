@@ -100,15 +100,13 @@ def _effective_trajectory(cfg: ExperimentConfig, c1: float) -> _Trajectory:
 def _run_entry(cfg: ExperimentConfig, n1: int, n2: int, traj: _Trajectory) -> SweepEntry:
     entry = SweepEntry(n1=n1, n2=n2)
     try:
-        grid = cfg.build_grid()
-        basis = build_basis(grid.points_per_axis, n1, n2, dim_cap=cfg.cap)
+        basis = build_basis(cfg.points, n1, n2, dim_cap=cfg.cap)
         entry.dim = basis.dim
         if traj.error is not None:
             entry.error, entry.traceback = traj.error, traj.traceback
             return entry
-        mb_spec = HamiltonianSpec.mean_field(grid, traj.spec.V1, traj.spec.V2, traj.spec.V12,
-                                             n1, n2)
-        H = Hamiltonian(mb_spec, basis)
+        H = Hamiltonian(HamiltonianSpec.mean_field(traj.spec.V1, traj.spec.V2, traj.spec.V12),
+                        basis)
         eff = traj.orbitals[0]
         psi = product_state(*eff.components, basis)
         entry.energy_gap = abs(manybody_energy(H, psi) - hartree_energy(eff, traj.spec))

@@ -423,8 +423,9 @@ def _channels(spec: HamiltonianSpec, interactions, psi: np.ndarray, phi: np.ndar
     # diagonal operators (occupation basis): pair interactions minus dressings
     x1 = w1 - dressed(occ_a, spec.kernel1, rho_u)
     x2 = w2 - dressed(occ_b, spec.kernel2, rho_v)
-    x12 = (cross - spec.c2 * dressed(occ_a, spec.kernel12, rho_v)[:, None]
-           - spec.c1 * dressed(occ_b, spec.kernel12, rho_u)[None, :])
+    c1, c2 = basis.N1 / (basis.N1 + basis.N2), basis.N2 / (basis.N1 + basis.N2)
+    x12 = (cross - c2 * dressed(occ_a, spec.kernel12, rho_v)[:, None]
+           - c1 * dressed(occ_b, spec.kernel12, rho_u)[None, :])
     return DerivativeChannels(-2j * float(x1 @ flux.sum(axis=1)),
                               -2j * float(x2 @ flux.sum(axis=0)),
                               -2j * float(np.vdot(x12, flux)))

@@ -225,6 +225,8 @@ def _displacement_kernel(grid: Grid, V: Field) -> np.ndarray:
         raise ManyBodyError("the many-body harness is one-dimensional")
     if V.grid != grid:
         raise ManyBodyError("potential field lives on a different grid")
+    if not np.isfinite(V.values).all():
+        raise ManyBodyError("potential must be finite")
     if not V.is_real(1e-10):
         raise ManyBodyError("potential must be real")
     if not V.is_even(1e-10):
@@ -234,30 +236,21 @@ def _displacement_kernel(grid: Grid, V: Field) -> np.ndarray:
 
 @dataclass
 class HamiltonianSpec:
-    """The sampled two-body kernels V1, V2, V12, unscaled, and the particle numbers.
+    """The sampled two-body kernels V1, V2, V12, unscaled, on their grid.
 
-    The Hamiltonian applies the mean-field prefactors (`_interaction_diagonals`);
-    the dressings of the derivative channels read the kernels as they are.
+    The basis holds the particle numbers, so one spec serves every (N1, N2):
+    `_interaction_diagonals` applies the mean-field prefactors, and the
+    dressings of the derivative channels read the kernels as they are.
     """
 
     grid: Grid
-    N1: int
-    N2: int
     kernel1: np.ndarray
     kernel2: np.ndarray
     kernel12: np.ndarray
 
-    @property
-    def c1(self) -> float:
-        return self.N1 / (self.N1 + self.N2)
-
-    @property
-    def c2(self) -> float:
-        return self.N2 / (self.N1 + self.N2)
-
     @classmethod
-    def mean_field(cls, grid: Grid, V1, V2, V12, N1: int, N2: int) -> "HamiltonianSpec":
-        return cls(grid, N1, N2, *(_displacement_kernel(grid, V) for V in (V1, V2, V12)))
+    def mean_field(cls, V1: Field, V2: Field, V12: Field) -> "HamiltonianSpec":
+        return cls(V1.grid, *(_displacement_kernel(V1.grid, V) for V in (V1, V2, V12)))
 
 
 def _hop_matrix(species: _SpeciesBasis, h: float):
@@ -287,7 +280,7 @@ def _interaction_diagonals(basis: TwoSpeciesBasis, spec: HamiltonianSpec):
         quad = np.einsum("im,mn,in->i", occ, circulant(kernel), occ)
         return 0.5 * (quad - kernel[0] * species.N)
 
-    N1, N2 = spec.N1, spec.N2
+    N1, N2 = basis.N1, basis.N2
     cross = (basis.A.occs.astype(float) @ circulant(spec.kernel12 / (N1 + N2))
              @ basis.B.occs.T.astype(float))
     return intra(basis.A, spec.kernel1 / N1), intra(basis.B, spec.kernel2 / N2), cross
@@ -305,8 +298,6 @@ class Hamiltonian:
     """
 
     def __init__(self, spec: HamiltonianSpec, basis: TwoSpeciesBasis):
-        if (spec.N1, spec.N2) != (basis.N1, basis.N2):
-            raise ManyBodyError("spec particle numbers do not match the basis")
         if spec.grid.points_per_axis != basis.M:
             raise ManyBodyError("spec grid size does not match the basis")
         self.spec = spec

@@ -224,7 +224,7 @@ def test_c08_derivative_identity_second_order():
     u0 = normalize(Field(g, 1 + 0.3 * np.cos(x)))
     v0 = normalize(Field(g, 1 + 0.25 * np.cos(2 * x)))
     basis = build_basis(8, 2, 2)
-    spec = HamiltonianSpec.mean_field(g, V1, V2, V12, 2, 2)
+    spec = HamiltonianSpec.mean_field(V1, V2, V12)
     H = Hamiltonian(spec, basis)
     eff_spec = CouplingSpec.hartree(V1, V2, V12, c1=0.5, kinetic="stencil")
     psi = product_state(u0, v0, basis)
@@ -332,7 +332,7 @@ def test_c11_energy_gap_trend():
     gaps = []
     for (n1, n2) in cfg.ladder:
         basis = build_basis(10, n1, n2)
-        spec = HamiltonianSpec.mean_field(grid, V1, V2, V12, n1, n2)
+        spec = HamiltonianSpec.mean_field(V1, V2, V12)
         eff = CouplingSpec.hartree(V1, V2, V12, c1=n1 / (n1 + n2), kinetic="stencil")
         e_many = manybody_energy(spec, product_state(u0, v0, basis))
         e_eff = hartree_energy(OrbitalState((u0, v0), 0.0), eff)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -599,6 +600,11 @@ def test_potentials_must_be_even_and_real():
         CouplingSpec.hartree(odd, even, even)
     with pytest.raises(EffectiveError):
         CouplingSpec.hartree(Field(g, even.values * 1j), even, even)
+    for bad in (np.nan, np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no RuntimeWarning on the way to the error
+            with pytest.raises(EffectiveError, match="potential V12 must be finite"):
+                CouplingSpec.hartree(even, even, Field(g, np.where(x == x[3], bad, even.values)))
 
 
 def test_hartree_rejects_a_potential_odd_along_one_axis_of_a_2d_grid():

@@ -304,6 +304,19 @@ def test_expression_widths_must_be_positive(line, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("line, needle", [
+    ("n_values =", "[system] n_values: no N given"),
+    ("beta_values = ;", "[system] beta_values: no beta given"),
+    ("n_values = 8 1", "[system] n_values: all N must be >= 2"),
+    ("beta_values = 0.5 1.5", "[system] beta_values: beta must lie in (0,1]"),
+])
+def test_scattering_values_rejected_at_parse_time(line, needle):
+    # an empty list would run no calibration and write a header-only scattering.csv
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[system]\nmode = scattering\n{line}\n")
+    assert needle in str(err.value)
+
+
 def test_cli_scattering_zero_radius_is_a_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "box.ini"
     cfg_path.write_text(f"[system]\nmode = scattering\npotential = box radius=0\n"

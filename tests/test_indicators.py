@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+import warnings
 
 from hypothesis import given, settings, strategies as st_
 import numpy as np
@@ -418,7 +419,7 @@ def _meanfield_problem(M=6, N1=2, N2=2, amps=(0.6, 0.4, 0.5)):
     u = normalize(Field(g, 1 + 0.3 * np.cos(x)))
     v = normalize(Field(g, 1 + 0.25 * np.cos(2 * x)))
     basis = build_basis(M, N1, N2)
-    spec = HamiltonianSpec.mean_field(g, V1, V2, V12, N1, N2)
+    spec = HamiltonianSpec.mean_field(V1, V2, V12)
     return g, V1, V2, V12, u, v, basis, spec
 
 
@@ -426,7 +427,7 @@ def test_derivative_channels_vanish_without_potentials():
     g, *_ = _meanfield_problem()
     zero = Field(g, np.zeros(6))
     basis = build_basis(6, 2, 2)
-    spec = HamiltonianSpec.mean_field(g, zero, zero, zero, 2, 2)
+    spec = HamiltonianSpec.mean_field(zero, zero, zero)
     _, _, _, _, u, v, _, _ = _meanfield_problem()
     st = random_state(basis, np.random.default_rng(9))
     ch = derivative_decomposition(st, u, v, spec)
@@ -436,7 +437,7 @@ def test_derivative_channels_vanish_without_potentials():
 def test_derivative_channels_purely_imaginary_and_v12_zero():
     g, V1, V2, _, u, v, basis, _ = _meanfield_problem()
     zero = Field(g, np.zeros(6))
-    spec = HamiltonianSpec.mean_field(g, V1, V2, zero, 2, 2)
+    spec = HamiltonianSpec.mean_field(V1, V2, zero)
     st = random_state(basis, np.random.default_rng(10))
     ch = derivative_decomposition(st, u, v, spec)
     assert abs(ch.c_v12) < 1e-12
@@ -619,9 +620,8 @@ def test_grid_consistency_guards():
     with pytest.raises(IndicatorError):
         insertion_terms(st, u, v, bad_v12)
     g6 = Grid(1, 6, 2.0)
-    spec6 = HamiltonianSpec.mean_field(
-        g6, Field(g6, np.cos(2 * np.pi * x / 2.0)), Field(g6, np.cos(2 * np.pi * x / 2.0)),
-        Field(g6, np.cos(2 * np.pi * x / 2.0)), 2, 2)
+    V6 = Field(g6, np.cos(2 * np.pi * x / 2.0))
+    spec6 = HamiltonianSpec.mean_field(V6, V6, V6)
     with pytest.raises(IndicatorError):
         derivative_decomposition(st, u, v, spec6)
 
@@ -648,6 +648,32 @@ def test_sample_evaluator_matches_public_functions(N1, N2):
         # the pair-density deficit against 1 - <n_u n_v> / (N1 N2)
         n_uv = np.vdot(st.psi, mode_a.n_u(mode_b.n_u(st.psi))).real / (N1 * N2)
         assert abs(got[0] - (1.0 - n_uv)) < 1e-12
+
+
+def test_one_spec_serves_channels_at_two_particle_numbers():
+    g, _, _, V12, _, _, _, spec = _meanfield_problem(M=6)
+    M, h, k12 = 6, g.spacing, V12.values.real
+    rng = np.random.default_rng(21)
+    u, v = (normalize(Field(g, rng.standard_normal(M) + 1j * rng.standard_normal(M)))
+            for _ in range(2))
+    # (V12 * |w|^2)(x), the dressing a particle at x feels from the other species
+    dress_u, dress_v = ([h * sum(k12[(x - y) % M] * abs(w.values[y]) ** 2 for y in range(M))
+                         for x in range(M)] for w in (u, v))
+    for N1, N2 in ((2, 2), (3, 1)):
+        basis = build_basis(M, N1, N2)
+        evaluate = SampleEvaluator(Hamiltonian(spec, basis), ())
+        st = random_state(basis, rng)
+        ch = derivative_decomposition(st, u, v, spec)
+        assert np.allclose(evaluate(st, u, v)[4:7], (ch.c_v1.imag, ch.c_v2.imag, ch.c_v12.imag),
+                           rtol=0, atol=1e-12)
+        # C_V12 literally: V12 / (N1 + N2) minus the dressings weighted by c2 and c1
+        x12 = np.array([[sum(k12[(x - y) % M] * n[x] * m[y] for x in range(M) for y in range(M))
+                         / (N1 + N2) - (N2 * np.dot(n, dress_v) + N1 * np.dot(m, dress_u))
+                         / (N1 + N2) for m in basis.B.occs] for n in basis.A.occs])
+        mode_a, mode_b = counting_projectors(basis, u, "A"), counting_projectors(basis, v, "B")
+        pbar_psi = mode_a.n_u(mode_b.n_u(st.psi)) / (N1 * N2)
+        literal = -(np.vdot(st.psi, x12 * pbar_psi) - np.vdot(pbar_psi, x12 * st.psi))
+        assert abs(ch.c_v12 - literal) < 1e-13
 
 
 def test_orbital_with_wrong_site_count_rejected():
@@ -689,18 +715,24 @@ def test_unnormalized_orbital_rejected(call):
 @pytest.mark.parametrize("case,message", [
     ("odd", "potential kernel is not even under site reflection"),
     ("complex", "potential must be real"),
+    ("nan", "potential must be finite"),
+    ("inf", "potential must be finite"),
 ])
 def test_insertion_terms_rejects_unusable_v12(case, message):
     g, u, v = _grid_and_orbitals(M=6, L=3.0)
     x = g.axis_coordinates
-    bad = Field(g, {"odd": np.sin(2 * np.pi * x / 3.0),
-                    "complex": (1 + 0.5j) * np.cos(2 * np.pi * x / 3.0)}[case])
+    even = np.cos(2 * np.pi * x / 3.0)
+    bad = Field(g, {"odd": np.sin(2 * np.pi * x / 3.0), "complex": (1 + 0.5j) * even,
+                    "nan": np.where(x == x[2], np.nan, even),
+                    "inf": np.where(x == x[2], np.inf, even)}[case])
     st = product_state(u, v, build_basis(6, 1, 1))
-    with pytest.raises(ManyBodyError) as err:
-        insertion_terms(st, u, v, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning on the way to the error
+        with pytest.raises(ManyBodyError) as err:
+            insertion_terms(st, u, v, bad)
     assert str(err.value) == message
     with pytest.raises(ManyBodyError) as err:
-        HamiltonianSpec.mean_field(g, _cos_v12(g), _cos_v12(g), bad, 1, 1)
+        HamiltonianSpec.mean_field(_cos_v12(g), _cos_v12(g), bad)
     assert str(err.value) == message
 
 

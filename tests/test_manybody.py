@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,15 +122,9 @@ def _firstquant_dense_h(grid, spec, N1, N2):
     return H + np.diag(diag)
 
 
-@pytest.mark.parametrize("M,N1,N2", [(2, 1, 1), (3, 2, 1), (3, 2, 2)])
-def test_hamiltonian_matches_firstquant_dense(M, N1, N2):
-    g = Grid(1, M, 2.0)
-    V1, V2, V12 = _cos_fields(g, amps=(1.3, 0.7, 0.9))
-    spec = HamiltonianSpec.mean_field(g, V1, V2, V12, N1, N2)
-    b = build_basis(M, N1, N2)
+def _assert_matches_firstquant(spec, b, rng):
     H = Hamiltonian(spec, b)
-    Hfq = _firstquant_dense_h(g, spec, N1, N2)
-    rng = np.random.default_rng(0)
+    Hfq = _firstquant_dense_h(spec.grid, spec, b.N1, b.N2)
     for _ in range(5):
         st = random_state(b, rng)
         lhs = firstquant_vector(ManyBodyState(b, H.apply(st.psi))).ravel()
@@ -137,11 +132,27 @@ def test_hamiltonian_matches_firstquant_dense(M, N1, N2):
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+@pytest.mark.parametrize("M,N1,N2", [(2, 1, 1), (3, 2, 1), (3, 2, 2)])
+def test_hamiltonian_matches_firstquant_dense(M, N1, N2):
+    g = Grid(1, M, 2.0)
+    spec = HamiltonianSpec.mean_field(*_cos_fields(g, amps=(1.3, 0.7, 0.9)))
+    _assert_matches_firstquant(spec, build_basis(M, N1, N2), np.random.default_rng(0))
+
+
+def test_one_spec_serves_every_ladder_entry():
+    # the spec holds the kernels only; each basis brings its own particle numbers
+    g = Grid(1, 3, 2.0)
+    spec = HamiltonianSpec.mean_field(*_cos_fields(g, amps=(1.3, 0.7, 0.9)))
+    rng = np.random.default_rng(6)
+    for N1, N2 in ((1, 1), (2, 1), (2, 2)):
+        _assert_matches_firstquant(spec, build_basis(3, N1, N2), rng)
+
+
 def test_hermiticity_on_random_pairs():
     g = Grid(1, 5, 2.0)
     V1, V2, V12 = _cos_fields(g)
     b = build_basis(5, 2, 2)
-    H = Hamiltonian(HamiltonianSpec.mean_field(g, V1, V2, V12, 2, 2), b)
+    H = Hamiltonian(HamiltonianSpec.mean_field(V1, V2, V12), b)
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(20):
@@ -158,7 +169,7 @@ def test_matrix_free_apply_matches_assembled_matrix():
     V1, V2, V12 = _cos_fields(g, amps=(1.3, 0.7, 0.9))
     b = build_basis(5, 3, 1)
     assert b.shape == (35, 5)
-    H = Hamiltonian(HamiltonianSpec.mean_field(g, V1, V2, V12, 3, 1), b)
+    H = Hamiltonian(HamiltonianSpec.mean_field(V1, V2, V12), b)
     Hm = H.matrix
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -178,7 +189,7 @@ def test_free_hamiltonian_momentum_eigenstate():
     g = Grid(1, M, 3.0)
     zero = Field(g, np.zeros(M))
     b = build_basis(M, 1, 1)
-    H = Hamiltonian(HamiltonianSpec.mean_field(g, zero, zero, zero, 1, 1), b)
+    H = Hamiltonian(HamiltonianSpec.mean_field(zero, zero, zero), b)
     h = g.spacing
     k1, k2 = 1, 2
     mode = lambda k: np.exp(2j * np.pi * k * np.arange(M) / M) / np.sqrt(M)
@@ -194,7 +205,7 @@ def test_propagate_eigenstate_phase_and_reversal():
     g = Grid(1, M, 3.0)
     zero = Field(g, np.zeros(M))
     b = build_basis(M, 1, 1)
-    H = Hamiltonian(HamiltonianSpec.mean_field(g, zero, zero, zero, 1, 1), b)
+    H = Hamiltonian(HamiltonianSpec.mean_field(zero, zero, zero), b)
     mode = lambda k: np.exp(2j * np.pi * k * np.arange(M) / M) / np.sqrt(M)
     psi0 = ManyBodyState(b, np.outer(mode(1), mode(2)))
     h = g.spacing
@@ -215,7 +226,7 @@ def test_propagate_matches_dense_exponential():
     g = Grid(1, 2, 1.0)
     V1, V2, V12 = _cos_fields(g, amps=(1.3, 0.7, 0.9))
     b = build_basis(2, 1, 1)
-    H = Hamiltonian(HamiltonianSpec.mean_field(g, V1, V2, V12, 1, 1), b)
+    H = Hamiltonian(HamiltonianSpec.mean_field(V1, V2, V12), b)
     rng = np.random.default_rng(3)
     st = random_state(b, rng)
     out = propagate(H, st, 0.37)
@@ -304,7 +315,7 @@ def test_energy_gap_to_effective_limit_closed_form():
     gaps = []
     for n in (1, 2, 3):
         b = build_basis(6, n, n)
-        spec = HamiltonianSpec.mean_field(g, V1, V2, V12, n, n)
+        spec = HamiltonianSpec.mean_field(V1, V2, V12)
         e_many = manybody_energy(spec, product_state(u, v, b))
         gap = e_many - e_eff
         # exact finite-size correction: -(self1 + self2) / (2 (N1 + N2))
@@ -318,7 +329,7 @@ def test_energy_conserved_under_propagation():
     V1, V2, V12 = _cos_fields(g)
     u, v = _orbitals(g)
     b = build_basis(6, 2, 2)
-    spec = HamiltonianSpec.mean_field(g, V1, V2, V12, 2, 2)
+    spec = HamiltonianSpec.mean_field(V1, V2, V12)
     H = Hamiltonian(spec, b)
     st = product_state(u, v, b)
     e0 = manybody_energy(H, st)
@@ -337,7 +348,7 @@ def test_species_exchange_symmetry():
     res = {}
     for tag, (n1, n2, a, bb) in {"fwd": (2, 1, u, v), "swap": (1, 2, v, u)}.items():
         basis = build_basis(6, n1, n2)
-        spec = HamiltonianSpec.mean_field(g, V_same, V_same, V12, n1, n2)
+        spec = HamiltonianSpec.mean_field(V_same, V_same, V12)
         H = Hamiltonian(spec, basis)
         st = product_state(a, bb, basis)
         for _ in range(20):
@@ -356,19 +367,27 @@ def test_species_exchange_symmetry():
     ("other_grid", "potential field lives on a different grid"),
     ("complex", "potential must be real"),
     ("odd", "potential kernel is not even under site reflection"),
+    ("nan", "potential must be finite"),
+    ("inf", "potential must be finite"),
 ])
 def test_mean_field_rejects_unusable_potential(case, message):
     g = Grid(1, 6, 3.0)
     x = g.axis_coordinates
     even = Field(g, np.cos(2 * np.pi * x / 3.0))
-    grid, bad = {
-        "grid_2d": (Grid(2, 6, 3.0), Field(Grid(2, 6, 3.0), np.ones((6, 6)))),
-        "other_grid": (g, Field(Grid(1, 6, 4.0), even.values)),
-        "complex": (g, Field(g, (1 + 0.5j) * even.values)),
-        "odd": (g, Field(g, np.sin(2 * np.pi * x / 3.0))),
+    # the spec's grid is V1's, so the 2-D case passes 2-D potentials throughout
+    flat = Field(Grid(2, 6, 3.0), np.ones((6, 6)))
+    good, bad = {
+        "grid_2d": (flat, flat),
+        "other_grid": (even, Field(Grid(1, 6, 4.0), even.values)),
+        "complex": (even, Field(g, (1 + 0.5j) * even.values)),
+        "odd": (even, Field(g, np.sin(2 * np.pi * x / 3.0))),
+        "nan": (even, Field(g, np.where(x == x[2], np.nan, even.values))),
+        "inf": (even, Field(g, np.where(x == x[2], np.inf, even.values))),
     }[case]
-    with pytest.raises(ManyBodyError) as err:
-        HamiltonianSpec.mean_field(grid, even, even, bad, 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning on the way to the error
+        with pytest.raises(ManyBodyError) as err:
+            HamiltonianSpec.mean_field(good, good, bad)
     assert str(err.value) == message
 
 
@@ -376,7 +395,7 @@ def test_propagate_substeps_large_step_against_dense(monkeypatch):
     g = Grid(1, 3, 1.5)
     V1, V2, V12 = _cos_fields(g, amps=(1.0, 0.8, 0.6))
     b = build_basis(3, 1, 1)
-    H = Hamiltonian(HamiltonianSpec.mean_field(g, V1, V2, V12, 1, 1), b)
+    H = Hamiltonian(HamiltonianSpec.mean_field(V1, V2, V12), b)
     st = random_state(b, np.random.default_rng(8))
     # ||dt H|| is far beyond one Krylov pass at this dimension; the
     # propagator must substep rather than return garbage
@@ -399,7 +418,7 @@ def test_propagate_without_reorthogonalization_against_expm(monkeypatch, M, n, L
     monkeypatch.setattr(manybody_mod, "KRYLOV_DIM", krylov_dim)
     g = Grid(1, M, L)
     b = build_basis(M, n, n)
-    H = Hamiltonian(HamiltonianSpec.mean_field(g, *_cos_fields(g), n, n), b)
+    H = Hamiltonian(HamiltonianSpec.mean_field(*_cos_fields(g)), b)
     st = random_state(b, np.random.default_rng(M))
     exact = scipy.linalg.expm(-1j * T * H.matrix.toarray()) @ st.psi.ravel()
     many = st
@@ -414,7 +433,7 @@ def test_propagate_without_reorthogonalization_against_expm(monkeypatch, M, n, L
 def test_propagate_rejects_zero_or_non_finite_step(dt):
     g = Grid(1, 3, 1.5)
     b = build_basis(3, 1, 1)
-    H = Hamiltonian(HamiltonianSpec.mean_field(g, *_cos_fields(g), 1, 1), b)
+    H = Hamiltonian(HamiltonianSpec.mean_field(*_cos_fields(g)), b)
     with pytest.raises(ManyBodyError, match="dt must be finite and nonzero"):
         propagate(H, random_state(b, np.random.default_rng(2)), dt)
 
@@ -422,7 +441,7 @@ def test_propagate_rejects_zero_or_non_finite_step(dt):
 def _through_setup(M=6, n=2, L=3.0):
     g = Grid(1, M, L)
     b = build_basis(M, n, n)
-    H = Hamiltonian(HamiltonianSpec.mean_field(g, *_cos_fields(g), n, n), b)
+    H = Hamiltonian(HamiltonianSpec.mean_field(*_cos_fields(g)), b)
     st = random_state(b, np.random.default_rng(M))
     st.time = 0.3
     return H, st
@@ -485,7 +504,7 @@ def _ladder_entry(n):
     cfg = parse_config((Path(__file__).parents[1] / "configs" / "sweep_ladder.ini").read_text())
     b = build_basis(cfg.points, n, n)
     H = Hamiltonian(HamiltonianSpec.mean_field(
-        cfg.build_grid(), *(cfg.potential_field(k) for k in ("v1", "v2", "v12")), n, n), b)
+        *(cfg.potential_field(k) for k in ("v1", "v2", "v12"))), b)
     st = product_state(cfg.orbital_field("u0"), cfg.orbital_field("v0"), b)
     steps = round(cfg.T / cfg.dt)
     return H, st, [k * cfg.dt for k in range(cfg.sample_every, steps + 1, cfg.sample_every)]
@@ -537,7 +556,7 @@ def test_propagate_through_serves_more_samples_than_basis_rows(monkeypatch):
     g = Grid(1, 6, 3.0)
     zero = Field(g, np.zeros(6))
     b = build_basis(6, 2, 2)
-    H = Hamiltonian(HamiltonianSpec.mean_field(g, zero, zero, zero, 2, 2), b)
+    H = Hamiltonian(HamiltonianSpec.mean_field(zero, zero, zero), b)
     wave = [normalize(Field(g, np.exp(2j * np.pi * k * g.axis_coordinates / 3.0))) for k in (1, 2)]
     st = product_state(*wave, b)
     offsets = [0.1 * k for k in range(1, 11)]
@@ -680,7 +699,7 @@ def test_propagate_substep_budget_exhausted(monkeypatch):
     g = Grid(1, 3, 0.05)  # tiny box -> huge kinetic scale
     b = build_basis(3, 2, 2)
     # 24 distinct eigenvalues: no 4-vector space covers a useful step of dt = 50
-    H = Hamiltonian(HamiltonianSpec.mean_field(g, *_cos_fields(g), 2, 2), b)
+    H = Hamiltonian(HamiltonianSpec.mean_field(*_cos_fields(g)), b)
     st = random_state(b, np.random.default_rng(9))
     monkeypatch.setattr(manybody_mod, "KRYLOV_DIM", 4)
     with pytest.raises(ManyBodyError):
