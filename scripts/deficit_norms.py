@@ -12,14 +12,7 @@ import argparse
 
 import numpy as np
 
-from becmix.scattering import (
-    calibrate_shell,
-    g_norms,
-    modified_potential,
-    scale_potential,
-    scattering_length,
-    square_barrier,
-)
+from becmix.scattering import calibrate_shell, g_norms, scattering_length, square_barrier
 
 
 def main():
@@ -36,10 +29,7 @@ def main():
     print(f"{'N':>4} {'C':>12} {'residual':>11} {'L1':>11} {'L2':>11} {'Linf':>8}")
     l1s = []
     for N in args.n:
-        shell = calibrate_shell(V, N, args.beta, a=a)
-        mod = modified_potential(scale_potential(V, N, args.beta), shell)
-        res = scattering_length(mod, allow_crossing_window=(shell.inner_radius,
-                                                            shell.outer_radius))
+        shell, res = calibrate_shell(V, N, args.beta)
         l1, l2, linf = g_norms(res)
         l1s.append(l1)
         print(f"{N:>4} {shell.C:>12.9f} {res.scattering_length:>11.2e} "

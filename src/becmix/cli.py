@@ -22,14 +22,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, HarnessError, parse_config
 from .grids import Field
-from .scattering import (
-    calibrate_shell,
-    g_norms,
-    modified_potential,
-    scale_potential,
-    scattering_length,
-    ScatteringError,
-)
+from .scattering import calibrate_shell, g_norms, scattering_length, ScatteringError
 
 __all__ = ["main", "run"]
 
@@ -141,25 +134,22 @@ def _cmd_scattering(args) -> int:
         raise ConfigError(f"mode {cfg.mode!r} is not a scattering problem")
     V = cfg.radial_potential()
     base = scattering_length(V)
+    rows = [["N", "beta", "C", "a_residual", "g_L1", "g_L2", "g_Linf"]]
+    for beta in cfg.beta_values:
+        for N in cfg.n_values:
+            shell, res = calibrate_shell(V, N, beta)
+            l1, l2, linf = g_norms(res)
+            rows.append([N, *(format(x, ".17g") for x in (beta, shell.C, res.scattering_length,
+                                                           l1, l2, linf))])
+            print(f"N={N} beta={beta}: C={shell.C:.9f} "
+                  f"residual={res.scattering_length:.3e} L1={l1:.4e}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "scattering.csv"
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:  # every row computed: a failed run writes none
         writer = csv.writer(fh)
-        writer.writerow(["N", "beta", "C", "a_residual", "g_L1", "g_L2", "g_Linf"])
-        for beta in cfg.beta_values:
-            for N in cfg.n_values:
-                shell = calibrate_shell(V, N, beta, a=base.scattering_length)
-                mod = modified_potential(scale_potential(V, N, beta), shell)
-                res = scattering_length(
-                    mod, allow_crossing_window=(shell.inner_radius, shell.outer_radius))
-                l1, l2, linf = g_norms(res)
-                writer.writerow([N, format(beta, ".17g"), format(shell.C, ".17g"),
-                                 format(res.scattering_length, ".17g"),
-                                 format(l1, ".17g"), format(l2, ".17g"),
-                                 format(linf, ".17g")])
-                print(f"N={N} beta={beta}: C={shell.C:.9f} "
-                      f"residual={res.scattering_length:.3e} L1={l1:.4e}")
+        for row in rows:
+            writer.writerow(row)
     print(f"a(V) = {base.scattering_length:.9f}; wrote {path}")
     return 0
 

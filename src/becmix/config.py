@@ -111,7 +111,8 @@ def _potential_values(grid: Grid, name: str, kw: dict[str, float]) -> np.ndarray
             out += np.exp(-((d + shift) ** 2) / (2.0 * kw["sigma"]**2))
         return kw["amp"] * out
     if name == "box":
-        return kw["amp"] * (np.abs(d) <= kw["radius"]).astype(float)
+        j = np.indices(grid.shape)[0]  # |d| from the site offset: the same at d and -d
+        return kw["amp"] * (grid.spacing * np.minimum(j, grid.points_per_axis - j) <= kw["radius"])
     return np.zeros(grid.shape)
 
 

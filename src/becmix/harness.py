@@ -156,7 +156,7 @@ def run_convergence_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepRepor
 
     fitted = None
     good = [e for e in entries if e.error is None and e.alpha_probe > 0]
-    if len(good) >= 3:
+    if len(good) >= 3 and len({e.n1 + e.n2 for e in good}) >= 2:  # else no slope to fit
         logs = np.log([e.n1 + e.n2 for e in good])
         vals = np.log([e.alpha_probe for e in good])
         fitted = float(np.polyfit(logs, vals, 1)[0])

@@ -284,46 +284,46 @@ SCAN_STEP = 0.25
 C_MAX = 8.0
 
 
-def calibrate_shell(V: RadialPotential, N: int, beta: float, *,
-                    a: float | None = None) -> ShellPotential:
+def calibrate_shell(V: RadialPotential, N: int,
+                    beta: float) -> tuple[ShellPotential, ScatteringResult]:
     """Find the smallest C > 1 whose shell cancels the scaled scattering length.
 
-    The residual a(V_scaled - shell(C)) is walked upward from C = 1
-    until its sign flips; walking further would eventually deepen the
-    effective well past the bound-state threshold, where the residual
-    jumps, so the walk stops at the first bracket (this also selects the
-    smallest root).  The bracket is spot-checked for continuity and
+    Returns the shell and the solved problem V_scaled - shell(C), whose
+    scattering length is the final residual.  The residual is walked up from
+    C = 1 to its first sign flip (further on, the well deepens past the
+    bound-state threshold, where the residual jumps; the first bracket also
+    holds the smallest root).  The bracket is spot-checked for continuity and
     monotonicity, then narrowed by Illinois regula falsi: each step takes
     the secant point of the bracket, halving the stored residual of an end
     kept twice in a row, and bisects instead when that point is not
     strictly inside or the bracket lies within 64 ulps of its upper end,
     down to adjacent floats; a residual of exactly 0.0 ends it and is
     returned.  Otherwise the end with the smaller |residual| is returned
-    if that is below RESIDUAL_TOL times the problem's length scale.
-    Raises CalibrationError, with the walked residuals, if no bracket
-    exists up to C = C_MAX.
+    if that is below RESIDUAL_TOL times the problem's length scale.  An
+    a(V) of 0 needs no shell: C = 1.  Raises CalibrationError, with the
+    walked residuals, if no bracket exists up to C = C_MAX.
     """
     if not (0.0 < beta <= 1.0):
         raise ScatteringError(f"beta must lie in (0, 1], got {beta}")
     if N < 2:
         raise ScatteringError("calibration needs N >= 2")
-    if a is None:
-        a = scattering_length(V).scattering_length
-    inner = float(N) ** (-beta)
-    if a == 0.0:
-        # nothing to cancel; C = 1 by convention (empty shell)
-        return ShellPotential(0.0, inner, inner)
+    a = scattering_length(V).scattering_length
     if a < 0.0:
         raise CalibrationError("calibration expects a positive scattering length")
 
     V_scaled = scale_potential(V, N, beta)
 
-    def residual(C: float) -> float:
+    def solve(C: float) -> tuple[ShellPotential, ScatteringResult]:
         shell = ShellPotential.for_species(a, N, beta, C)
-        mod = modified_potential(V_scaled, shell)
-        return scattering_length(
-            mod, allow_crossing_window=(shell.inner_radius, shell.outer_radius)
-        ).scattering_length
+        window = (shell.inner_radius, shell.outer_radius)
+        return shell, scattering_length(modified_potential(V_scaled, shell),
+                                        allow_crossing_window=window)
+
+    def residual(C: float) -> float:
+        return solve(C)[1].scattering_length
+
+    if a == 0.0:
+        return solve(1.0)
 
     c_lo = 1.0 + 1e-6
     walked = [(c_lo, residual(c_lo))]
@@ -349,7 +349,7 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, *,
     slack = 1e-10 * max(1.0, float(np.max(np.abs(probe_vals))))
     if not (np.all(diffs <= slack) or np.all(diffs >= -slack)):
         raise CalibrationError("residual scattering length is not monotone over the bracket")
-    length_scale = max(V_scaled.support_radius, hi * inner)
+    length_scale = max(V_scaled.support_radius, hi * float(N) ** (-beta))
     g_lo, g_hi, kept = f_lo, f_hi, None  # the ends' residuals, halved while an end is kept
     while math.nextafter(lo, hi) < hi:  # until lo and hi are adjacent floats
         mid = hi - g_hi * (hi - lo) / (g_hi - g_lo)  # opposite signs, never -0.0: no 0/0
@@ -357,7 +357,7 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, *,
             mid = 0.5 * (lo + hi)
         f_mid = residual(mid)
         if f_mid == 0.0:  # an exact root; narrowing on would only bisect from the far end
-            return ShellPotential.for_species(a, N, beta, mid)
+            return solve(mid)
         if np.signbit(f_mid) == np.signbit(f_lo):
             lo, f_lo, g_lo, g_hi = mid, f_mid, f_mid, g_hi / 2 if kept == "hi" else g_hi
             kept = "hi"
@@ -369,4 +369,4 @@ def calibrate_shell(V: RadialPotential, N: int, beta: float, *,
         raise CalibrationError(
             f"calibration residual {final:.3e} exceeds {RESIDUAL_TOL:.1e} * {length_scale:.3e}"
         )
-    return ShellPotential.for_species(a, N, beta, c_star)
+    return solve(c_star)

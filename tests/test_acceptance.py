@@ -38,7 +38,6 @@ from becmix.manybody import (
 )
 from becmix.scattering import (
     calibrate_shell,
-    modified_potential,
     scale_potential,
     scattering_length,
     square_barrier,
@@ -68,10 +67,8 @@ def test_c01_scattering_oracle_and_scaling():
 def test_c02_shell_calibration():
     t0 = time.perf_counter()
     barrier = square_barrier(2.0, 1.0)
-    shell = calibrate_shell(barrier, 32, 1.0)
-    mod = modified_potential(scale_potential(barrier, 32, 1.0), shell)
-    residual = scattering_length(
-        mod, allow_crossing_window=(shell.inner_radius, shell.outer_radius)).scattering_length
+    shell, res = calibrate_shell(barrier, 32, 1.0)
+    residual = res.scattering_length
     elapsed = time.perf_counter() - t0
     _report(2, abs(residual) < 1e-8 * barrier.support_radius and elapsed < 5.0,
             f"C={shell.C:.9f}, |a_mod|={abs(residual):.2e} (<1e-8), {elapsed:.2f}s (<5s)")

@@ -3,11 +3,14 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from becmix import config as config_mod
 from becmix.config import ConfigError, parse_config
+from becmix.grids import l2_norm
 from becmix.harness import INDICATOR_COLUMNS, emit_report, run_convergence_sweep
 import becmix
 from becmix import cli
@@ -349,6 +352,20 @@ def test_sweep_columns_and_alpha_zero(tmp_path):
         times = [r[0] for r in entry.rows]
         assert times == sorted(times)
     assert report.fitted_exponent is None          # fewer than 3 entries
+
+
+def test_sweep_fits_no_exponent_when_entries_share_n1_plus_n2(tmp_path):
+    # three good entries, all at N1 + N2 = 4: a line through one abscissa has no slope
+    doc = MINIMAL.format(out=tmp_path).replace("entries = 1,1; 2,2",
+                                               "entries = 1,3; 2,2; 3,1\nratio_fixed = no")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_convergence_sweep(parse_config(doc))
+    assert all(e.error is None and e.alpha_probe > 0 for e in report.entries)
+    assert report.fitted_exponent is None
+    emit_report(report, tmp_path / "r")
+    rows = (tmp_path / "r" / "summary.csv").read_bytes().decode().strip().split("\r\n")
+    assert [row.split(",")[5] for row in rows[1:]] == ["", "", ""]
 
 
 def test_sweep_fitted_exponent_negative(tmp_path):
@@ -769,6 +786,37 @@ def test_scattering_potential_validated_at_parse_time():
     assert parse_config(doc).scatter_potential == "gaussian amp=1 sigma=0.2"
 
 
+SAMPLED_SLOTS = [(slot, form) for slot in ("v1", "v2", "v12", "u0", "v0", "w0", "potential")
+                 for form in config_mod._SLOT_FORMS[slot]]
+
+
+@pytest.mark.parametrize("slot, form", SAMPLED_SLOTS, ids=[f"{s}-{f}" for s, f in SAMPLED_SLOTS])
+def test_every_form_of_every_slot_samples(slot, form):
+    # a dyadic spacing keeps every coordinate exact, so even means bit-for-bit even
+    cfg = parse_config(f"[grid]\npoints = 8\nlength = 2\n[system]\nmode = "
+                       f"{'scattering' if slot == 'potential' else 'spin1'}\n")
+    setattr(cfg, "scatter_potential" if slot == "potential" else slot, form)
+    if slot == "potential":
+        assert cfg.radial_potential().support_radius == {"box": 1.0, "gaussian": 3.0}[form]
+    elif config_mod._SLOT_FORMS[slot] is config_mod._POTENTIALS:
+        assert cfg.potential_field(slot).is_even(0.0)
+    else:
+        assert l2_norm(cfg.orbital_field(slot)) == pytest.approx(0.0 if form == "zero" else 1.0)
+
+
+def test_box_samples_evenly_at_a_site_offset_radius(tmp_path):
+    # with h = 0.1, |d| at sites 3 and 7 differed in the last bit: the box took
+    # site 7 but not site 3, and `becmix effective` rejected its own potential
+    doc = ("[grid]\npoints = 10\nlength = 1\n[system]\nmode = hartree\nv1 = box radius=0.3\n"
+           f"[time]\nt = 0.01\n[output]\ndir = {tmp_path / 'out'}\n")
+    V1 = parse_config(doc).potential_field("v1")
+    assert V1.values.tolist() == [1, 1, 1, 0, 0, 0, 0, 0, 1, 1]
+    assert V1.is_even(0.0)
+    (tmp_path / "box.ini").write_text(doc)
+    assert cli.main(["effective", str(tmp_path / "box.ini")]) == 0
+    assert (tmp_path / "out" / "trajectory.csv").exists()
+
+
 def test_ratio_fixed_accepts_only_flags():
     base = MINIMAL.format(out="x").replace("entries = 1,1; 2,2", "entries = 1,1; 2,2\nratio_fixed = {}")
     for raw, value in (("YES", True), ("0", False), ("False", False)):
@@ -784,6 +832,25 @@ def test_cli_scattering_bound_state_is_an_error(tmp_path, capsys):
                         f"[output]\ndir = {tmp_path / 'sc'}\n")
     assert cli.main(["scattering", str(cfg_path)]) == 2
     assert "error: radial solution crosses zero" in capsys.readouterr().err
+
+
+def test_cli_scattering_failure_writes_no_csv(tmp_path, capsys):
+    # a(box amp=-1 radius=1) < 0 fails the first calibration, which ran after
+    # the header was written: the failed run left a header-only scattering.csv
+    doc = "[system]\nmode = scattering\npotential = {}\nn_values = 8\n[output]\ndir = {}\n"
+    runs = {"good": ("box", "sc"), "bad": ("box amp=-1 radius=1", "sc"),
+            "fresh": ("box amp=-1 radius=1", "fresh")}
+    for name, (potential, out) in runs.items():
+        (tmp_path / f"{name}.ini").write_text(doc.format(potential, tmp_path / out))
+    assert cli.main(["scattering", str(tmp_path / "good.ini")]) == 0
+    earlier = (tmp_path / "sc" / "scattering.csv").read_bytes()
+    capsys.readouterr()
+    for name in ("bad", "fresh"):
+        assert cli.main(["scattering", str(tmp_path / f"{name}.ini")]) == 2
+        assert ("error: calibration expects a positive scattering length"
+                in capsys.readouterr().err)
+    assert (tmp_path / "sc" / "scattering.csv").read_bytes() == earlier
+    assert not (tmp_path / "fresh").exists()
 
 
 @pytest.mark.parametrize("case", ["bad-value", "directory", "not-utf8", "no-ladder", "dim-2",

@@ -105,10 +105,8 @@ def test_calibration_with_round_off_twin_breakpoints():
     # 32**-0.6 and 1/32**0.6 differ in the last bit: the barrier edge and
     # the shell's inner radius must still make one breakpoint
     assert 32.0 ** -0.6 != 1.0 / 32.0 ** 0.6
-    shell = calibrate_shell(BARRIER, 32, 0.6)
-    mod = modified_potential(scale_potential(BARRIER, 32, 0.6), shell)
-    res = scattering_length(mod, allow_crossing_window=(shell.inner_radius, shell.outer_radius))
-    assert abs(res.scattering_length) < 1e-8 * mod.support_radius
+    _, res = calibrate_shell(BARRIER, 32, 0.6)
+    assert abs(res.scattering_length) < 1e-8 * res.support_radius
 
 
 def _gaussian_oracle(amp, sigma):
@@ -138,20 +136,13 @@ def test_gaussian_cells_converge_to_ode_oracle(monkeypatch):
 
 
 def test_profile_same_whatever_is_read_first():
-    shell = calibrate_shell(BARRIER, 16, 1.0)
-    mod = modified_potential(scale_potential(BARRIER, 16, 1.0), shell)
-
-    def solve():
-        return scattering_length(mod, allow_crossing_window=(shell.inner_radius,
-                                                             shell.outer_radius))
-
-    norms_first, profile_first = solve(), solve()
+    (_, norms_first), (_, profile_first) = (calibrate_shell(BARRIER, 16, 1.0) for _ in range(2))
     f = profile_first.f.copy()
     norms = g_norms(norms_first)
     assert g_norms(profile_first) == norms
     assert np.array_equal(norms_first.f, f)
     assert np.array_equal(norms_first.g, 1.0 - f)
-    assert norms_first.r.size == 4001 and norms_first.r[-1] == 2.5 * mod.support_radius
+    assert norms_first.r.size == 4001 and norms_first.r[-1] == 2.5 * norms_first.support_radius
 
 
 def test_g_norms_against_closed_form(monkeypatch):
@@ -180,23 +171,22 @@ def test_g_norms_requires_resolution(monkeypatch):
 
 
 def test_calibration_cancels_scattering_length():
-    shell = calibrate_shell(BARRIER, 32, 1.0)
+    shell, res = calibrate_shell(BARRIER, 32, 1.0)
     assert shell.C > 1.0
-    mod = modified_potential(scale_potential(BARRIER, 32, 1.0), shell)
-    res = scattering_length(mod, allow_crossing_window=(shell.inner_radius, shell.outer_radius))
     assert abs(res.scattering_length) < 1e-8 * BARRIER.support_radius
 
 
 @pytest.mark.parametrize("N, beta, C", [(8, 1.0, 1.1734511758104325),
                                           (16, 0.5, 1.182494917058338)])
 def test_calibration_pinned_to_the_last_bit(N, beta, C):
-    assert calibrate_shell(BARRIER, N, beta).C == C
+    shell, _ = calibrate_shell(BARRIER, N, beta)
+    assert shell.C == C
 
 
 def test_calibration_deterministic():
-    s1 = calibrate_shell(BARRIER, 16, 1.0)
-    s2 = calibrate_shell(BARRIER, 16, 1.0)
+    (s1, r1), (s2, r2) = calibrate_shell(BARRIER, 16, 1.0), calibrate_shell(BARRIER, 16, 1.0)
     assert s1.C == s2.C
+    assert r1.scattering_length == r2.scattering_length
 
 
 def _shell_residual(V, a, N, beta, C):
@@ -210,18 +200,20 @@ def test_calibration_brackets_the_root_to_adjacent_floats():
     V = parse_config("[system]\nmode = scattering\npotential = gaussian amp=2 sigma=0.5\n") \
         .radial_potential()
     a = scattering_length(V).scattering_length
-    C = calibrate_shell(V, 8, 1.0, a=a).C
+    shell, res = calibrate_shell(V, 8, 1.0)
+    C = shell.C
 
     def residual(c):
         return _shell_residual(V, a, 8, 1.0, c)
 
     at_c = residual(C)
+    assert at_c == res.scattering_length  # the returned problem is the one solved at C
     neighbours = [residual(np.nextafter(C, side)) for side in (-np.inf, np.inf)]
     assert at_c == 0.0 or any(np.signbit(n) != np.signbit(at_c) for n in neighbours)
 
 
 def _counted_calibration(monkeypatch, V, N, beta):
-    """calibrate_shell(V, N, beta) and the number of its residual solves."""
+    """calibrate_shell(V, N, beta)'s shell, a(V) and the number of its solves."""
     a = scattering_length(V).scattering_length
     calls = []
 
@@ -231,15 +223,16 @@ def _counted_calibration(monkeypatch, V, N, beta):
 
     with monkeypatch.context() as m:
         m.setattr(scattering_mod, "scattering_length", counted)
-        shell = calibrate_shell(V, N, beta, a=a)
+        shell, _ = calibrate_shell(V, N, beta)
     return shell, a, len(calls)
 
 
 @pytest.mark.parametrize("N, beta", [(8, 1.0), (16, 1.0), (32, 1.0), (8, 0.75)],
                          ids=["8", "16", "32", "8-0.75"])
 def test_calibration_takes_few_residual_solves(monkeypatch, N, beta):
-    # the walk, 4 probes and regula falsi steps; bisecting all the way took 56.
-    # At (8, 0.75) a regula falsi step lands on an exact root.
+    # a(V), the walk, 4 probes, regula falsi steps and the returned problem's
+    # solve; bisecting all the way took 56.  At (8, 0.75) a regula falsi step
+    # lands on an exact root, which is solved again for the returned problem.
     _, _, calls = _counted_calibration(monkeypatch, BARRIER, N, beta)
     assert calls <= 20
 
@@ -269,9 +262,27 @@ def test_modified_potential_merges_exactly_equal_edges():
 
 def test_calibration_zero_potential_convention():
     V = RadialPotential(np.array([0.0]), np.array([]))
-    shell = calibrate_shell(V, 8, 1.0)
+    shell, res = calibrate_shell(V, 8, 1.0)
     assert shell.amplitude == 0.0
     assert shell.C == pytest.approx(1.0)
+    assert res.scattering_length == 0.0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: calibrate_shell(BARRIER, 8, 0.0), ScatteringError, "beta must lie in (0, 1], got 0.0"),
+    (lambda: calibrate_shell(BARRIER, 8, 1.5), ScatteringError, "beta must lie in (0, 1], got 1.5"),
+    (lambda: calibrate_shell(BARRIER, 1, 1.0), ScatteringError, "calibration needs N >= 2"),
+    (lambda: calibrate_shell(square_barrier(-1.0, 1.0), 8, 1.0), CalibrationError,
+     "calibration expects a positive scattering length"),
+    (lambda: scale_potential(BARRIER, 0), ScatteringError, "N must be >= 1"),
+    (lambda: ShellPotential(1.0, 0.5, 0.5), ScatteringError,
+     "shell needs inner_radius < outer_radius"),
+], ids=["beta_zero", "beta_above_one", "one_particle", "negative_a", "scale_N_zero",
+        "inner_not_below_outer"])
+def test_calibration_rejections(call, error, message):
+    with pytest.raises(ScatteringError) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_calibration_reports_missing_bracket(monkeypatch):
@@ -282,10 +293,8 @@ def test_calibration_reports_missing_bracket(monkeypatch):
 
 
 def test_calibration_softer_scaling():
-    shell = calibrate_shell(BARRIER, 16, 0.6)
-    mod = modified_potential(scale_potential(BARRIER, 16, 0.6), shell)
-    res = scattering_length(mod, allow_crossing_window=(shell.inner_radius, shell.outer_radius))
-    assert abs(res.scattering_length) < 1e-8 * mod.support_radius * 10
+    _, res = calibrate_shell(BARRIER, 16, 0.6)
+    assert abs(res.scattering_length) < 1e-8 * res.support_radius * 10
 
 
 def test_shell_amplitude_formula():
@@ -299,10 +308,7 @@ def test_shell_amplitude_formula():
 def test_deficit_norms_shrink_with_n():
     norms = []
     for N in (8, 16, 32):
-        shell = calibrate_shell(BARRIER, N, 1.0)
-        mod = modified_potential(scale_potential(BARRIER, N, 1.0), shell)
-        res = scattering_length(mod, allow_crossing_window=(shell.inner_radius,
-                                                            shell.outer_radius))
+        _, res = calibrate_shell(BARRIER, N, 1.0)
         norms.append(g_norms(res)[0])
     assert norms[0] > norms[1] > norms[2]
     power = np.polyfit(np.log([8, 16, 32]), np.log(norms), 1)[0]
