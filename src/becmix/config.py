@@ -95,24 +95,26 @@ def _parse_expr(text: str, slot: str, errors: list[str]) -> tuple[str, dict]:
     return name, kw
 
 
+def _images(d: np.ndarray, sigma: float, L: float) -> np.ndarray:
+    """exp(-d^2 / (2 sigma^2)) summed over the periodic images d - L, d and d + L."""
+    return sum(np.exp(-((d + shift) ** 2) / (2.0 * sigma**2)) for shift in (-L, 0.0, L))
+
+
 # the sampling functions run with numpy's floating-point warnings off: a
 # sample that overflows or divides by zero (a gaussian's 2 sigma^2 underflows
 # for a tiny sigma) is reported by ExperimentConfig._sampled, naming its slot
 @np.errstate(all="ignore")
 def _potential_values(grid: Grid, name: str, kw: dict[str, float]) -> np.ndarray:
-    """Sample an even periodic potential on the grid."""
-    L = grid.length_per_axis
-    d = grid.signed_coordinates()[0]
+    """Sample an even periodic potential on the grid at the site distance
+    |d| = h min(j, M - j), so the samples at d and -d are the same bits."""
+    j = np.indices(grid.shape)[0]
+    d = grid.spacing * np.minimum(j, grid.points_per_axis - j)
     if name == "cosine":
-        return kw["amp"] * np.cos(2.0 * np.pi * kw["k"] * d / L)
+        return kw["amp"] * np.cos(2.0 * np.pi * kw["k"] * d / grid.length_per_axis)
     if name == "gaussian":
-        out = np.zeros(grid.shape)
-        for shift in (-L, 0.0, L):
-            out += np.exp(-((d + shift) ** 2) / (2.0 * kw["sigma"]**2))
-        return kw["amp"] * out
+        return kw["amp"] * _images(d, kw["sigma"], grid.length_per_axis)
     if name == "box":
-        j = np.indices(grid.shape)[0]  # |d| from the site offset: the same at d and -d
-        return kw["amp"] * (grid.spacing * np.minimum(j, grid.points_per_axis - j) <= kw["radius"])
+        return kw["amp"] * (d <= kw["radius"])
     return np.zeros(grid.shape)
 
 
@@ -125,12 +127,9 @@ def _orbital_values(grid: Grid, name: str, kw: dict[str, float | None]) -> np.nd
     if name == "cospack":
         return (1.0 + kw["eps"] * np.cos(2.0 * np.pi * kw["k"] * x / L)).astype(complex)
     if name == "gaussian":
-        x0 = L / 2.0 if kw["x0"] is None else kw["x0"]
+        x0 = (L / 2.0 if kw["x0"] is None else kw["x0"]) % L   # the images cover x0 in [0, L)
         sigma = L / 10.0 if kw["sigma"] is None else kw["sigma"]
-        out = np.zeros(grid.shape)
-        for shift in (-L, 0.0, L):
-            out += np.exp(-((x - x0 + shift) ** 2) / (2.0 * sigma**2))
-        return out * np.exp(2j * np.pi * kw["k"] * x / L)
+        return _images(x - x0, sigma, L) * np.exp(2j * np.pi * kw["k"] * x / L)
     if name == "uniform":
         return np.ones(grid.shape, dtype=complex)
     return np.zeros(grid.shape, dtype=complex)

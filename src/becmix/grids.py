@@ -117,11 +117,6 @@ class Grid:
         """Meshgrid coordinate arrays, one per axis, each of full shape."""
         return np.meshgrid(*([self.axis_coordinates] * self.dim), indexing="ij")
 
-    def signed_coordinates(self) -> tuple[np.ndarray, ...]:
-        """Coordinates folded into [-L/2, L/2) per axis (periodic displacement)."""
-        L = self.length_per_axis
-        return tuple(np.where(x >= L / 2, x - L, x) for x in self.coordinate_arrays())
-
 
 def make_grid(dim: int, points_per_axis: int, length_per_axis: float) -> Grid:
     """Build a periodic grid; rejects M < 4 and a non-positive or infinite L."""

@@ -28,6 +28,7 @@ from . import __version__
 from .config import ExperimentConfig, HarnessError
 from .effective import CouplingSpec, OrbitalState, hartree_energy, integrate
 from .effective import step  # noqa: F401  (perfbench/tracer.py patches it on this module)
+from .grids import Field
 from .indicators import SampleEvaluator, weight_m, weight_n, weight_s
 # the sweep no longer calls these; perfbench/tracer.py patches them on this module
 from .indicators import (alpha_11, condensate_depletion, derivative_decomposition,  # noqa: F401
@@ -79,7 +80,8 @@ class _Trajectory:
     traceback: str | None = None
 
 
-def _effective_trajectory(cfg: ExperimentConfig, c1: float) -> _Trajectory:
+def _effective_trajectory(cfg: ExperimentConfig, V: tuple[Field, Field, Field],
+                          eff: OrbitalState, c1: float) -> _Trajectory:
     n_steps = int(round(cfg.T / cfg.dt))
     probe_step = int(round(cfg.probe_time / cfg.dt))
     traj = _Trajectory([0] + [k for k in range(1, n_steps + 1) if k % cfg.sample_every == 0
@@ -87,9 +89,7 @@ def _effective_trajectory(cfg: ExperimentConfig, c1: float) -> _Trajectory:
     try:
         # lattice kinetic term on the effective side isolates the
         # particle-number dependence from discretization mismatch
-        traj.spec = CouplingSpec.hartree(cfg.potential_field("v1"), cfg.potential_field("v2"),
-                                         cfg.potential_field("v12"), c1=c1, kinetic="stencil")
-        eff = OrbitalState((cfg.orbital_field("u0"), cfg.orbital_field("v0")), 0.0)
+        traj.spec = CouplingSpec.hartree(*V, c1=c1, kinetic="stencil")
         traj.orbitals = [eff, *integrate(eff, traj.spec, cfg.dt, traj.steps[1:])]
     except Exception as exc:  # every entry of this c1 carries the diagnostic
         traj.error = f"{type(exc).__name__}: {exc}"
@@ -97,7 +97,8 @@ def _effective_trajectory(cfg: ExperimentConfig, c1: float) -> _Trajectory:
     return traj
 
 
-def _run_entry(cfg: ExperimentConfig, n1: int, n2: int, traj: _Trajectory) -> SweepEntry:
+def _run_entry(cfg: ExperimentConfig, spec: HamiltonianSpec, n1: int, n2: int,
+               traj: _Trajectory) -> SweepEntry:
     entry = SweepEntry(n1=n1, n2=n2)
     try:
         basis = build_basis(cfg.points, n1, n2, dim_cap=cfg.cap)
@@ -105,8 +106,7 @@ def _run_entry(cfg: ExperimentConfig, n1: int, n2: int, traj: _Trajectory) -> Sw
         if traj.error is not None:
             entry.error, entry.traceback = traj.error, traj.traceback
             return entry
-        H = Hamiltonian(HamiltonianSpec.mean_field(traj.spec.V1, traj.spec.V2, traj.spec.V12),
-                        basis)
+        H = Hamiltonian(spec, basis)
         eff = traj.orbitals[0]
         psi = product_state(*eff.components, basis)
         entry.energy_gap = abs(manybody_energy(H, psi) - hartree_energy(eff, traj.spec))
@@ -127,11 +127,14 @@ def _run_entry(cfg: ExperimentConfig, n1: int, n2: int, traj: _Trajectory) -> Sw
 def run_convergence_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepReport:
     """Run every ladder entry and fit the probe-time decay exponent.
 
-    The effective orbitals are integrated once per distinct c1 = n1/(n1+n2)
-    and shared by the entries with that ratio.  Trajectories, then entries,
-    run concurrently when threads > 1 but are reported in ladder order,
-    so outputs do not depend on scheduling.  A document the sweep would
-    misread (mode other than mean_field, dim other than 1) raises first.
+    The potentials and initial orbitals are sampled once, and one
+    HamiltonianSpec serves every entry.  The effective orbitals are
+    integrated once per distinct c1 = n1/(n1+n2) and shared by the entries
+    with that ratio.  Trajectories, then entries, run concurrently when
+    threads > 1 but are reported in ladder order, so outputs do not depend
+    on scheduling.  A document the sweep would misread (mode other than
+    mean_field, dim other than 1) raises HarnessError, and one that samples
+    to unusable values ConfigError, before any trajectory runs.
     """
     if cfg.mode != "mean_field":   # first: only a mean_field document may set a ladder
         raise HarnessError(f"[system] mode: a sweep runs mode mean_field, got {cfg.mode!r}")
@@ -140,6 +143,9 @@ def run_convergence_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepRepor
     if cfg.dim != 1:
         raise HarnessError(f"[grid] dim: the many-body harness is one-dimensional, got {cfg.dim}")
     t0 = time.perf_counter()
+    V = tuple(cfg.potential_field(slot) for slot in ("v1", "v2", "v12"))
+    eff = OrbitalState((cfg.orbital_field("u0"), cfg.orbital_field("v0")), 0.0)
+    spec = HamiltonianSpec.mean_field(*V)
 
     def each(fn, items):
         if threads <= 1:
@@ -151,8 +157,8 @@ def run_convergence_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepRepor
             return list(pool.map(fn, items))
 
     ratios = list(dict.fromkeys(n1 / (n1 + n2) for n1, n2 in cfg.ladder))
-    trajs = dict(zip(ratios, each(lambda c1: _effective_trajectory(cfg, c1), ratios)))
-    entries = each(lambda nn: _run_entry(cfg, *nn, trajs[nn[0] / (nn[0] + nn[1])]), cfg.ladder)
+    trajs = dict(zip(ratios, each(lambda c1: _effective_trajectory(cfg, V, eff, c1), ratios)))
+    entries = each(lambda nn: _run_entry(cfg, spec, *nn, trajs[nn[0] / sum(nn)]), cfg.ladder)
 
     fitted = None
     good = [e for e in entries if e.error is None and e.alpha_probe > 0]

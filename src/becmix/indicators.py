@@ -38,6 +38,7 @@ from .manybody import (
     _displacement_kernel,
     _interaction_diagonals,
     _lanczos,
+    site_vector,
 )
 
 __all__ = [
@@ -71,11 +72,6 @@ class IndicatorError(ValueError):
 
 # ---------------------------------------------------------------------------
 # mode machinery: annihilate / count the condensate orbital per species
-
-def site_vector(f: Field) -> np.ndarray:
-    """Orbital as a unit vector in the site basis (values times sqrt(h))."""
-    return f.values.ravel() * math.sqrt(f.grid.volume_element)
-
 
 def _orbital_sites(M: int, u: Field) -> np.ndarray:
     """The orbital's site vector, checked to have the basis' M sites and unit norm."""
@@ -394,9 +390,10 @@ class DerivativeChannels:
         return float((1j * (self.c_v1 + self.c_v2 + self.c_v12)).real)
 
 
-def _dressing(kernel: np.ndarray, density: np.ndarray, h: float) -> np.ndarray:
-    """Mean-field one-body multiplier (V * rho)(x) = h sum_y V(x-y) rho(y)."""
-    return h * (circulant(kernel) @ density)
+def _dressing(kernel: np.ndarray, site: np.ndarray) -> np.ndarray:
+    """Mean-field one-body multiplier (V * |f|^2)(x) = sum_y V(x-y) |s_y|^2 of the
+    orbital f with unit site vector s."""
+    return circulant(kernel) @ np.abs(site) ** 2
 
 
 def _channels(spec: HamiltonianSpec, interactions, psi: np.ndarray, phi: np.ndarray,
@@ -415,17 +412,12 @@ def _channels(spec: HamiltonianSpec, interactions, psi: np.ndarray, phi: np.ndar
     flux = flux.imag / (basis.N1 * basis.N2)
     w1, w2, cross = interactions
     occ_a, occ_b = basis.A.occs.astype(float), basis.B.occs.astype(float)
-    rho_u, rho_v = np.abs(u.values.ravel()) ** 2, np.abs(v.values.ravel()) ** 2
-
-    def dressed(occ: np.ndarray, kernel: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        return occ @ _dressing(kernel, rho, spec.grid.spacing)
-
     # diagonal operators (occupation basis): pair interactions minus dressings
-    x1 = w1 - dressed(occ_a, spec.kernel1, rho_u)
-    x2 = w2 - dressed(occ_b, spec.kernel2, rho_v)
+    x1 = w1 - occ_a @ _dressing(spec.kernel1, count_a.u_site)
+    x2 = w2 - occ_b @ _dressing(spec.kernel2, count_b.u_site)
     c1, c2 = basis.N1 / (basis.N1 + basis.N2), basis.N2 / (basis.N1 + basis.N2)
-    x12 = (cross - c2 * dressed(occ_a, spec.kernel12, rho_v)[:, None]
-           - c1 * dressed(occ_b, spec.kernel12, rho_u)[None, :])
+    x12 = (cross - c2 * (occ_a @ _dressing(spec.kernel12, count_b.u_site))[:, None]
+           - c1 * (occ_b @ _dressing(spec.kernel12, count_a.u_site))[None, :])
     return DerivativeChannels(-2j * float(x1 @ flux.sum(axis=1)),
                               -2j * float(x2 @ flux.sum(axis=0)),
                               -2j * float(np.vdot(x12, flux)))
@@ -506,16 +498,15 @@ def insertion_terms(state: ManyBodyState, u: Field, v: Field,
     b = state.basis
     if V12.grid.points_per_axis != b.M or u.grid != V12.grid or v.grid != V12.grid:
         raise IndicatorError("state, orbitals and potential must share one grid")
-    h = V12.grid.spacing
     n1, n2 = b.N1, b.N2
     usite, vsite = _orbital_sites(b.M, u), _orbital_sites(b.M, v)
     p_u, p_v = np.outer(usite, np.conj(usite)), np.outer(vsite, np.conj(vsite))
     n_u, n_v = (a_dag @ a for a, a_dag in (b.A.lowered.annihilator(usite),
                                             b.B.lowered.annihilator(vsite)))
     kernel = _displacement_kernel(V12.grid, V12)
-    dress_a = _dressing(kernel, np.abs(v.values.ravel()) ** 2, h)   # (V12 * |v|^2)(x_1)
-    dress_b = _dressing(kernel, np.abs(u.values.ravel()) ** 2, h)   # (V12 * |u|^2)(y_1)
-    K = (circulant(kernel) - dress_a[:, None] - dress_b[None, :])[:, None, :, None]
+    # (V12 * |v|^2)(x_1) and (V12 * |u|^2)(y_1)
+    K = (circulant(kernel) - _dressing(kernel, vsite)[:, None]
+         - _dressing(kernel, usite)[None, :])[:, None, :, None]
 
     def apply_pbar(x: np.ndarray) -> np.ndarray:
         x = _along(p_u, x, 0) + _along(n_u, x, 1)

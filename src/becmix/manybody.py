@@ -483,12 +483,16 @@ def _propagate_through(H: Hamiltonian, state: ManyBodyState,
         done += reached
 
 
+def site_vector(f: Field) -> np.ndarray:
+    """Orbital as a unit vector in the site basis (values times sqrt(h))."""
+    return f.values.ravel() * math.sqrt(f.grid.volume_element)
+
+
 def product_state(u: Field, v: Field, basis: TwoSpeciesBasis) -> ManyBodyState:
     """Condensed state u^(N1) x v^(N2) in the occupation basis.
 
     The coefficient on occupation n is sqrt(N!/prod n_j!) prod u_j^{n_j}
-    with u expressed as a unit vector in the site basis (values times
-    sqrt(h)); the result is normalized to kill round-off.
+    with u its site vector; the result is normalized to kill round-off.
     """
     for name, f in (("u", u), ("v", v)):
         if f.values.size != basis.M:
@@ -501,10 +505,9 @@ def product_state(u: Field, v: Field, basis: TwoSpeciesBasis) -> ManyBodyState:
             raise ManyBodyError(f"orbital {name} must be normalized, got norm {n}")
 
     def species_coeffs(f: Field, species: _SpeciesBasis) -> np.ndarray:
-        site = f.values.ravel() * math.sqrt(f.grid.volume_element)
         log_fact = np.array([math.lgamma(n + 1) for n in range(species.N + 1)])
         amp = np.exp(0.5 * (log_fact[-1] - log_fact[species.occs].sum(axis=1)))
-        return amp * np.prod(site ** species.occs, axis=1)
+        return amp * np.prod(site_vector(f) ** species.occs, axis=1)
 
     psi = np.outer(species_coeffs(u, basis.A), species_coeffs(v, basis.B))
     psi /= np.linalg.norm(psi)

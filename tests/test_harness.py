@@ -278,18 +278,34 @@ def test_repeated_expression_key_rejected():
         parse_config("[system]\nv1 = cosine amp=1 amp=3\n")
 
 
-@pytest.mark.parametrize("line, needle", [
-    ("u0 = gaussian sigma=1e-300", "[system] u0: 'gaussian sigma=1e-300' samples to non-finite"),
-    ("v1 = gaussian sigma=1e-300", "[system] v1: 'gaussian sigma=1e-300' samples to non-finite"),
-    ("v0 = gaussian sigma=1e-3 x0=0.3", "[system] v0: 'gaussian sigma=1e-3 x0=0.3': "
-                                        "cannot normalize a zero field"),
-])
+UNUSABLE_SAMPLES = [
+    ("effective", "u0 = gaussian sigma=1e-300",
+     "[system] u0: 'gaussian sigma=1e-300' samples to non-finite"),
+    ("effective", "v1 = gaussian sigma=1e-300",
+     "[system] v1: 'gaussian sigma=1e-300' samples to non-finite"),
+    ("effective", "v0 = gaussian sigma=1e-3 x0=0.3",
+     "[system] v0: 'gaussian sigma=1e-3 x0=0.3': cannot normalize a zero field"),
+    # a sweep used to sample per trajectory: it failed every entry, wrote its files, exited 1
+    ("sweep", "v1 = gaussian sigma=1e-300",
+     "[system] v1: 'gaussian sigma=1e-300' samples to non-finite"),
+    ("sweep", "u0 = gaussian sigma=1e-300",
+     "[system] u0: 'gaussian sigma=1e-300' samples to non-finite"),
+]
+
+
+@pytest.mark.parametrize("command, line, needle", UNUSABLE_SAMPLES,
+                         ids=[f"{line}-{needle}" if command == "effective"
+                              else f"{command}-{line}-{needle}"
+                              for command, line, needle in UNUSABLE_SAMPLES])
 @pytest.mark.filterwarnings("error")  # the ConfigError is the only diagnostic
-def test_cli_effective_unusable_samples_are_config_errors(tmp_path, capsys, line, needle):
+def test_cli_effective_unusable_samples_are_config_errors(tmp_path, capsys, command, line,
+                                                          needle):
+    mode, ladder = {"effective": ("hartree", ""),
+                    "sweep": ("mean_field", "[ladder]\nentries = 1,1\n")}[command]
     cfg_path = tmp_path / "bad.ini"
-    cfg_path.write_text(f"[grid]\npoints = 16\n[system]\nmode = hartree\n{line}\n"
+    cfg_path.write_text(f"[grid]\npoints = 16\n[system]\nmode = {mode}\n{line}\n{ladder}"
                         f"[time]\nt = 0.01\n[output]\ndir = {tmp_path / 'eff'}\n")
-    assert cli.main(["effective", str(cfg_path)]) == 2
+    assert cli.main([command, str(cfg_path)]) == 2
     assert needle in capsys.readouterr().err
     assert not (tmp_path / "eff").exists()
 
@@ -431,8 +447,20 @@ def test_effective_trajectory_integrated_once_per_ratio(tmp_path, monkeypatch, e
         return real(*args)
 
     monkeypatch.setattr(harness_mod, "integrate", counting_integrate)
+    sampled = []
+
+    def counting_sample(real_sample):
+        def sample(self, slot):
+            sampled.append(slot)
+            return real_sample(self, slot)
+        return sample
+
+    for method in ("potential_field", "orbital_field"):
+        monkeypatch.setattr(config_mod.ExperimentConfig, method,
+                            counting_sample(getattr(config_mod.ExperimentConfig, method)))
     shared = run_convergence_sweep(cfg, threads=2)
     assert len(calls) == trajectories
+    assert sorted(sampled) == ["u0", "v0", "v1", "v12", "v2"]   # once per sweep, not per c1
     # each entry alone integrates its own trajectory: the rows are the same bits
     for entry in shared.entries:
         assert entry.error is None
@@ -456,9 +484,19 @@ def test_interaction_diagonals_built_once_per_entry(tmp_path, monkeypatch):
 
     monkeypatch.setattr(manybody_mod, "_interaction_diagonals", counting)
     monkeypatch.setattr(indicators_mod, "_interaction_diagonals", counting)
+    # and one HamiltonianSpec serves every entry
+    real_spec = manybody_mod.HamiltonianSpec.mean_field
+    specs = []
+
+    def counting_spec(*args):
+        specs.append(args)
+        return real_spec(*args)
+
+    monkeypatch.setattr(manybody_mod.HamiltonianSpec, "mean_field", counting_spec)
     report = run_convergence_sweep(parse_config(MINIMAL.format(out=tmp_path)))
     assert all(entry.error is None for entry in report.entries)
     assert calls == [(6, 6), (21, 21)]
+    assert len(specs) == 1
 
 
 def test_failed_trajectory_fails_every_entry_of_its_ratio(tmp_path, monkeypatch):
@@ -786,14 +824,20 @@ def test_scattering_potential_validated_at_parse_time():
     assert parse_config(doc).scatter_potential == "gaussian amp=1 sigma=0.2"
 
 
-SAMPLED_SLOTS = [(slot, form) for slot in ("v1", "v2", "v12", "u0", "v0", "w0", "potential")
-                 for form in config_mod._SLOT_FORMS[slot]]
+# (points, length) by id suffix: a dyadic spacing keeps every coordinate exact, and on
+# the others x and L - x are not exact mirror images; the radial potential takes no grid
+SAMPLE_GRIDS = {"": ("8", "2"), "-M10-L1": ("10", "1"), "-M16-L2pi": ("16", repr(2 * np.pi))}
+SAMPLED_SLOTS = [(slot, form, grid) for grid in SAMPLE_GRIDS
+                 for slot in ("v1", "v2", "v12", "u0", "v0", "w0", "potential")
+                 if not grid or slot != "potential" for form in config_mod._SLOT_FORMS[slot]]
 
 
-@pytest.mark.parametrize("slot, form", SAMPLED_SLOTS, ids=[f"{s}-{f}" for s, f in SAMPLED_SLOTS])
-def test_every_form_of_every_slot_samples(slot, form):
-    # a dyadic spacing keeps every coordinate exact, so even means bit-for-bit even
-    cfg = parse_config(f"[grid]\npoints = 8\nlength = 2\n[system]\nmode = "
+@pytest.mark.parametrize("slot, form, grid", SAMPLED_SLOTS,
+                         ids=[f"{s}-{f}{g}" for s, f, g in SAMPLED_SLOTS])
+def test_every_form_of_every_slot_samples(slot, form, grid):
+    # potentials are sampled at the site distance, so even means bit-for-bit even on any grid
+    points, length = SAMPLE_GRIDS[grid]
+    cfg = parse_config(f"[grid]\npoints = {points}\nlength = {length}\n[system]\nmode = "
                        f"{'scattering' if slot == 'potential' else 'spin1'}\n")
     setattr(cfg, "scatter_potential" if slot == "potential" else slot, form)
     if slot == "potential":
@@ -802,6 +846,18 @@ def test_every_form_of_every_slot_samples(slot, form):
         assert cfg.potential_field(slot).is_even(0.0)
     else:
         assert l2_norm(cfg.orbital_field(slot)) == pytest.approx(0.0 if form == "zero" else 1.0)
+
+
+@pytest.mark.parametrize("images", [-2, -1, 1, 2])
+def test_gaussian_orbital_samples_at_any_x0(images):
+    # the periodic sum takes the images at -L, 0 and +L only: x0 = 1.43 + 2L peaked at
+    # site 15 instead of site 4 before x0 was wrapped into [0, L)
+    L = 2 * np.pi
+    doc = f"[grid]\npoints = 16\nlength = {L!r}\n[system]\nmode = spin1\nu0 = gaussian sigma=0.5 "
+    ref = parse_config(doc + "x0=1.43").orbital_field("u0").values
+    got = parse_config(doc + f"x0={1.43 + images * L!r}").orbital_field("u0").values
+    assert np.argmax(np.abs(got)) == 4
+    assert np.max(np.abs(got - ref)) < 1e-12
 
 
 def test_box_samples_evenly_at_a_site_offset_radius(tmp_path):
