@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, HarnessError, parse_config
+from .config import _EFFECTIVE, ConfigError, ExperimentConfig, HarnessError, parse_config
 from .grids import Field
 from .scattering import calibrate_shell, g_norms, scattering_length, ScatteringError
 
@@ -81,32 +81,19 @@ def _cmd_sweep(args) -> int:
 def _build_coupling(cfg: ExperimentConfig):
     """The (CouplingSpec, OrbitalState) pair of an effective config."""
     from .effective import CouplingSpec, OrbitalState
-    grid = cfg.build_grid()
-    u0, v0 = cfg.orbital_field("u0"), cfg.orbital_field("v0")
-    if cfg.mode == "hartree":
-        spec = CouplingSpec.hartree(cfg.potential_field("v1"), cfg.potential_field("v2"),
-                                    cfg.potential_field("v12"), c1=cfg.c1,
-                                    kinetic=cfg.kinetic)
-        state = OrbitalState((u0, v0), 0.0)
-    elif cfg.mode == "gross_pitaevskii":
-        spec = CouplingSpec.gross_pitaevskii(grid, cfg.a1, cfg.a2, cfg.a12,
-                                             c1=cfg.c1, kinetic=cfg.kinetic)
-        state = OrbitalState((u0, v0), 0.0)
-    elif cfg.mode == "rabi":
-        spec = CouplingSpec.rabi(grid, cfg.a, cfg.b_field, kinetic=cfg.kinetic)
-        state = OrbitalState((u0, v0), 0.0)
-    elif cfg.mode == "spin1":
-        spec = CouplingSpec.spin1(grid, cfg.a, kinetic=cfg.kinetic)
-        w0 = cfg.orbital_field("w0")
-        # split the unit total mass between the occupied components
-        occupied = 2 if np.all(w0.values == 0) else 3
-        comps = [Field(grid, u0.values / np.sqrt(occupied)),
-                 Field(grid, v0.values / np.sqrt(occupied))]
-        comps.append(w0 if occupied == 2 else Field(grid, w0.values / np.sqrt(3)))
-        state = OrbitalState(tuple(comps), 0.0)
-    else:
+    comps = [cfg.orbital_field("u0"), cfg.orbital_field("v0")]
+    if cfg.mode not in _EFFECTIVE:
         raise ConfigError(f"mode {cfg.mode!r} is not an effective system")
-    return spec, state
+    rabi_field = (lambda t, B=float(cfg.b_field): B) if cfg.mode == "rabi" else None
+    spec = CouplingSpec(cfg.mode, cfg.build_grid(), cfg.c1, *(
+        cfg.potential_field(v) if cfg.mode == "hartree" else None for v in ("v1", "v2", "v12")),
+        a1=cfg.a1, a2=cfg.a2, a12=cfg.a12, a=cfg.a, rabi_field=rabi_field, kinetic=cfg.kinetic)
+    if spec.n_components == 3:
+        comps.append(cfg.orbital_field("w0"))
+        # split the unit total mass between the occupied components
+        occupied = 2 if np.all(comps[2].values == 0) else 3
+        comps = [Field(spec.grid, c.values / np.sqrt(occupied)) for c in comps]
+    return spec, OrbitalState(tuple(comps), 0.0)
 
 
 def _cmd_effective(args) -> int:

@@ -96,8 +96,11 @@ def _parse_expr(text: str, slot: str, errors: list[str]) -> tuple[str, dict]:
 
 
 def _images(d: np.ndarray, sigma: float, L: float) -> np.ndarray:
-    """exp(-d^2 / (2 sigma^2)) summed over the periodic images d - L, d and d + L."""
-    return sum(np.exp(-((d + shift) ** 2) / (2.0 * sigma**2)) for shift in (-L, 0.0, L))
+    """exp(-d^2 / (2 sigma^2)) summed over the periodic images d + kL of |d| <= L."""
+    if sigma >= 2.0 * L:    # then the sum is its mean, sqrt(2 pi) sigma / L, within e^-78
+        return np.full(d.shape, math.sqrt(2.0 * math.pi) * sigma / L)
+    K = 2 + math.ceil(12.0 * sigma / L)     # each image left out is beyond 12 sigma, < e^-72
+    return sum(np.exp(-((d + k * L) ** 2) / (2.0 * sigma**2)) for k in range(-K, K + 1))
 
 
 # the sampling functions run with numpy's floating-point warnings off: a

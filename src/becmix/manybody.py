@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, pairwise
+from itertools import chain, combinations_with_replacement, pairwise
 import math
 
 import numpy as np
@@ -69,22 +69,14 @@ class ManyBodyError(ValueError):
 
 
 def occupation_states(M: int, N: int) -> list[tuple[int, ...]]:
-    """All occupation vectors of N bosons on M sites, descending lexicographic.
-
-    (N,0,...,0) comes first, so the single-particle sector enumerates in
-    plain site order.
-    """
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for n in range(remaining, -1, -1):
-            rec(prefix + (n,), remaining - n, slots - 1)
-
-    rec((), N, M)
-    return out
+    """All occupation vectors of N bosons on M sites (none for N < 0), descending
+    lexicographic, so (N,0,...,0) first: the site multisets counted per site, in the
+    order of combinations_with_replacement, whose earlier of two multisets has the
+    smaller site, so the larger count, where they first differ."""
+    if N < 0:
+        return []
+    sites = np.array(list(combinations_with_replacement(range(M), N)), dtype=np.int64)
+    return list(map(tuple, (sites[:, :, None] == np.arange(M)).sum(axis=1).tolist()))
 
 
 @dataclass

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+import re
 import typing
 
 import pytest
@@ -66,3 +67,13 @@ def test_every_tracer_hook_resolves():
         if target is None:
             missing.append(f"{module}.{attr}")
     assert not missing, f"perfbench/tracer.py hooks undefined {missing}"
+
+
+def test_readme_states_the_package_line_count():
+    # the package size is the design's health metric; README states it, and went stale
+    root = Path(__file__).resolve().parents[1]
+    stated = re.search(r"The package itself is ([\d,]+) lines \(`wc -l src/becmix/\*\.py`\)",
+                       (root / "README.md").read_text(encoding="utf-8"))
+    assert stated, "README no longer states the package line count"
+    counted = sum(p.read_bytes().count(b"\n") for p in (root / "src" / "becmix").glob("*.py"))
+    assert int(stated[1].replace(",", "")) == counted

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 from becmix import config as config_mod
 from becmix.config import ConfigError, parse_config
-from becmix.grids import l2_norm
+from becmix.effective import CouplingSpec
+from becmix.grids import Field, l2_norm
 from becmix.harness import INDICATOR_COLUMNS, emit_report, run_convergence_sweep
 import becmix
 from becmix import cli
@@ -632,6 +634,80 @@ dir = {out}
     assert data.split(b"\r\n")[0] == b"t,mass_1,mass_2,energy"
 
 
+EFFECTIVE_SYSTEMS = {
+    "hartree": "mode = hartree\nv1 = cosine amp=0.8 k=1\nv2 = gaussian amp=0.6 sigma=0.7\n"
+               "v12 = box amp=0.5 radius=1\nc1 = 0.3\nkinetic = stencil\n",
+    "gross_pitaevskii": "mode = gross_pitaevskii\na1 = 0.05\na2 = 0.04\na12 = 0.03\nc1 = 0.7\n",
+    "rabi": "mode = rabi\na = 0.05\nb = 1.5\n",
+    "spin1-w0-zero": "mode = spin1\na = 0.05\nw0 = zero\n",
+    "spin1": "mode = spin1\na = -0.02\nw0 = mode k=2\nkinetic = stencil\n",
+}
+
+
+def _classmethod_coupling(cfg):
+    """The system of an effective config, built as each mode's classmethod builds it."""
+    grid, comps = cfg.build_grid(), [cfg.orbital_field("u0"), cfg.orbital_field("v0")]
+    if cfg.mode == "hartree":
+        return CouplingSpec.hartree(*(cfg.potential_field(v) for v in ("v1", "v2", "v12")),
+                                    c1=cfg.c1, kinetic=cfg.kinetic), comps
+    if cfg.mode == "gross_pitaevskii":
+        return CouplingSpec.gross_pitaevskii(grid, cfg.a1, cfg.a2, cfg.a12, c1=cfg.c1,
+                                             kinetic=cfg.kinetic), comps
+    if cfg.mode == "rabi":
+        return CouplingSpec.rabi(grid, cfg.a, cfg.b_field, kinetic=cfg.kinetic), comps
+    w0 = cfg.orbital_field("w0")
+    if np.all(w0.values == 0):
+        return CouplingSpec.spin1(grid, cfg.a, kinetic=cfg.kinetic), [
+            Field(grid, c.values / np.sqrt(2)) for c in comps] + [w0]
+    return CouplingSpec.spin1(grid, cfg.a, kinetic=cfg.kinetic), [
+        Field(grid, c.values / np.sqrt(3)) for c in comps + [w0]]
+
+
+@pytest.mark.parametrize("system", EFFECTIVE_SYSTEMS)
+def test_effective_builds_each_system_as_its_classmethod(system):
+    cfg = parse_config("[grid]\npoints = 16\nlength = 6.283185307179586\n[system]\n"
+                       "u0 = gaussian x0=1 sigma=0.8 k=1\nv0 = cospack eps=0.3 k=2\n"
+                       + EFFECTIVE_SYSTEMS[system] + "[time]\nt = 0.01\n")
+    spec, state = cli._build_coupling(cfg)
+    ref, comps = _classmethod_coupling(cfg)
+    for f in dataclasses.fields(spec):
+        got, want = getattr(spec, f.name), getattr(ref, f.name)
+        if f.name == "rabi_field":
+            assert (got is None) == (want is None)
+            assert got is None or all(got(t) == want(t) for t in (0.0, 0.3, 7.5))
+        elif f.name in ("V1", "V2", "V12"):
+            assert (got is None) == (want is None)
+            assert got is None or (got.grid == want.grid
+                                   and got.values.tobytes() == want.values.tobytes())
+        else:
+            assert got == want, f.name
+    assert len(state.components) == len(comps) == spec.n_components
+    for got, want in zip(state.components, comps):
+        assert got.grid == want.grid and got.values.tobytes() == want.values.tobytes()
+    assert state.time == 0.0
+
+
+@pytest.mark.parametrize("doc", ["[system]\nmode = mean_field\n",
+                                 "[system]\nmode = scattering\n"])
+def test_effective_refuses_a_system_that_is_not_effective(doc):
+    with pytest.raises(ConfigError, match=r"mode '(mean_field|scattering)' is not an effective "
+                                          r"system"):
+        cli._build_coupling(parse_config(doc))
+
+
+@pytest.mark.parametrize("mode, broken, named", [
+    ("hartree", ("v12", "v0", "v1"), "v0"), ("hartree", ("v12", "v2"), "v2"),
+    ("spin1", ("w0", "u0"), "u0"), ("mean_field", ("v1", "u0"), "u0")])
+def test_effective_samples_its_slots_in_order(mode, broken, named):
+    # u0, v0, then v1 v2 v12, then w0: the first unusable slot in that order is reported,
+    # and a mode that is no effective system only after u0 and v0
+    cfg = parse_config(f"[system]\nmode = {mode}\n")
+    for slot in broken:
+        setattr(cfg, slot, "gaussian sigma=1e-300")
+    with pytest.raises(ConfigError, match=rf"\[system\] {named}: 'gaussian sigma=1e-300'"):
+        cli._build_coupling(cfg)
+
+
 CONFIGS = Path(__file__).parents[1] / "configs"
 LATTICE_GAS = ("becmix.harness", "becmix.indicators", "becmix.manybody")
 HARTREE_DOC = """
@@ -850,14 +926,51 @@ def test_every_form_of_every_slot_samples(slot, form, grid):
 
 @pytest.mark.parametrize("images", [-2, -1, 1, 2])
 def test_gaussian_orbital_samples_at_any_x0(images):
-    # the periodic sum takes the images at -L, 0 and +L only: x0 = 1.43 + 2L peaked at
-    # site 15 instead of site 4 before x0 was wrapped into [0, L)
+    # the periodic image sum is centred on x0: x0 = 1.43 + 2L peaked at site 15
+    # instead of site 4 before x0 was wrapped into [0, L)
     L = 2 * np.pi
     doc = f"[grid]\npoints = 16\nlength = {L!r}\n[system]\nmode = spin1\nu0 = gaussian sigma=0.5 "
     ref = parse_config(doc + "x0=1.43").orbital_field("u0").values
     got = parse_config(doc + f"x0={1.43 + images * L!r}").orbital_field("u0").values
     assert np.argmax(np.abs(got)) == 4
     assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def _image_reference(d, sigma, L):
+    """exp(-d^2 / (2 sigma^2)) summed over the 401 images d + kL, |k| <= 200."""
+    return sum(np.exp(-((d + k * L) ** 2) / (2.0 * sigma**2)) for k in range(-200, 201))
+
+
+@pytest.mark.parametrize("slot, sigma", [("u0", 0.5), ("u0", 2.0), ("u0", 3.0), ("v1", 0.5),
+                                         ("v1", 3.0), ("u0", 13.0), ("v1", 19.0)])
+def test_gaussian_sums_every_image_that_moves_a_bit(slot, sigma):
+    # the images at -L, 0 and +L only left u0 (sigma = 2) 0.52% and v1 (sigma = 3)
+    # 0.59% off the periodic gaussian, and u0 with x0 = 0 not even (u[63] - u[1] = -3e-3);
+    # from sigma = 2L = 12.6 on the sum is its mean
+    L, M = 2 * np.pi, 64
+    form = f"gaussian x0=0 sigma={sigma}" if slot == "u0" else f"gaussian sigma={sigma}"
+    cfg = parse_config(f"[grid]\npoints = {M}\nlength = {L!r}\n[system]\nmode = hartree\n"
+                       f"{slot} = {form}\n")
+    j = np.arange(M)
+    if slot == "u0":
+        got = cfg.orbital_field("u0").values
+        assert np.max(np.abs(got[M - j[1:]] - got[j[1:]])) <= 1e-15 * np.max(np.abs(got))
+        got = got.real / got.real.max()
+        ref = _image_reference(j * L / M, sigma, L)
+        ref /= ref.max()
+    else:
+        got = cfg.potential_field("v1").values.real
+        ref = _image_reference(L / M * np.minimum(j, M - j), sigma, L)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(ref)
+
+
+def test_gaussian_wider_than_the_grid_samples_as_its_mean():
+    # sigma = 1e12 would need 2e12 images; sigma = 1e308 overflows the mean
+    doc = "[grid]\npoints = 8\nlength = 2\n[system]\nmode = hartree\nv1 = gaussian sigma={}\n"
+    V1 = parse_config(doc.format("1e12")).potential_field("v1")
+    assert V1.values.tolist() == [np.sqrt(2 * np.pi) * 1e12 / 2] * 8
+    with pytest.raises(ConfigError, match="samples to non-finite"):
+        parse_config(doc.format("1e308")).potential_field("v1")
 
 
 def test_box_samples_evenly_at_a_site_offset_radius(tmp_path):

@@ -63,13 +63,16 @@ def test_basis_rejects_bad_sizes():
 
 
 @settings(max_examples=20, deadline=None)
-@given(M=st.integers(2, 6), N=st.integers(1, 4))
+@given(M=st.integers(2, 6), N=st.integers(0, 4))
 def test_occupation_enumeration_bijective_and_sorted(M, N):
+    # N = 0 has the one all-zero state, and N = -1, the sector a(u) reaches from an
+    # N = 1 species' lowered sector, has none
     occs = occupation_states(M, N)
     assert len(occs) == math.comb(M + N - 1, N)
     assert len(set(occs)) == len(occs)
     assert occs == sorted(occs, reverse=True)
-    assert all(sum(o) == N for o in occs)
+    assert all(len(o) == M and min(o) >= 0 and sum(o) == N for o in occs)
+    assert occupation_states(M, -1) == []
 
 
 def test_index_maps_are_mutual_inverses():
