@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Correlation-deficit norms of the shell-calibrated scattering problem.
 
-For each particle number the compensating shell is calibrated so the
-modified potential has zero scattering length; the deficit g = 1 - f is
-then compactly supported and its norms fall with N.  The fitted power
-of the L1 norm is reported, not asserted (close to -3 at beta = 1,
-where the whole problem is scale-similar).
+For each particle number `calibrate_shell` returns the shell's C and the
+solved shell problem, whose scattering length is zero to round-off; the
+deficit g = 1 - f is then compactly supported and its norms fall with N.
+The fitted power of the L1 norm is reported, not asserted (-3 at
+beta = 1, where the whole problem is scale-similar and C is the same for
+every N).
+
+Usage: python scripts/deficit_norms.py [--amp 2] [--radius 1] [--beta 1] [--n 8 16 32 64]
 """
 
 import argparse
@@ -29,10 +32,10 @@ def main():
     print(f"{'N':>4} {'C':>12} {'residual':>11} {'L1':>11} {'L2':>11} {'Linf':>8}")
     l1s = []
     for N in args.n:
-        shell, res = calibrate_shell(V, N, args.beta)
+        C, res = calibrate_shell(V, N, args.beta)
         l1, l2, linf = g_norms(res)
         l1s.append(l1)
-        print(f"{N:>4} {shell.C:>12.9f} {res.scattering_length:>11.2e} "
+        print(f"{N:>4} {C:>12.9f} {res.scattering_length:>11.2e} "
               f"{l1:>11.4e} {l2:>11.4e} {linf:>8.4f}")
     if len(args.n) >= 2:
         power = np.polyfit(np.log(args.n), np.log(l1s), 1)[0]

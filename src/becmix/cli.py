@@ -124,11 +124,11 @@ def _cmd_scattering(args) -> int:
     rows = [["N", "beta", "C", "a_residual", "g_L1", "g_L2", "g_Linf"]]
     for beta in cfg.beta_values:
         for N in cfg.n_values:
-            shell, res = calibrate_shell(V, N, beta)
+            C, res = calibrate_shell(V, N, beta)
             l1, l2, linf = g_norms(res)
-            rows.append([N, *(format(x, ".17g") for x in (beta, shell.C, res.scattering_length,
+            rows.append([N, *(format(x, ".17g") for x in (beta, C, res.scattering_length,
                                                            l1, l2, linf))])
-            print(f"N={N} beta={beta}: C={shell.C:.9f} "
+            print(f"N={N} beta={beta}: C={C:.9f} "
                   f"residual={res.scattering_length:.3e} L1={l1:.4e}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

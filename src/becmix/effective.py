@@ -235,11 +235,15 @@ def _convolution(grid: Grid, kernels: np.ndarray):
 
 def _kinetic_flow(spec: CouplingSpec, dt: float):
     """psi -> exp(i dt Laplacian) psi on a component stack, the multiplier
-    exp(-i dt lambda) of the transforms for the Laplacian symbol lambda."""
-    phase = np.exp(-1j * dt * spec.grid.laplacian_symbol(spec.kinetic))
+    exp(-i dt lambda) of the transforms for the Laplacian symbol lambda.  The
+    dense circulant's first column, the inverse transform of the multiplier,
+    is taken in long double and rounded once."""
+    symbol = spec.grid.laplacian_symbol(spec.kinetic)
     if _dense(spec.grid):
-        flow = circulant(np.fft.ifft(phase))
+        phase = np.exp(-1j * dt * symbol.astype(np.longdouble))
+        flow = circulant(np.fft.ifft(phase).astype(complex))
         return lambda psi: psi @ flow.T
+    phase = np.exp(-1j * dt * symbol)
     fft, ifft = _spatial_fft(spec.grid.dim)
     return lambda psi: ifft(phase * fft(psi))
 

@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "RadialPotential",
-    "ShellPotential",
     "ScatteringResult",
     "ScatteringError",
     "BoundStateError",
@@ -32,7 +31,7 @@ __all__ = [
     "scale_potential",
     "square_barrier",
     "calibrate_shell",
-    "modified_potential",
+    "shell_problem",
     "g_norms",
 ]
 
@@ -100,51 +99,24 @@ def scale_potential(V: RadialPotential, N: int, beta: float = 1.0) -> RadialPote
     """
     if N < 1:
         raise ScatteringError("N must be >= 1")
-    s = float(N) ** beta
     amp = float(N) ** (3.0 * beta - 1.0)
-    return RadialPotential(V.edges / s, amp * V.values)
+    return RadialPotential(V.edges * float(N) ** -beta, amp * V.values)
 
 
-@dataclass(frozen=True)
-class ShellPotential:
-    """Repulsive spherical shell used to cancel a scattering length.
-
-    amplitude = 4 pi a N^{3 beta - 1}, supported on the shell
-    N^{-beta} < r < C N^{-beta}.
-    """
-
-    amplitude: float
-    inner_radius: float
-    outer_radius: float
-
-    def __post_init__(self):
-        if self.amplitude != 0.0 and not (self.inner_radius < self.outer_radius):
-            raise ScatteringError("shell needs inner_radius < outer_radius")
-
-    @property
-    def C(self) -> float:
-        return self.outer_radius / self.inner_radius
-
-    @classmethod
-    def for_species(cls, a: float, N: int, beta: float, C: float) -> "ShellPotential":
-        inner = float(N) ** (-beta)
-        return cls(4.0 * np.pi * a * float(N) ** (3.0 * beta - 1.0), inner, C * inner)
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.where((r > self.inner_radius) & (r < self.outer_radius), self.amplitude, 0.0)
-        return out if out.ndim else float(out)
-
-
-def modified_potential(V_scaled: RadialPotential, shell: ShellPotential) -> RadialPotential:
-    """The scaled potential minus the compensating shell, on the union of their edges."""
-    pts = np.sort(np.concatenate((V_scaled.edges, (shell.inner_radius, shell.outer_radius))))
-    # merge edges equal up to round-off (a scaled R/s against s^-1), or
-    # exactly equal: the sliver between them has no interior point to read V at
-    edges = pts[np.r_[True, np.diff(pts) > 1e-12 * pts[-1]]]
-    edges[-1] = pts[-1]
+def shell_problem(V: RadialPotential, a: float, N: int, beta: float,
+                  C: float) -> RadialPotential:
+    """V minus the shell cell 1 < r < C of height 4 pi a, on V's own radii (an
+    edge of V at 1 is the shell's inner edge), scaled as by `scale_potential`
+    but into one potential, not two (each calibration residual builds one):
+    the shell lies on N^-beta < r < C N^-beta to the bit.  C = 1 adds no cell."""
+    if N < 1 or not C >= 1.0:
+        raise ScatteringError(f"the shell problem needs N >= 1 and C >= 1, got N = {N}, C = {C}")
+    pts = np.sort(np.append(V.edges, (1.0, C)))
+    edges = np.append(0.0, pts[1:][pts[1:] > pts[:-1]])  # each radius once
     mid = 0.5 * (edges[:-1] + edges[1:])
-    return RadialPotential(edges, V_scaled(mid) - shell(mid))
+    shell = np.where((mid > 1.0) & (mid < C), 4.0 * np.pi * a, 0.0)
+    return RadialPotential(edges * float(N) ** -beta,
+                           float(N) ** (3.0 * beta - 1.0) * (V(mid) - shell))
 
 
 # the profile grid: PROFILE_SAMPLES points on [0, 2.5 R], or on [0, 1] without cells
@@ -159,11 +131,14 @@ class ScatteringResult:
     first read."""
 
     scattering_length: float
-    support_radius: float
     V: RadialPotential
     u: list[float]
     du: list[float]
     log: list[float]
+
+    @property
+    def support_radius(self) -> float:
+        return self.V.support_radius
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -256,7 +231,7 @@ def scattering_length(V: RadialPotential, *,
                  else f" outside the allowed window [{w_lo:.6g}, {w_hi:.6g}]")
         raise BoundStateError(f"radial solution crosses zero at r = {outside[0]:.6g}{where}; "
                               "the potential supports a bound state")
-    return ScatteringResult(float(a), R, V, u, du, log)
+    return ScatteringResult(float(a), V, u, du, log)
 
 
 def g_norms(result: ScatteringResult) -> tuple[float, float, float]:
@@ -285,10 +260,10 @@ C_MAX = 8.0
 
 
 def calibrate_shell(V: RadialPotential, N: int,
-                    beta: float) -> tuple[ShellPotential, ScatteringResult]:
+                    beta: float) -> tuple[float, ScatteringResult]:
     """Find the smallest C > 1 whose shell cancels the scaled scattering length.
 
-    Returns the shell and the solved problem V_scaled - shell(C), whose
+    Returns C and the solved `shell_problem(V, a(V), N, beta, C)`, whose
     scattering length is the final residual.  The residual is walked up from
     C = 1 to its first sign flip (further on, the well deepens past the
     bound-state threshold, where the residual jumps; the first bracket also
@@ -311,22 +286,17 @@ def calibrate_shell(V: RadialPotential, N: int,
     if a < 0.0:
         raise CalibrationError("calibration expects a positive scattering length")
 
-    V_scaled = scale_potential(V, N, beta)
+    inner = float(N) ** -beta
 
-    def solve(C: float) -> tuple[ShellPotential, ScatteringResult]:
-        shell = ShellPotential.for_species(a, N, beta, C)
-        window = (shell.inner_radius, shell.outer_radius)
-        return shell, scattering_length(modified_potential(V_scaled, shell),
-                                        allow_crossing_window=window)
-
-    def residual(C: float) -> float:
-        return solve(C)[1].scattering_length
+    def solve(C: float) -> ScatteringResult:
+        return scattering_length(shell_problem(V, a, N, beta, C),
+                                 allow_crossing_window=(inner, C * inner))
 
     if a == 0.0:
-        return solve(1.0)
+        return 1.0, solve(1.0)
 
     c_lo = 1.0 + 1e-6
-    walked = [(c_lo, residual(c_lo))]
+    walked = [(c_lo, solve(c_lo).scattering_length)]
     while np.signbit(walked[-1][1]) == np.signbit(walked[0][1]):
         if walked[-1][0] >= C_MAX:
             raise CalibrationError(
@@ -335,7 +305,7 @@ def calibrate_shell(V: RadialPotential, N: int,
             )
         c = min(walked[-1][0] + SCAN_STEP, C_MAX)
         try:
-            walked.append((c, residual(c)))
+            walked.append((c, solve(c).scattering_length))
         except BoundStateError as exc:
             raise CalibrationError(
                 f"hit the bound-state regime at C = {c:.6g} before bracketing a root; "
@@ -344,20 +314,20 @@ def calibrate_shell(V: RadialPotential, N: int,
     (lo, f_lo), (hi, f_hi) = walked[-2:]
     # continuity/monotonicity spot check across the bracket
     probes = np.linspace(lo, hi, 6)
-    probe_vals = [f_lo] + [residual(cc) for cc in probes[1:-1]] + [f_hi]
+    probe_vals = [f_lo] + [solve(cc).scattering_length for cc in probes[1:-1]] + [f_hi]
     diffs = np.diff(probe_vals)
     slack = 1e-10 * max(1.0, float(np.max(np.abs(probe_vals))))
     if not (np.all(diffs <= slack) or np.all(diffs >= -slack)):
         raise CalibrationError("residual scattering length is not monotone over the bracket")
-    length_scale = max(V_scaled.support_radius, hi * float(N) ** (-beta))
+    length_scale = max(V.support_radius, hi) * inner
     g_lo, g_hi, kept = f_lo, f_hi, None  # the ends' residuals, halved while an end is kept
     while math.nextafter(lo, hi) < hi:  # until lo and hi are adjacent floats
         mid = hi - g_hi * (hi - lo) / (g_hi - g_lo)  # opposite signs, never -0.0: no 0/0
         if not lo < mid < hi or hi - lo <= 64 * math.ulp(hi):
             mid = 0.5 * (lo + hi)
-        f_mid = residual(mid)
+        f_mid = solve(mid).scattering_length
         if f_mid == 0.0:  # an exact root; narrowing on would only bisect from the far end
-            return solve(mid)
+            return mid, solve(mid)
         if np.signbit(f_mid) == np.signbit(f_lo):
             lo, f_lo, g_lo, g_hi = mid, f_mid, f_mid, g_hi / 2 if kept == "hi" else g_hi
             kept = "hi"
@@ -369,4 +339,4 @@ def calibrate_shell(V: RadialPotential, N: int,
         raise CalibrationError(
             f"calibration residual {final:.3e} exceeds {RESIDUAL_TOL:.1e} * {length_scale:.3e}"
         )
-    return solve(c_star)
+    return c_star, solve(c_star)

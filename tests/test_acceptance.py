@@ -67,11 +67,11 @@ def test_c01_scattering_oracle_and_scaling():
 def test_c02_shell_calibration():
     t0 = time.perf_counter()
     barrier = square_barrier(2.0, 1.0)
-    shell, res = calibrate_shell(barrier, 32, 1.0)
+    C, res = calibrate_shell(barrier, 32, 1.0)
     residual = res.scattering_length
     elapsed = time.perf_counter() - t0
     _report(2, abs(residual) < 1e-8 * barrier.support_radius and elapsed < 5.0,
-            f"C={shell.C:.9f}, |a_mod|={abs(residual):.2e} (<1e-8), {elapsed:.2f}s (<5s)")
+            f"C={C:.9f}, |a_mod|={abs(residual):.2e} (<1e-8), {elapsed:.2f}s (<5s)")
 
 
 def _hartree_problem(M=64):

@@ -12,12 +12,11 @@ from becmix.scattering import (
     CalibrationError,
     RadialPotential,
     ScatteringError,
-    ShellPotential,
     calibrate_shell,
     g_norms,
-    modified_potential,
     scale_potential,
     scattering_length,
+    shell_problem,
     square_barrier,
 )
 
@@ -102,8 +101,9 @@ def test_radial_potential_rejects_malformed_cells(edges, values, match):
 
 
 def test_calibration_with_round_off_twin_breakpoints():
-    # 32**-0.6 and 1/32**0.6 differ in the last bit: the barrier edge and
-    # the shell's inner radius must still make one breakpoint
+    # 32**-0.6 and 1/32**0.6 differ in the last bit; the shell problem places
+    # the shell on the barrier's own edge at 1 before scaling, so only the
+    # first is formed
     assert 32.0 ** -0.6 != 1.0 / 32.0 ** 0.6
     _, res = calibrate_shell(BARRIER, 32, 0.6)
     assert abs(res.scattering_length) < 1e-8 * res.support_radius
@@ -171,37 +171,34 @@ def test_g_norms_requires_resolution(monkeypatch):
 
 
 def test_calibration_cancels_scattering_length():
-    shell, res = calibrate_shell(BARRIER, 32, 1.0)
-    assert shell.C > 1.0
+    C, res = calibrate_shell(BARRIER, 32, 1.0)
+    assert C > 1.0
     assert abs(res.scattering_length) < 1e-8 * BARRIER.support_radius
 
 
 @pytest.mark.parametrize("N, beta, C", [(8, 1.0, 1.1734511758104325),
                                           (16, 0.5, 1.182494917058338)])
 def test_calibration_pinned_to_the_last_bit(N, beta, C):
-    shell, _ = calibrate_shell(BARRIER, N, beta)
-    assert shell.C == C
+    assert calibrate_shell(BARRIER, N, beta)[0] == C
 
 
 def test_calibration_deterministic():
-    (s1, r1), (s2, r2) = calibrate_shell(BARRIER, 16, 1.0), calibrate_shell(BARRIER, 16, 1.0)
-    assert s1.C == s2.C
+    (c1, r1), (c2, r2) = calibrate_shell(BARRIER, 16, 1.0), calibrate_shell(BARRIER, 16, 1.0)
+    assert c1 == c2
     assert r1.scattering_length == r2.scattering_length
 
 
 def _shell_residual(V, a, N, beta, C):
-    shell = ShellPotential.for_species(a, N, beta, C)
-    mod = modified_potential(scale_potential(V, N, beta), shell)
-    return scattering_length(mod, allow_crossing_window=(shell.inner_radius,
-                                                         shell.outer_radius)).scattering_length
+    inner = N ** -beta
+    return scattering_length(shell_problem(V, a, N, beta, C),
+                             allow_crossing_window=(inner, C * inner)).scattering_length
 
 
 def test_calibration_brackets_the_root_to_adjacent_floats():
     V = parse_config("[system]\nmode = scattering\npotential = gaussian amp=2 sigma=0.5\n") \
         .radial_potential()
     a = scattering_length(V).scattering_length
-    shell, res = calibrate_shell(V, 8, 1.0)
-    C = shell.C
+    C, res = calibrate_shell(V, 8, 1.0)
 
     def residual(c):
         return _shell_residual(V, a, 8, 1.0, c)
@@ -213,7 +210,7 @@ def test_calibration_brackets_the_root_to_adjacent_floats():
 
 
 def _counted_calibration(monkeypatch, V, N, beta):
-    """calibrate_shell(V, N, beta)'s shell, a(V) and the number of its solves."""
+    """calibrate_shell(V, N, beta)'s C, a(V) and the number of its solves."""
     a = scattering_length(V).scattering_length
     calls = []
 
@@ -223,8 +220,8 @@ def _counted_calibration(monkeypatch, V, N, beta):
 
     with monkeypatch.context() as m:
         m.setattr(scattering_mod, "scattering_length", counted)
-        shell, _ = calibrate_shell(V, N, beta)
-    return shell, a, len(calls)
+        C, _ = calibrate_shell(V, N, beta)
+    return C, a, len(calls)
 
 
 @pytest.mark.parametrize("N, beta", [(8, 1.0), (16, 1.0), (32, 1.0), (8, 0.75)],
@@ -241,30 +238,34 @@ def test_calibration_takes_few_residual_solves(monkeypatch, N, beta):
 @pytest.mark.parametrize("N, beta", [(8, 0.5), (8, 1.0), (32, 0.5), (32, 1.0)])
 def test_regula_falsi_brackets_the_root_to_adjacent_floats(monkeypatch, potential, N, beta):
     V = parse_config(f"[system]\nmode = scattering\npotential = {potential}\n").radial_potential()
-    shell, a, calls = _counted_calibration(monkeypatch, V, N, beta)
+    C, a, calls = _counted_calibration(monkeypatch, V, N, beta)
     assert calls <= 56
-    at_c = _shell_residual(V, a, N, beta, shell.C)
-    neighbours = [_shell_residual(V, a, N, beta, np.nextafter(shell.C, side))
+    at_c = _shell_residual(V, a, N, beta, C)
+    neighbours = [_shell_residual(V, a, N, beta, np.nextafter(C, side))
                   for side in (-np.inf, np.inf)]
     assert at_c == 0.0 or any(np.signbit(n) != np.signbit(at_c) for n in neighbours)
 
 
-def test_modified_potential_merges_exactly_equal_edges():
-    # at beta = 1 the scaled barrier edge 1/N and the shell's inner radius N^-1
-    # are the same float: one breakpoint, and no empty cell between them
-    V_scaled = scale_potential(BARRIER, 8, 1.0)
-    shell = ShellPotential.for_species(0.25, 8, 1.0, 1.5)
-    assert V_scaled.support_radius == shell.inner_radius
-    mod = modified_potential(V_scaled, shell)
-    assert mod.edges.tolist() == [0.0, 0.125, 1.5 * 0.125]
-    assert mod.values.tolist() == [2.0 * 8.0**2, -shell.amplitude]
+@pytest.mark.parametrize("N, beta", [(8, 1.0), (32, 0.6)], ids=["8-1", "32-0.6"])
+def test_shell_problem_shares_the_barrier_edge(N, beta):
+    # the barrier's edge at 1 is the shell's inner edge: one breakpoint and no
+    # sliver cell, also at (32, 0.6), where 32**-0.6 and 1/32**0.6 differ
+    inner, amp = N ** -beta, N ** (3 * beta - 1)
+    mod = shell_problem(BARRIER, 0.25, N, beta, 1.5)
+    assert mod.edges.tolist() == [0.0, inner, 1.5 * inner]
+    assert mod.values.tolist() == [2.0 * amp, -4.0 * np.pi * 0.25 * amp]
+
+
+def test_shell_problem_at_c_one_adds_no_shell_cell():
+    assert not np.any(shell_problem(BARRIER, 0.25, 8, 1.0, 1.0).values < 0.0)
+    empty = RadialPotential(np.array([0.0]), np.array([]))
+    assert shell_problem(empty, 0.25, 8, 1.0, 1.0).values.tolist() == [0.0]
 
 
 def test_calibration_zero_potential_convention():
     V = RadialPotential(np.array([0.0]), np.array([]))
-    shell, res = calibrate_shell(V, 8, 1.0)
-    assert shell.amplitude == 0.0
-    assert shell.C == pytest.approx(1.0)
+    C, res = calibrate_shell(V, 8, 1.0)
+    assert C == 1.0
     assert res.scattering_length == 0.0
 
 
@@ -275,10 +276,12 @@ def test_calibration_zero_potential_convention():
     (lambda: calibrate_shell(square_barrier(-1.0, 1.0), 8, 1.0), CalibrationError,
      "calibration expects a positive scattering length"),
     (lambda: scale_potential(BARRIER, 0), ScatteringError, "N must be >= 1"),
-    (lambda: ShellPotential(1.0, 0.5, 0.5), ScatteringError,
-     "shell needs inner_radius < outer_radius"),
+    (lambda: shell_problem(BARRIER, 0.25, 8, 1.0, 0.5), ScatteringError,
+     "the shell problem needs N >= 1 and C >= 1, got N = 8, C = 0.5"),
+    (lambda: shell_problem(BARRIER, 0.25, 0, 1.0, 1.5), ScatteringError,
+     "the shell problem needs N >= 1 and C >= 1, got N = 0, C = 1.5"),
 ], ids=["beta_zero", "beta_above_one", "one_particle", "negative_a", "scale_N_zero",
-        "inner_not_below_outer"])
+        "shell_C_below_one", "shell_N_zero"])
 def test_calibration_rejections(call, error, message):
     with pytest.raises(ScatteringError) as err:
         call()
@@ -298,11 +301,12 @@ def test_calibration_softer_scaling():
 
 
 def test_shell_amplitude_formula():
-    shell = ShellPotential.for_species(0.25, 8, 1.0, 1.5)
-    assert shell.amplitude == pytest.approx(4 * np.pi * 0.25 * 8**2)
-    assert shell.inner_radius == pytest.approx(1 / 8)
-    assert shell.outer_radius == pytest.approx(1.5 / 8)
-    assert shell.C == pytest.approx(1.5)
+    # on the zero potential the problem is the shell alone: -4 pi a N^{3 beta - 1}
+    # on N^{-beta} < r < C N^{-beta}
+    empty = RadialPotential(np.array([0.0]), np.array([]))
+    shell = shell_problem(empty, 0.25, 16, 0.75, 1.5)
+    assert shell.edges.tolist() == [0.0, 16 ** -0.75, 1.5 * 16 ** -0.75]
+    assert shell.values == pytest.approx([0.0, -4 * np.pi * 0.25 * 16 ** 1.25])
 
 
 def test_deficit_norms_shrink_with_n():
@@ -314,3 +318,18 @@ def test_deficit_norms_shrink_with_n():
     power = np.polyfit(np.log([8, 16, 32]), np.log(norms), 1)[0]
     # reported, not asserted beyond the falling trend
     print(f"deficit L1 norm fitted power vs N: {power:.3f}")
+
+
+def test_calibration_is_scale_similar_at_beta_one():
+    # at beta = 1 the shell problem at N is N^2 W(N r) for one W, so C is the
+    # same and the norms scale as N^-3, N^-3/2 and N^0.  Seen: C equal to the
+    # bit and the scaled norms within 3.1e-14 relative of each other.
+    Cs, scaled = [], []
+    for N in (8, 10, 16, 32, 100):
+        C, res = calibrate_shell(BARRIER, N, 1.0)
+        l1, l2, linf = g_norms(res)
+        Cs.append(C)
+        scaled.append((l1 * N**3, l2 * N**1.5, linf))
+    assert max(Cs) - min(Cs) <= 4 * math.ulp(Cs[0])
+    scaled = np.array(scaled)
+    assert np.all(np.ptp(scaled, axis=0) <= 1e-12 * scaled[0])
