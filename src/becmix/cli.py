@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _EFFECTIVE, ConfigError, ExperimentConfig, HarnessError, parse_config
+from .config import (_EFFECTIVE, ConfigError, EffectiveError, ExperimentConfig, HarnessError,
+                     parse_config)
 from .grids import Field
 from .scattering import calibrate_shell, g_norms, scattering_length, ScatteringError
 
@@ -182,7 +183,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, HarnessError, ScatteringError, OSError) as exc:
+    except (ConfigError, EffectiveError, HarnessError, ScatteringError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .grids import Field, Grid, GridError, make_grid, normalize
 
-__all__ = ["ConfigError", "HarnessError", "ExperimentConfig", "parse_config"]
+__all__ = ["ConfigError", "HarnessError", "EffectiveError", "ExperimentConfig", "parse_config"]
 
 DEFAULT_DT = 1e-3
 DEFAULT_XI = 0.2
@@ -46,6 +46,11 @@ class ConfigError(ValueError):
 class HarnessError(RuntimeError):
     """A sweep the harness refuses.  Defined here, beside ConfigError, so the
     CLI catches it without importing the lattice gas."""
+
+
+class EffectiveError(ValueError):
+    """Invalid state/spec combination or a failed integration step.  Defined here,
+    beside ConfigError, so the CLI catches it without importing the effective solvers."""
 
 
 def basis_dim(M: int, N1: int, N2: int) -> int:

@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import EffectiveError
 from .grids import Field, Grid, GridError, circulant, inner, l2_norm, save_field
 from .grids import periodic_convolve  # noqa: F401  (perfbench/tracer.py patches it on this module)
 
@@ -59,10 +60,6 @@ _MODES = ("hartree", "gross_pitaevskii", "rabi", "spin1")
 
 # the largest 1-D grid whose circulant operators are applied as dense matrices
 DENSE_MAX_POINTS = 64
-
-
-class EffectiveError(ValueError):
-    """Invalid state/spec combination or a failed integration step."""
 
 
 @dataclass(frozen=True)
@@ -335,7 +332,7 @@ def integrate(state: OrbitalState, spec: CouplingSpec, dt: float,
             continue
         psi = flow(psi, half, closing)
         if not np.all(np.isfinite(psi)):
-            raise EffectiveError(f"non-finite values produced by step {k}")
+            raise EffectiveError(f"non-finite values appeared by step {k}")
         out.append(OrbitalState(tuple(Field(spec.grid, a) for a in psi), time=t))
         if k < last:
             psi = flow(psi, half, half * B(t + 0.5 * half))

@@ -34,6 +34,7 @@ from .manybody import (
     HamiltonianSpec,
     ManyBodyState,
     TwoSpeciesBasis,
+    _SpeciesBasis,
     _along,
     _displacement_kernel,
     _interaction_diagonals,
@@ -106,20 +107,21 @@ class ReducedDensity:
             raise IndicatorError(f"reduced density has eigenvalue {w.min():.2e}")
 
 
-def _pair_density(basis: TwoSpeciesBasis, psi: np.ndarray) -> np.ndarray:
-    """gamma^(1,1) from W[x, y] = b_y a_x psi, in (x, a', y, b') order.
+def _pair_density(A: _SpeciesBasis, B: _SpeciesBasis, psi: np.ndarray) -> np.ndarray:
+    """The pair Gram G[x*M + y, x'*M + y'] = <b_y' a_x' psi, b_y a_x psi> of psi in the
+    sectors A x B, unnormalized: gamma^(1,1) = G / (N1 N2).
 
-    The Gram sum runs over a', and each term gathers only the (x, y, b') slice
-    of one a' from X = b_y psi through A's lowering table, so W is never held.
+    The sum runs over a', and each term gathers only the (x, y, b') slice of one a'
+    from X = b_y psi through A's lowering table, so W = b_y a_x psi is never held.
     """
-    M = basis.M
-    X = basis.B.lower(psi, 1)
-    src, amp = basis.A.lowering
-    gamma = np.zeros((M * M, M * M), dtype=complex)
+    M = A.M
+    X = B.lower(psi, 1)
+    src, amp = A.lowering
+    gram = np.zeros((M * M, M * M), dtype=complex)
     for a in range(src.shape[1]):
         Wa = (amp[:, a, None, None] * X[src[:, a]]).reshape(M * M, -1)
-        gamma += Wa @ Wa.conj().T
-    return gamma / (basis.N1 * basis.N2)
+        gram += Wa @ Wa.conj().T
+    return gram
 
 
 def _deficit(gamma: np.ndarray, ref: np.ndarray) -> float:
@@ -149,7 +151,7 @@ def reduce_density(state: ManyBodyState, kind: tuple[int, int]) -> ReducedDensit
         W = species.lower(psi, 0).reshape(b.M, -1)    # row x: a_x psi, flattened
         gamma = (W @ W.conj().T) / species.N
     elif kind == (1, 1):
-        gamma = _pair_density(b, state.psi)
+        gamma = _pair_density(b.A, b.B, state.psi) / (b.N1 * b.N2)
     else:
         raise IndicatorError(f"kind must be (1,0), (0,1) or (1,1), got {kind}")
     return ReducedDensity(kind, gamma)
@@ -159,7 +161,7 @@ def alpha_11(state: ManyBodyState, u: Field, v: Field) -> float:
     """Overlap deficit 1 - <u x v, gamma^(1,1) u x v>."""
     b = state.basis
     ref = np.kron(_orbital_sites(b.M, u), _orbital_sites(b.M, v))
-    return _deficit(_pair_density(b, state.psi), ref)
+    return _deficit(_pair_density(b.A, b.B, state.psi) / (b.N1 * b.N2), ref)
 
 
 def condensate_depletion(state: ManyBodyState, orbital: Field, species: str) -> float:
@@ -463,7 +465,7 @@ class SampleEvaluator:
         phi = count_a.annihilate(psi)
         ch = _channels(H.spec, H.interactions, psi, phi, count_a, count_b)
         sectors = count_a.sector_weights(state, phi)
-        pair = _pair_density(b, psi)
+        pair = _pair_density(b.A, b.B, psi) / (b.N1 * b.N2)
         pair4 = pair.reshape((b.M,) * 4)                    # partial traces: gamma^(1,0), (0,1)
         ref = np.kron(count_a.u_site, count_b.u_site)
         return (_deficit(pair, ref), _trace_gap(pair, ref),
@@ -491,41 +493,33 @@ def insertion_terms(state: ManyBodyState, u: Field, v: Field,
     combinations (pp,pp), (qq,qq), (pq,pq)+(qp,qp) vanish identically
     and the mean-field dressing kills (pp,qp) + its conjugate.
 
-    The labelled particles are the site indices of T[x, y] = b_y a_x psi /
-    sqrt(N1 N2), in (x, a', y, b') order; the others stay in the lowered
-    occupation sectors, where sum_{k>=2} p_k acts as n_u of that sector.
+    The labelled particles are the pair index i = x*M + y of T_i = b_y a_x psi /
+    sqrt(N1 N2); the others stay in the lowered occupation sectors, where
+    sum_{k>=2} p_k acts as n_u of that sector.  P-bar commutes with the p/q
+    projections on the labelled particles, so a sandwich is sum((Pi_L K Pi_R) *
+    (C - C^H)) over the cross Gram C[i, j] = <T_i, (P-bar T)_j>.  As a(u) a_x =
+    a_x a(u), C is read from the pair Grams of psi, a(v) psi, a(u) psi and
+    a(u) a(v) psi, and T is never formed.
     """
-    b = state.basis
+    b, psi = state.basis, state.psi
     if V12.grid.points_per_axis != b.M or u.grid != V12.grid or v.grid != V12.grid:
         raise IndicatorError("state, orbitals and potential must share one grid")
-    n1, n2 = b.N1, b.N2
     usite, vsite = _orbital_sites(b.M, u), _orbital_sites(b.M, v)
     p_u, p_v = np.outer(usite, np.conj(usite)), np.outer(vsite, np.conj(vsite))
-    n_u, n_v = (a_dag @ a for a, a_dag in (b.A.lowered.annihilator(usite),
-                                            b.B.lowered.annihilator(vsite)))
+    a_u, a_v = b.A.annihilator(usite)[0], b.B.annihilator(vsite)[0]
     kernel = _displacement_kernel(V12.grid, V12)
-    # (V12 * |v|^2)(x_1) and (V12 * |u|^2)(y_1)
+    # the diagonal of K over i: V12(x - y) - (V12 * |v|^2)(x) - (V12 * |u|^2)(y)
     K = (circulant(kernel) - _dressing(kernel, vsite)[:, None]
-         - _dressing(kernel, usite)[None, :])[:, None, :, None]
-
-    def apply_pbar(x: np.ndarray) -> np.ndarray:
-        x = _along(p_u, x, 0) + _along(n_u, x, 1)
-        return (_along(p_v, x, 2) + _along(n_v, x, 3)) / (n1 * n2)
-
-    ops = {"p": (p_u, p_v), "q": (np.eye(b.M) - p_u, np.eye(b.M) - p_v)}
-    T = b.A.lower(b.B.lower(state.psi, 1), 0) / math.sqrt(n1 * n2)
-
-    def side(ac: str) -> np.ndarray:
-        return _along(ops[ac[1]][1], _along(ops[ac[0]][0], T, 0), 2)
-
-    terms, pairs = {}, ("pp", "pq", "qp", "qq")
-    for right in pairs:          # T, one commuted right side and one left side stay alive
-        x = side(right)
-        commuted = apply_pbar(x)
-        commuted *= K
-        x *= K
-        commuted -= apply_pbar(x)
-        del x
-        for left in pairs:
-            terms[f"{left},{right}"] = complex(np.vdot(side(left), commuted))
-    return {key: terms[key] for key in INSERTION_KEYS}
+         - _dressing(kernel, usite)[None, :]).ravel()
+    one = np.eye(b.M)
+    phi_u = _along(a_u, psi, 0)
+    C = np.conj(_pair_density(b.A, b.B, psi) @ np.kron(p_u, p_v)
+                + _pair_density(b.A, b.B.lowered, _along(a_v, psi, 1)) @ np.kron(p_u, one)
+                + _pair_density(b.A.lowered, b.B, phi_u) @ np.kron(one, p_v)
+                + _pair_density(b.A.lowered, b.B.lowered, _along(a_v, phi_u, 1))
+                ) / (b.N1 * b.N2) ** 2
+    C -= C.conj().T
+    ops = {"p": (p_u, p_v), "q": (one - p_u, one - p_v)}
+    proj = {ac: np.kron(ops[ac[0]][0], ops[ac[1]][1]) for ac in ("pp", "pq", "qp", "qq")}
+    return {key: complex(np.sum((proj[key[:2]] * K) @ proj[key[3:]] * C))
+            for key in INSERTION_KEYS}

@@ -312,6 +312,18 @@ def test_cli_effective_unusable_samples_are_config_errors(tmp_path, capsys, comm
     assert not (tmp_path / "eff").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow on the way to the error
+def test_cli_effective_blow_up_is_an_error(tmp_path, capsys):
+    # 8 pi a1 overflows, so step 1 is already non-finite; only sampled steps are checked,
+    # and the first of them is step 10
+    cfg_path = tmp_path / "gp.ini"
+    cfg_path.write_text(f"[grid]\npoints = 16\n[system]\nmode = gross_pitaevskii\na1 = 1e307\n"
+                        f"[time]\nt = 0.01\ndt = 1e-3\n[output]\ndir = {tmp_path / 'eff'}\n")
+    assert cli.main(["effective", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: non-finite values appeared by step 10\n"
+    assert not (tmp_path / "eff").exists()
+
+
 @pytest.mark.parametrize("line, needle", [
     ("potential = box radius=0", "[system] potential: radius must be positive, got 0"),
     ("potential = gaussian sigma=-0.5", "[system] potential: sigma must be positive, got -0.5"),

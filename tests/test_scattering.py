@@ -1,4 +1,6 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -293,6 +295,50 @@ def test_calibration_reports_missing_bracket(monkeypatch):
     with pytest.raises(CalibrationError) as err:
         calibrate_shell(BARRIER, 32, 1.0)
     assert "no root bracketed" in str(err.value)
+
+
+def _windowed_residual(monkeypatch, residual):
+    """Patch the shell problems' solve: residual(C) as the scattering length, C read
+    from the crossing window (1, C) / N**beta; a(V) itself is solved as it is."""
+    def solve(V, *, allow_crossing_window=None):
+        if allow_crossing_window is None:
+            return scattering_length(V)
+        inner, outer = allow_crossing_window
+        return SimpleNamespace(scattering_length=residual(outer / inner))
+    monkeypatch.setattr(scattering_mod, "scattering_length", solve)
+
+
+def test_calibration_reports_the_bound_state_regime(monkeypatch):
+    def residual(C):
+        if C > 1.2:
+            raise BoundStateError("radial solution crosses zero")
+        return 0.05
+    _windowed_residual(monkeypatch, residual)
+    with pytest.raises(CalibrationError) as err:
+        calibrate_shell(BARRIER, 8, 1.0)
+    assert str(err.value) == ("hit the bound-state regime at C = 1.25 before bracketing a "
+                              "root; walked residuals: [(1.000001, 0.05)]")
+    assert isinstance(err.value.__cause__, BoundStateError)
+
+
+def test_calibration_rejects_a_non_monotone_bracket(monkeypatch):
+    # the walk brackets a sign flip on (1.000001, 1.250001), and the four probes 0.05
+    # apart alternate about the falling line
+    _windowed_residual(monkeypatch,
+                       lambda C: 0.1 - (C - 1.0) + 0.2 * math.cos(20 * math.pi * (C - 1.0)))
+    with pytest.raises(CalibrationError) as err:
+        calibrate_shell(BARRIER, 8, 1.0)
+    assert str(err.value) == "residual scattering length is not monotone over the bracket"
+
+
+def test_calibration_reports_a_residual_above_tolerance(monkeypatch):
+    # the bracket narrows to adjacent floats whose residuals are round-off, not 0.0;
+    # RESIDUAL_TOL = 0 accepts only an exact root
+    monkeypatch.setattr(scattering_mod, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(CalibrationError) as err:
+        calibrate_shell(BARRIER, 16, 1.0)
+    assert re.fullmatch(r"calibration residual \S+ exceeds 0\.0e\+00 \* 7\.813e-02",
+                        str(err.value))
 
 
 def test_calibration_softer_scaling():

@@ -34,7 +34,8 @@ t = 0.01
     ("deficit_norms.py", ["--n", "8", "16"]),
     ("spinor_demo.py", ["--t", "0.2"]),
     ("convergence_ladder.py", ["--config", "{tmp}/ladder.ini", "--out", "{tmp}/out"]),
-], ids=["deficit_norms", "spinor_demo", "convergence_ladder"])
+    ("edge_invariants.py", ["--config", "{tmp}/ladder.ini", "--entry", "1,2"]),
+], ids=["deficit_norms", "spinor_demo", "convergence_ladder", "edge_invariants"])
 def test_script_runs(tmp_path, script, args):
     (tmp_path / "ladder.ini").write_text(TINY_LADDER)
     src = str(ROOT / "src")
