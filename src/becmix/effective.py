@@ -97,9 +97,10 @@ class CouplingSpec:
             raise EffectiveError(str(exc)) from None
         if not (0.0 < self.c1 < 1.0):
             raise EffectiveError(f"c1 must lie in (0,1), got {self.c1}")
-        for name in ("a1", "a2", "a12", "a"):
-            if not math.isfinite(getattr(self, name)):
-                raise EffectiveError(f"{name} must be finite")
+        for name in ("a1", "a2", "a12", "a"):  # the flows multiply each by 8 pi
+            if not math.isfinite(8.0 * math.pi * getattr(self, name)):
+                raise EffectiveError(f"{name} and 8 pi {name} must be finite, "
+                                     f"got {name} = {getattr(self, name)!r}")
         for name in ("V1", "V2", "V12") if self.mode == "hartree" else ():
             V = getattr(self, name)
             if V is None:

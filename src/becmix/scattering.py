@@ -10,7 +10,9 @@ deficit g = 1 - f measures the short-range correlation hole.
 spherical-shell potential of amplitude 4 pi a N^{3 beta - 1} such that
 the scaled potential minus the shell has zero scattering length.  The
 deficit profile of that modified problem is compactly supported, which
-is what makes its norms shrink with N.
+is what makes its norms shrink with N.  The root is sought on the branch
+where u has no node: a zero of u raises BoundStateError everywhere, and
+the calibration reads it as lying past the root.
 """
 
 from __future__ import annotations
@@ -178,60 +180,52 @@ def _transfer(q: np.ndarray, s: np.ndarray):
     return c, m01, np.where(att, -k, k) * sn, np.where(rep, k * s, 0.0)
 
 
-def _zeros(q: float, h: float, u0: float, du0: float) -> tuple[float, ...]:
-    """The first and last offsets in (0, h] where u vanishes on a segment of
-    constant q that starts from (u0, du0); empty if u keeps its sign."""
+def _check_no_zero(q: float, h: float, r0: float, u0: float, du0: float) -> None:
+    """Raise BoundStateError at the first r0 + s, s in (0, h], where u vanishes
+    on a segment of constant q that starts at r0 from (u0, du0)."""
     k = math.sqrt(abs(q))
     if q < 0.0:
         phase = math.atan2(u0, du0 / k)  # u is proportional to sin(k s + phase)
         first = (math.floor(phase / math.pi) + 1.0) * math.pi - phase
-        last = first + math.floor((k * h - first) / math.pi) * math.pi
-        return (first / k, last / k) if first <= k * h else ()
-    if abs(u0 * k) >= abs(du0):  # u is a multiple of cosh(k s + phase), or constant
-        return ()
-    s = -math.atanh(u0 * k / du0) / k if q > 0.0 else -u0 / du0
-    return (s,) if 0.0 < s <= h else ()
+        if first > k * h:
+            return
+        s = min(first / k, h)
+    elif abs(u0 * k) >= abs(du0):  # u is a multiple of cosh(k s + phase), or constant
+        return
+    else:
+        s = -math.atanh(u0 * k / du0) / k if q > 0.0 else -u0 / du0
+        if not 0.0 < s <= h:
+            return
+    raise BoundStateError(f"radial solution crosses zero at r = {r0 + s:.6g}; "
+                          "the potential supports a bound state")
 
 
-def scattering_length(V: RadialPotential, *,
-                      allow_crossing_window: tuple[float, float] | None = None
-                      ) -> ScatteringResult:
+def scattering_length(V: RadialPotential) -> ScatteringResult:
     """Scattering length and correlation profile of a radial potential.
 
     (u, u') is carried from u(0) = 0, u'(0) = 1 to the support radius R by
     the exact propagator of each cell of V; beyond R, u = kappa (r - a)
     with a = R - u(R)/u'(R), returned at once.  The profile f = u/(kappa r)
     on PROFILE_SAMPLES points of [0, 2.5 R] is sampled on first read of
-    the result's r, f or g.  Every zero of u at r > 0, the exterior one at
-    r = a > R included, is located exactly and raises BoundStateError
-    unless it lies in the allowed window (shell-modified problems may
-    push u through zero between the shell radii without invalidating the
-    exterior line).
+    the result's r, f or g.  The first zero of u at r > 0, the exterior one
+    at r = a > R included, is located exactly and raises BoundStateError.
     """
     R = V.support_radius
     edges = V.edges
     lo, width = edges[:-1], np.diff(edges)
     q = 0.5 * V.values
     c, m01, m10, g = (x.tolist() for x in _transfer(q, width))
-    u, du, log, zeros = [0.0], [1.0], [0.0], []  # u, u' at the edges are exp(log) (u, du)
+    u, du, log = [0.0], [1.0], [0.0]  # u, u' at the edges are exp(log) (u, du)
     for j, (qj, h, r0) in enumerate(zip(q.tolist(), width.tolist(), lo.tolist())):
-        zeros += [r0 + min(s, h) for s in _zeros(qj, h, u[j], du[j])]
+        _check_no_zero(qj, h, r0, u[j], du[j])
         u.append(c[j] * u[j] + m01[j] * du[j])
         du.append(m10[j] * u[j] + c[j] * du[j])
         log.append(log[j] + g[j])
     kappa = du[-1]
     if kappa == 0.0:
         raise ScatteringError("degenerate exterior asymptote: u'(R) = 0")
-    a = R - u[-1] / kappa
-    zeros += [R + s for s in _zeros(0.0, math.inf, u[-1], kappa)]  # at r = a > R
-    w_lo, w_hi = allow_crossing_window or (math.inf, -math.inf)
-    outside = [z for z in zeros if not w_lo <= z <= w_hi]
-    if outside:
-        where = ("" if allow_crossing_window is None
-                 else f" outside the allowed window [{w_lo:.6g}, {w_hi:.6g}]")
-        raise BoundStateError(f"radial solution crosses zero at r = {outside[0]:.6g}{where}; "
-                              "the potential supports a bound state")
-    return ScatteringResult(float(a), V, u, du, log)
+    _check_no_zero(0.0, math.inf, R, u[-1], kappa)  # at r = a > R
+    return ScatteringResult(float(R - u[-1] / kappa), V, u, du, log)
 
 
 def g_norms(result: ScatteringResult) -> tuple[float, float, float]:
@@ -264,19 +258,21 @@ def calibrate_shell(V: RadialPotential, N: int,
     """Find the smallest C > 1 whose shell cancels the scaled scattering length.
 
     Returns C and the solved `shell_problem(V, a(V), N, beta, C)`, whose
-    scattering length is the final residual.  The residual is walked up from
-    C = 1 to its first sign flip (further on, the well deepens past the
-    bound-state threshold, where the residual jumps; the first bracket also
-    holds the smallest root).  The bracket is spot-checked for continuity and
-    monotonicity, then narrowed by Illinois regula falsi: each step takes
-    the secant point of the bracket, halving the stored residual of an end
-    kept twice in a row, and bisects instead when that point is not
-    strictly inside or the bracket lies within 64 ulps of its upper end,
-    down to adjacent floats; a residual of exactly 0.0 ends it and is
+    scattering length is the final residual.  By Sturm comparison the
+    residual is positive and u node-free below the smallest root, and the
+    residual is negative or u has a node above it; a node (BoundStateError)
+    reads as a residual of -inf.  The residual is walked up from C = 1 in
+    SCAN_STEP steps to its first value <= 0, then the bracket is narrowed
+    by Illinois regula falsi: each step takes the secant point of the
+    bracket, halving the stored residual of an end kept twice in a row,
+    and bisects instead when an end is -inf, when that point is not
+    strictly inside or when the bracket lies within 64 ulps of its upper
+    end, down to adjacent floats; a residual of exactly 0.0 ends it and is
     returned.  Otherwise the end with the smaller |residual| is returned
-    if that is below RESIDUAL_TOL times the problem's length scale.  An
-    a(V) of 0 needs no shell: C = 1.  Raises CalibrationError, with the
-    walked residuals, if no bracket exists up to C = C_MAX.
+    if that is below RESIDUAL_TOL times the problem's length scale, else
+    CalibrationError is raised.  An a(V) of 0 needs no shell: C = 1.
+    Raises CalibrationError, with the walked residuals, if no bracket
+    exists up to C = C_MAX.
     """
     if not (0.0 < beta <= 1.0):
         raise ScatteringError(f"beta must lie in (0, 1], got {beta}")
@@ -286,49 +282,39 @@ def calibrate_shell(V: RadialPotential, N: int,
     if a < 0.0:
         raise CalibrationError("calibration expects a positive scattering length")
 
-    inner = float(N) ** -beta
-
     def solve(C: float) -> ScatteringResult:
-        return scattering_length(shell_problem(V, a, N, beta, C),
-                                 allow_crossing_window=(inner, C * inner))
+        return scattering_length(shell_problem(V, a, N, beta, C))
 
     if a == 0.0:
         return 1.0, solve(1.0)
 
+    def residual(C: float) -> float:
+        try:
+            return solve(C).scattering_length
+        except BoundStateError:  # a node of u: past the smallest root
+            return -math.inf
+
     c_lo = 1.0 + 1e-6
-    walked = [(c_lo, solve(c_lo).scattering_length)]
-    while np.signbit(walked[-1][1]) == np.signbit(walked[0][1]):
+    walked = [(c_lo, residual(c_lo))]
+    while walked[-1][1] > 0.0:
         if walked[-1][0] >= C_MAX:
             raise CalibrationError(
                 f"no root bracketed for C in ({c_lo:.6g}, {C_MAX:.6g}]: "
                 f"residuals run from {walked[0][1]:.6g} to {walked[-1][1]:.6g}"
             )
         c = min(walked[-1][0] + SCAN_STEP, C_MAX)
-        try:
-            walked.append((c, solve(c).scattering_length))
-        except BoundStateError as exc:
-            raise CalibrationError(
-                f"hit the bound-state regime at C = {c:.6g} before bracketing a root; "
-                f"walked residuals: {[(round(cc, 6), float(vv)) for cc, vv in walked]}"
-            ) from exc
-    (lo, f_lo), (hi, f_hi) = walked[-2:]
-    # continuity/monotonicity spot check across the bracket
-    probes = np.linspace(lo, hi, 6)
-    probe_vals = [f_lo] + [solve(cc).scattering_length for cc in probes[1:-1]] + [f_hi]
-    diffs = np.diff(probe_vals)
-    slack = 1e-10 * max(1.0, float(np.max(np.abs(probe_vals))))
-    if not (np.all(diffs <= slack) or np.all(diffs >= -slack)):
-        raise CalibrationError("residual scattering length is not monotone over the bracket")
-    length_scale = max(V.support_radius, hi) * inner
+        walked.append((c, residual(c)))
+    (lo, f_lo), (hi, f_hi) = (walked[:1] + walked)[-2:]  # lo = hi if c_lo ends the walk
+    length_scale = max(V.support_radius, hi) * float(N) ** -beta
     g_lo, g_hi, kept = f_lo, f_hi, None  # the ends' residuals, halved while an end is kept
     while math.nextafter(lo, hi) < hi:  # until lo and hi are adjacent floats
-        mid = hi - g_hi * (hi - lo) / (g_hi - g_lo)  # opposite signs, never -0.0: no 0/0
-        if not lo < mid < hi or hi - lo <= 64 * math.ulp(hi):
+        mid = hi - g_hi * (hi - lo) / (g_hi - g_lo)  # f_lo > 0 >= f_hi: no 0/0
+        if math.isinf(g_hi) or not lo < mid < hi or hi - lo <= 64 * math.ulp(hi):
             mid = 0.5 * (lo + hi)
-        f_mid = solve(mid).scattering_length
+        f_mid = residual(mid)
         if f_mid == 0.0:  # an exact root; narrowing on would only bisect from the far end
             return mid, solve(mid)
-        if np.signbit(f_mid) == np.signbit(f_lo):
+        if f_mid > 0.0:
             lo, f_lo, g_lo, g_hi = mid, f_mid, f_mid, g_hi / 2 if kept == "hi" else g_hi
             kept = "hi"
         else:

@@ -546,6 +546,42 @@ def test_integrate_rejects_bad_sample_steps():
             integrate(st, spec, 1e-3, steps)
 
 
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning on the way to the error
+def test_integrate_reports_non_finite_values_at_the_next_sampled_step():
+    # only sampled steps are checked: a NaN sample of the start state shows at step 3
+    spec, st = _four_modes()[1]
+    u, v = st.components
+    bad = Field(u.grid, np.where(np.arange(u.values.size) == 2, np.nan, u.values))
+    with pytest.raises(EffectiveError, match=r"^non-finite values appeared by step 3$"):
+        integrate(OrbitalState((bad, v), st.time), spec, 1e-3, [3, 5])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make, name", [
+    (lambda g, x: CouplingSpec.gross_pitaevskii(g, x, 0.1, 0.1), "a1"),
+    (lambda g, x: CouplingSpec.gross_pitaevskii(g, 0.1, x, 0.1), "a2"),
+    (lambda g, x: CouplingSpec.gross_pitaevskii(g, 0.1, 0.1, x), "a12"),
+    (lambda g, x: CouplingSpec.rabi(g, x, 1.0), "a"),
+    (lambda g, x: CouplingSpec.spin1(g, x), "a"),
+], ids=["gp-a1", "gp-a2", "gp-a12", "rabi", "spin1"])
+def test_couplings_whose_8_pi_multiple_overflows_are_rejected(make, name):
+    g = make_grid(1, 16, 2 * np.pi)
+    for x in (1e307, -1e307, math.inf, math.nan):
+        with pytest.raises(EffectiveError) as err:
+            make(g, x)
+        assert str(err.value) == f"{name} and 8 pi {name} must be finite, got {name} = {x!r}"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", [1, 2, 3], ids=["gp", "rabi_B_of_t", "spin1"])
+def test_huge_finite_couplings_run_to_the_end(case):
+    # with 8 pi a finite the local flows are phase rotations: a = 1e306 stays finite
+    spec, st = _four_modes()[case]
+    huge = dataclasses.replace(spec, **{k: 1e306 for k in ("a1", "a2", "a12", "a")})
+    end = integrate(st, huge, 1e-3, [10])[0]
+    assert all(np.all(np.isfinite(c.values)) for c in end.components)
+
+
 @pytest.mark.parametrize("T, dt", [(math.nan, 1e-3), (1.0, math.nan), (math.inf, 1e-3),
                                    (1.0, math.inf), (1.0, 1e-320)])
 def test_evolve_rejects_non_finite_time_arguments(T, dt):

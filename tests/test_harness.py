@@ -312,15 +312,14 @@ def test_cli_effective_unusable_samples_are_config_errors(tmp_path, capsys, comm
     assert not (tmp_path / "eff").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow on the way to the error
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning on the way to the error
 def test_cli_effective_blow_up_is_an_error(tmp_path, capsys):
-    # 8 pi a1 overflows, so step 1 is already non-finite; only sampled steps are checked,
-    # and the first of them is step 10
+    # 8 pi a1 overflows: the coupling spec stops the run before its first step
     cfg_path = tmp_path / "gp.ini"
     cfg_path.write_text(f"[grid]\npoints = 16\n[system]\nmode = gross_pitaevskii\na1 = 1e307\n"
                         f"[time]\nt = 0.01\ndt = 1e-3\n[output]\ndir = {tmp_path / 'eff'}\n")
     assert cli.main(["effective", str(cfg_path)]) == 2
-    assert capsys.readouterr().err == "error: non-finite values appeared by step 10\n"
+    assert capsys.readouterr().err == "error: a1 and 8 pi a1 must be finite, got a1 = 1e+307\n"
     assert not (tmp_path / "eff").exists()
 
 
@@ -900,6 +899,17 @@ dir = {out}
     rows = (tmp_path / "sc" / "scattering.csv").read_bytes().decode().strip().split("\r\n")
     assert rows[0] == "N,beta,C,a_residual,g_L1,g_L2,g_Linf"
     assert len(rows) == 2
+
+
+def test_cli_scattering_of_a_steep_barrier(tmp_path):
+    # the shell walk meets a node of u past the root, at C = 1.5, and narrows onto the root
+    cfg_path = tmp_path / "steep.ini"
+    cfg_path.write_text(f"[system]\nmode = scattering\npotential = box amp=10 radius=1\n"
+                        f"[output]\ndir = {tmp_path / 'sc'}\n")
+    assert cli.main(["scattering", str(cfg_path)]) == 0
+    rows = (tmp_path / "sc" / "scattering.csv").read_bytes().decode().strip().split("\r\n")
+    assert rows[0] == "N,beta,C,a_residual,g_L1,g_L2,g_Linf"
+    assert len(rows) == 4
 
 
 def test_scattering_potential_validated_at_parse_time():

@@ -184,6 +184,21 @@ def test_calibration_pinned_to_the_last_bit(N, beta, C):
     assert calibrate_shell(BARRIER, N, beta)[0] == C
 
 
+@pytest.mark.parametrize("V, C_seen", [(square_barrier(10.0, 1.0), 1.2565268564421062),
+                                        (square_barrier(50.0, 0.9), 1.3154212314376799),
+                                        (square_barrier(1e6, 1.0), 1.5233635498594922)],
+                         ids=["10-1", "50-0.9", "1e6-1"])
+def test_calibration_of_a_steep_residual_stops_at_a_node(V, C_seen):
+    # the walk's step of 0.25 passes the root and meets a node of u (for the height-10
+    # barrier the root lies in (1.25, 1.275) and the node comes at C = 1.5): the node
+    # bounds the bracket, and the returned shell problem is node-free within tolerance
+    C, res = calibrate_shell(V, 8, 1.0)
+    assert C == pytest.approx(C_seen, rel=1e-12)
+    solved = scattering_length(res.V)  # raises BoundStateError at a node
+    length_scale = max(V.support_radius, C) / 8
+    assert abs(solved.scattering_length) <= scattering_mod.RESIDUAL_TOL * length_scale
+
+
 def test_calibration_deterministic():
     (c1, r1), (c2, r2) = calibrate_shell(BARRIER, 16, 1.0), calibrate_shell(BARRIER, 16, 1.0)
     assert c1 == c2
@@ -191,9 +206,7 @@ def test_calibration_deterministic():
 
 
 def _shell_residual(V, a, N, beta, C):
-    inner = N ** -beta
-    return scattering_length(shell_problem(V, a, N, beta, C),
-                             allow_crossing_window=(inner, C * inner)).scattering_length
+    return scattering_length(shell_problem(V, a, N, beta, C)).scattering_length
 
 
 def test_calibration_brackets_the_root_to_adjacent_floats():
@@ -216,9 +229,9 @@ def _counted_calibration(monkeypatch, V, N, beta):
     a = scattering_length(V).scattering_length
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(V):
         calls.append(None)
-        return scattering_length(*args, **kwargs)
+        return scattering_length(V)
 
     with monkeypatch.context() as m:
         m.setattr(scattering_mod, "scattering_length", counted)
@@ -229,11 +242,11 @@ def _counted_calibration(monkeypatch, V, N, beta):
 @pytest.mark.parametrize("N, beta", [(8, 1.0), (16, 1.0), (32, 1.0), (8, 0.75)],
                          ids=["8", "16", "32", "8-0.75"])
 def test_calibration_takes_few_residual_solves(monkeypatch, N, beta):
-    # a(V), the walk, 4 probes, regula falsi steps and the returned problem's
-    # solve; bisecting all the way took 56.  At (8, 0.75) a regula falsi step
-    # lands on an exact root, which is solved again for the returned problem.
+    # a(V), the walk, regula falsi steps and the returned problem's solve;
+    # bisecting all the way took 56.  At (8, 0.75) a regula falsi step lands
+    # on an exact root, which is solved again for the returned problem.
     _, _, calls = _counted_calibration(monkeypatch, BARRIER, N, beta)
-    assert calls <= 20
+    assert calls <= 14
 
 
 @pytest.mark.parametrize("potential", ["box amp=2 radius=1", "gaussian amp=2 sigma=0.5"])
@@ -297,38 +310,33 @@ def test_calibration_reports_missing_bracket(monkeypatch):
     assert "no root bracketed" in str(err.value)
 
 
-def _windowed_residual(monkeypatch, residual):
+def _patched_residual(monkeypatch, residual):
     """Patch the shell problems' solve: residual(C) as the scattering length, C read
-    from the crossing window (1, C) / N**beta; a(V) itself is solved as it is."""
-    def solve(V, *, allow_crossing_window=None):
-        if allow_crossing_window is None:
+    from the shell problem's edges (0, 1, C) / N**beta; a(BARRIER) is solved as it is."""
+    def solve(V):
+        if V is BARRIER:
             return scattering_length(V)
-        inner, outer = allow_crossing_window
-        return SimpleNamespace(scattering_length=residual(outer / inner))
+        return SimpleNamespace(scattering_length=residual(V.edges[2] / V.edges[1]))
     monkeypatch.setattr(scattering_mod, "scattering_length", solve)
 
 
-def test_calibration_reports_the_bound_state_regime(monkeypatch):
+def test_a_node_ends_the_walk_and_bounds_the_bracket(monkeypatch):
+    # the walk's first step past C = 1.2 meets a node, which is the bracket's upper
+    # end: bisection narrows onto C = 1.2, whose residual fails the tolerance
+    tried = []
+
     def residual(C):
+        tried.append(C)
         if C > 1.2:
             raise BoundStateError("radial solution crosses zero")
         return 0.05
-    _windowed_residual(monkeypatch, residual)
+    _patched_residual(monkeypatch, residual)
     with pytest.raises(CalibrationError) as err:
         calibrate_shell(BARRIER, 8, 1.0)
-    assert str(err.value) == ("hit the bound-state regime at C = 1.25 before bracketing a "
-                              "root; walked residuals: [(1.000001, 0.05)]")
-    assert isinstance(err.value.__cause__, BoundStateError)
-
-
-def test_calibration_rejects_a_non_monotone_bracket(monkeypatch):
-    # the walk brackets a sign flip on (1.000001, 1.250001), and the four probes 0.05
-    # apart alternate about the falling line
-    _windowed_residual(monkeypatch,
-                       lambda C: 0.1 - (C - 1.0) + 0.2 * math.cos(20 * math.pi * (C - 1.0)))
-    with pytest.raises(CalibrationError) as err:
-        calibrate_shell(BARRIER, 8, 1.0)
-    assert str(err.value) == "residual scattering length is not monotone over the bracket"
+    assert str(err.value) == "calibration residual 5.000e-02 exceeds 1.0e-08 * 1.563e-01"
+    assert tried[:2] == [1.000001, 1.250001]
+    assert max(C for C in tried if C <= 1.2) == 1.2
+    assert min(C for C in tried if C > 1.2) == math.nextafter(1.2, 2.0)
 
 
 def test_calibration_reports_a_residual_above_tolerance(monkeypatch):
