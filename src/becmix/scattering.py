@@ -265,14 +265,13 @@ def calibrate_shell(V: RadialPotential, N: int,
     SCAN_STEP steps to its first value <= 0, then the bracket is narrowed
     by Illinois regula falsi: each step takes the secant point of the
     bracket, halving the stored residual of an end kept twice in a row,
-    and bisects instead when an end is -inf, when that point is not
-    strictly inside or when the bracket lies within 64 ulps of its upper
-    end, down to adjacent floats; a residual of exactly 0.0 ends it and is
-    returned.  Otherwise the end with the smaller |residual| is returned
-    if that is below RESIDUAL_TOL times the problem's length scale, else
-    CalibrationError is raised.  An a(V) of 0 needs no shell: C = 1.
-    Raises CalibrationError, with the walked residuals, if no bracket
-    exists up to C = C_MAX.
+    or its midpoint while the upper end is -inf, clamped one float inside
+    the bracket so that every solve narrows it, down to adjacent floats;
+    a residual of exactly 0.0 ends it and is returned.  Otherwise the end
+    with the smaller |residual| is returned if that is below RESIDUAL_TOL
+    times the problem's length scale, else CalibrationError is raised.
+    An a(V) of 0 needs no shell: C = 1.  Raises CalibrationError, with the
+    walked residuals, if no bracket exists up to C = C_MAX.
     """
     if not (0.0 < beta <= 1.0):
         raise ScatteringError(f"beta must lie in (0, 1], got {beta}")
@@ -308,11 +307,10 @@ def calibrate_shell(V: RadialPotential, N: int,
     length_scale = max(V.support_radius, hi) * float(N) ** -beta
     g_lo, g_hi, kept = f_lo, f_hi, None  # the ends' residuals, halved while an end is kept
     while math.nextafter(lo, hi) < hi:  # until lo and hi are adjacent floats
-        mid = hi - g_hi * (hi - lo) / (g_hi - g_lo)  # f_lo > 0 >= f_hi: no 0/0
-        if math.isinf(g_hi) or not lo < mid < hi or hi - lo <= 64 * math.ulp(hi):
-            mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi) if math.isinf(g_hi) else hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        mid = min(max(mid, math.nextafter(lo, hi)), math.nextafter(hi, lo))  # strictly inside
         f_mid = residual(mid)
-        if f_mid == 0.0:  # an exact root; narrowing on would only bisect from the far end
+        if f_mid == 0.0:  # an exact root: no end of a narrower bracket does better
             return mid, solve(mid)
         if f_mid > 0.0:
             lo, f_lo, g_lo, g_hi = mid, f_mid, f_mid, g_hi / 2 if kept == "hi" else g_hi

@@ -178,10 +178,16 @@ def test_calibration_cancels_scattering_length():
     assert abs(res.scattering_length) < 1e-8 * BARRIER.support_radius
 
 
-@pytest.mark.parametrize("N, beta, C", [(8, 1.0, 1.1734511758104325),
-                                          (16, 0.5, 1.182494917058338)])
-def test_calibration_pinned_to_the_last_bit(N, beta, C):
-    assert calibrate_shell(BARRIER, N, beta)[0] == C
+@pytest.mark.parametrize("V, N, beta, C", [(BARRIER, 8, 1.0, 1.1734511758104325),
+                                             (BARRIER, 16, 0.5, 1.182494917058338),
+                                             (square_barrier(1e6, 1.0), 16, 0.5,
+                                              1.9395610372728342),
+                                             (square_barrier(1e6, 1.0), 100, 0.6,
+                                              2.1304899055051925)],
+                         ids=["8-1.0-1.1734511758104325", "16-0.5-1.182494917058338",
+                              "1e6-16-0.5", "1e6-100-0.6"])
+def test_calibration_pinned_to_the_last_bit(V, N, beta, C):
+    assert calibrate_shell(V, N, beta)[0] == C
 
 
 @pytest.mark.parametrize("V, C_seen", [(square_barrier(10.0, 1.0), 1.2565268564421062),
@@ -249,16 +255,66 @@ def test_calibration_takes_few_residual_solves(monkeypatch, N, beta):
     assert calls <= 14
 
 
-@pytest.mark.parametrize("potential", ["box amp=2 radius=1", "gaussian amp=2 sigma=0.5"])
-@pytest.mark.parametrize("N, beta", [(8, 0.5), (8, 1.0), (32, 0.5), (32, 1.0)])
+@pytest.mark.parametrize("potential", ["box amp=2 radius=1", "gaussian amp=2 sigma=0.5",
+                                       "box amp=1e6 radius=1", "box amp=10 radius=1",
+                                       "box amp=50 radius=0.9"])
+@pytest.mark.parametrize("N, beta", [(8, 0.5), (8, 1.0), (32, 0.5), (32, 1.0), (16, 0.5),
+                                     (100, 0.6), (100, 1.0)])
 def test_regula_falsi_brackets_the_root_to_adjacent_floats(monkeypatch, potential, N, beta):
     V = parse_config(f"[system]\nmode = scattering\npotential = {potential}\n").radial_potential()
     C, a, calls = _counted_calibration(monkeypatch, V, N, beta)
-    assert calls <= 56
+    assert calls <= 24
     at_c = _shell_residual(V, a, N, beta, C)
     neighbours = [_shell_residual(V, a, N, beta, np.nextafter(C, side))
                   for side in (-np.inf, np.inf)]
     assert at_c == 0.0 or any(np.signbit(n) != np.signbit(at_c) for n in neighbours)
+
+
+def _logged_calibration(monkeypatch, V, N, beta):
+    """calibrate_shell(V, N, beta)'s C and the C of each shell problem it solved, in order."""
+    solved = []
+
+    def logged(V, a, N, beta, C):
+        solved.append(C)
+        return shell_problem(V, a, N, beta, C)
+
+    with monkeypatch.context() as m:
+        m.setattr(scattering_mod, "shell_problem", logged)
+        C, _ = calibrate_shell(V, N, beta)
+    return C, solved
+
+
+@pytest.mark.parametrize("V, N, beta", [
+    (BARRIER, 8, 1.0), (BARRIER, 8, 0.75), (square_barrier(1e6, 1.0), 16, 0.5),
+    (square_barrier(1e6, 1.0), 100, 0.6), (square_barrier(10.0, 1.0), 8, 1.0),
+    (square_barrier(50.0, 0.9), 100, 1.0)], ids=["2-8-1", "2-8-0.75", "1e6-16-0.5",
+                                                 "1e6-100-0.6", "10-8-1", "50-100-1"])
+def test_every_narrowing_solve_lies_strictly_inside_the_bracket(monkeypatch, V, N, beta):
+    C, solved = _logged_calibration(monkeypatch, V, N, beta)
+    a = scattering_length(V).scattering_length
+
+    def residual(c):
+        try:
+            return _shell_residual(V, a, N, beta, c)
+        except BoundStateError:
+            return -math.inf
+
+    positive = [residual(c) > 0.0 for c in solved]
+    walk = positive.index(False) + 1  # the walk ends at its first residual <= 0 or node
+    lo, hi = solved[walk - 2:walk]
+    for c, above in zip(solved[walk:-1], positive[walk:-1]):  # the last is the returned one
+        assert lo < c < hi
+        lo, hi = (c, hi) if above else (lo, c)
+    assert solved[-1] == C and C in (lo, hi)
+    assert residual(C) == 0.0 or math.nextafter(lo, hi) == hi
+
+
+def test_a_secant_point_on_an_end_is_clamped_to_the_adjacent_float(monkeypatch):
+    # the 13th solve lands 5.6e-17 from the root and the next secant point rounds
+    # onto it: the clamp solves the float beside it, not the bracket's midpoint
+    _, solved = _logged_calibration(monkeypatch, square_barrier(1e6, 1.0), 16, 0.5)
+    k = solved.index(1.9395610372728342)
+    assert solved[k + 1] == math.nextafter(1.9395610372728342, 2.0) == 1.9395610372728345
 
 
 @pytest.mark.parametrize("N, beta", [(8, 1.0), (32, 0.6)], ids=["8-1", "32-0.6"])
